@@ -1,8 +1,9 @@
 """Command-line front end: thresholds, profile, curve, simulate, verify.
 
 All numeric output is written with 17 significant digits so that re-running
-a command reproduces byte-identical files.  Exit codes: 0 success, 2 usage,
-3 regime error, 4 numerical failure.
+a command reproduces byte-identical files.  Exit codes: 0 success, 2 usage
+(including a simulate config that lacks a parameter or whose profiles leave
+the grid), 3 regime error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -152,27 +153,24 @@ def cmd_curve(args) -> int:
     p = _params_from_args(args)
     out = _out_dir(args)
     curve = profiles.continue_curve(p, n_points=args.n_points)
-    energies = functionals.energy_along_curve(curve)
+    reports = functionals.curve_reports(curve)
 
-    es = np.array([e for _, e in energies])
+    es = np.array([rep.rescaled_energy for rep in reports])
     d = np.diff(es)
     sign_changes = int(np.sum(np.sign(d[:-1]) != np.sign(d[1:])))
     i_min = int(np.argmin(es))
-    if sign_changes > 1 or abs(energies[i_min][0]) > 1e-12:
+    if sign_changes > 1 or abs(curve[i_min].ell) > 1e-12:
         raise NumericsError("curve energy is not unimodal with minimum at ell = 0")
 
     stem = f"curve_R{args.R:g}_Rmu{args.R_mu:g}_eta{args.eta:g}"
     csv_path = out / f"{stem}.csv"
     header = ["ell", "gamma1", "beta1", "alpha1", "alpha", "beta", "gamma", "E_star"]
-    rows = [[cp.ell, *cp.zeta, e] for cp, (_, e) in zip(curve, energies)]
+    rows = [[cp.ell, *cp.zeta, rep.rescaled_energy] for cp, rep in zip(curve, reports)]
     _write_csv(csv_path, header, rows)
 
     fn_path = out / f"{stem}_functionals.csv"
-    fn_rows = []
-    for cp in curve:
-        rep = functionals.evaluate(cp.profile, p)
-        fn_rows.append([cp.ell, rep.energy, rep.rescaled_energy, rep.m1, rep.m2,
-                        rep.entropy])
+    fn_rows = [[cp.ell, rep.energy, rep.rescaled_energy, rep.m1, rep.m2, rep.entropy]
+               for cp, rep in zip(curve, reports)]
     _write_csv(fn_path, ["ell", "E", "E_star", "M1", "M2", "H"], fn_rows)
 
     kind = profiles.curve_endpoint_kind(p)
@@ -182,7 +180,7 @@ def cmd_curve(args) -> int:
         "ell_plus": curve[-1].ell,
         "endpoint_kind": kind,
         "E_star_min": float(es[i_min]),
-        "E_star_min_at_ell": energies[i_min][0],
+        "E_star_min_at_ell": curve[i_min].ell,
         "endpoints": {
             "lower": {"zeta": list(curve[0].zeta), "label": kind},
             "upper": {"zeta": list(curve[-1].zeta), "label": kind},
@@ -222,6 +220,11 @@ def cmd_simulate(args) -> int:
         cfg = json.loads(cfg_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         return _usage_error(f"cannot read config {cfg_path}: {exc}")
+    if not isinstance(cfg, dict):
+        return _usage_error(f"config {cfg_path} is not a JSON object")
+    missing = [k for k in ("R", "R_mu", "eta", "t_end") if k not in cfg]
+    if missing:
+        return _usage_error(f"config {cfg_path} lacks {', '.join(missing)}")
     out = _out_dir(args)
 
     p = FluidParams(R=cfg["R"], R_mu=cfg["R_mu"], eta=cfg["eta"])
@@ -415,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
             functionals.MismatchError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, fvm.SupportOutsideDomainError) as exc:
         return _usage_error(str(exc))
 
 

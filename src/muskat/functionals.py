@@ -22,6 +22,7 @@ __all__ = [
     "MismatchError",
     "evaluate",
     "dissipation",
+    "curve_reports",
     "energy_along_curve",
 ]
 
@@ -144,9 +145,8 @@ def dissipation(state, p: FluidParams) -> float:
     return 0.5 * h * float(np.sum(f * vf**2) + p.theta * np.sum(g * vg**2))
 
 
-def energy_along_curve(curve: list[CurvePoint],
-                       tol: float = 1e-9) -> list[tuple[float, float]]:
-    """(ell, E_*) along a continuation curve, cross-checked two ways.
+def curve_reports(curve: list[CurvePoint], tol: float = 1e-9) -> list[FunctionalReport]:
+    """Functional report of each curve state, in curve order, cross-checked.
 
     E_* is computed by exact quadrature of the profile and independently
     from the closed form in fifth powers of the sextuplet; disagreement
@@ -160,6 +160,13 @@ def energy_along_curve(curve: list[CurvePoint],
             raise MismatchError(
                 f"energy mismatch at ell = {cp.ell:.6g}: quadrature "
                 f"{rep.rescaled_energy:.15g} vs closed form {closed:.15g}")
-        out.append((cp.ell, rep.rescaled_energy))
-    out.sort(key=lambda t: t[0])
+        out.append(rep)
     return out
+
+
+def energy_along_curve(curve: list[CurvePoint],
+                       tol: float = 1e-9) -> list[tuple[float, float]]:
+    """(ell, E_*) along a continuation curve, sorted by ell; see curve_reports."""
+    reports = curve_reports(curve, tol)
+    return sorted(((cp.ell, rep.rescaled_energy) for cp, rep in zip(curve, reports)),
+                  key=lambda t: t[0])

@@ -133,7 +133,13 @@ class TrajectoryReport:
 
 
 def cell_averages(q: PiecewiseQuadratic, grid: Grid) -> np.ndarray:
-    """Exact cell averages of a piecewise quadratic."""
+    """Exact cell averages of a piecewise quadratic whose support lies in the grid."""
+    if q.pieces:
+        lo, hi = q.pieces[0][0], q.pieces[-1][1]
+        if lo < grid.x_left - 1e-12 or hi > grid.x_right + 1e-12:
+            raise SupportOutsideDomainError(
+                f"support [{lo:.4g}, {hi:.4g}] leaves the domain "
+                f"[{grid.x_left}, {grid.x_right}]")
     faces = grid.faces
     out = np.zeros(grid.n_cells)
     for l, r, c0, c2 in q.pieces:
@@ -174,11 +180,6 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
     fields = []
     for comp in comps:
         if isinstance(comp, PiecewiseQuadratic):
-            lo, hi = comp.pieces[0][0], comp.pieces[-1][1]
-            if lo < grid.x_left - 1e-12 or hi > grid.x_right + 1e-12:
-                raise SupportOutsideDomainError(
-                    f"support [{lo:.4g}, {hi:.4g}] leaves the domain "
-                    f"[{grid.x_left}, {grid.x_right}]")
             fields.append(cell_averages(comp, grid))
         else:
             fields.append(_gauss_cell_averages(comp, grid))

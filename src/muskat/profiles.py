@@ -146,16 +146,6 @@ class PiecewiseQuadratic:
             todo &= ~m
         return out
 
-    def derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        todo = np.ones_like(x, dtype=bool)
-        for l, r, c0, c2 in self.pieces:
-            m = todo & (x >= l) & (x <= r)
-            out[m] = 2.0 * c2 * x[m]
-            todo &= ~m
-        return out
-
     # -- exact integrals ---------------------------------------------
 
     def moment(self, k: int) -> float:
@@ -386,32 +376,42 @@ def residuals_R2(p: FluidParams, zeta: Sequence[float]) -> float:
 # ----------------------------------------------------------------------
 
 
-def steady_residual_fields(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
-                           p: FluidParams, n: int = 10_000) -> float:
-    """Max of |F * (pressure_F)'| and |G * (pressure_G)'| on a dense sample.
+def _coeffs_at(q: PiecewiseQuadratic, x: float) -> tuple[float, float]:
+    return next(((c0, c2) for l, r, c0, c2 in q.pieces if l <= x <= r), (0.0, 0.0))
 
-    Sample points sit strictly inside the elementary intervals cut by the
-    breakpoints of both components, so one-sided derivatives are unambiguous.
+
+def steady_residual_fields(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
+                           p: FluidParams) -> float:
+    """Exact max of |F * (pressure_F)'| and |G * (pressure_G)'|.
+
+    On each interval [u, v] between breakpoints of F and G, each field is one
+    c0 + c2 x^2 and its pressure gradient is k x, so each term is the odd cubic
+    k (c0 x + c2 x^3): largest in magnitude at u, at v (one-sided) or at
+    x = +-sqrt(-c0 / (3 c2)) inside.  Intervals shorter than 1e-13 of the span
+    come from breakpoints equal up to rounding and are skipped.
     """
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     breaks = sorted({v for l, r, _, _ in F.pieces + G.pieces for v in (l, r)})
-    total_len = breaks[-1] - breaks[0]
+    min_len = 1e-13 * max(breaks[-1] - breaks[0], 1.0)
     worst = 0.0
     for u, v in zip(breaks[:-1], breaks[1:]):
-        if v - u <= 1e-13 * max(total_len, 1.0):
+        if v - u <= min_len:
             continue
-        m = max(64, int(n * (v - u) / total_len))
-        x = u + (np.arange(m) + 0.5) * (v - u) / m
-        Fx, Gx = F(x), G(x)
-        dF, dG = F.derivative(x), G.derivative(x)
-        res_f = Fx * (e2 * (1.0 + R) * dF + R * dG + x / 3.0)
-        res_g = Gx * (e2 * Rmu * dF + Rmu * dG + x / 3.0)
-        worst = max(worst, float(np.max(np.abs(res_f))), float(np.max(np.abs(res_g))))
+        f0, f2 = _coeffs_at(F, 0.5 * (u + v))
+        g0, g2 = _coeffs_at(G, 0.5 * (u + v))
+        k_f = 2.0 * (e2 * (1.0 + R) * f2 + R * g2) + 1.0 / 3.0
+        k_g = 2.0 * (e2 * Rmu * f2 + Rmu * g2) + 1.0 / 3.0
+        for k, c0, c2 in ((k_f, f0, f2), (k_g, g0, g2)):
+            xs = [u, v]
+            if c0 * c2 < 0.0:
+                xc = math.sqrt(-c0 / (3.0 * c2))
+                xs += [x for x in (-xc, xc) if u < x < v]
+            worst = max(worst, *(abs(k * x * (c0 + c2 * x * x)) for x in xs))
     return worst
 
 
-def steady_residual(pp: ProfilePair, n: int = 10_000) -> float:
-    return steady_residual_fields(pp.F, pp.G, pp.params, n)
+def steady_residual(pp: ProfilePair) -> float:
+    return steady_residual_fields(pp.F, pp.G, pp.params)
 
 
 def integrate_moments(q: PiecewiseQuadratic, k: int) -> float:

@@ -163,6 +163,26 @@ def test_simulate_bad_config(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("cfg, says", [
+    ({"R": 1.0, "R_mu": 2.0, "t_end": 0.01}, "lacks eta"),
+    ([1.0, 2.0], "not a JSON object"),
+    # the even profile at R_mu = 21 has G reaching +-5.481, outside [-5, 5]:
+    # as initial data, and as the l2_dist reference of bumps data
+    ({"R": 1.0, "R_mu": 21.0, "eta": 1.0, "t_end": 0.01, "n_cells": 60},
+     "leaves the domain"),
+    ({"R": 1.0, "R_mu": 21.0, "eta": 1.0, "t_end": 0.01, "n_cells": 60,
+      "initial": {"kind": "bumps"}}, "leaves the domain"),
+])
+def test_simulate_config_errors_exit_2(tmp_path, capsys, cfg, says):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and says in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--R", "1", "--R-mu", "2", "--eta", "1")
     assert code == EXIT_OK

@@ -78,6 +78,10 @@ def test_init_rejects_support_outside_domain():
     wide = PiecewiseQuadratic.from_pieces([(-7.0, 7.0, 1.0 / 14.0, 0.0)])
     with pytest.raises(SupportOutsideDomainError):
         init_state((wide, wide), Grid(n_cells=10))
+    # the same guard covers a reference profile: G reaches +-5.481 here
+    state = init_state(even_profile(P11), Grid(n_cells=10))
+    with pytest.raises(SupportOutsideDomainError):
+        l2_distance(state, even_profile(FluidParams(1.0, 21.0, 1.0)))
 
 
 def test_cell_averages_quadratic_exact():

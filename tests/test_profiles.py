@@ -470,6 +470,83 @@ def test_perturbation_detected():
     assert res > 1e-5
 
 
+def _sampled_residual(F, G, p, n=10_000):
+    """Dense-sample oracle: the residual at points strictly inside each interval."""
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+
+    def derivative(q, x):
+        out = np.zeros_like(x)
+        todo = np.ones_like(x, dtype=bool)
+        for l, r, c0, c2 in q.pieces:
+            m = todo & (x >= l) & (x <= r)
+            out[m] = 2.0 * c2 * x[m]
+            todo &= ~m
+        return out
+
+    breaks = sorted({v for l, r, _, _ in F.pieces + G.pieces for v in (l, r)})
+    total_len = breaks[-1] - breaks[0]
+    worst = 0.0
+    for u, v in zip(breaks[:-1], breaks[1:]):
+        if v - u <= 1e-13 * max(total_len, 1.0):
+            continue
+        m = max(64, int(n * (v - u) / total_len))
+        x = u + (np.arange(m) + 0.5) * (v - u) / m
+        dF, dG = derivative(F, x), derivative(G, x)
+        res_f = F(x) * (e2 * (1.0 + R) * dF + R * dG + x / 3.0)
+        res_g = G(x) * (e2 * Rmu * dF + Rmu * dG + x / 3.0)
+        worst = max(worst, float(np.max(np.abs(res_f))), float(np.max(np.abs(res_g))))
+    return worst
+
+
+def _residual_test_profiles():
+    out = [even_profile(FluidParams(1.0, rmu, 1.0))
+           for rmu in (0.01, 0.1, 1.0 / 3.0, 1.5, 2.0, 10.0, 21.0)]
+    out += [connected_profile(FluidParams(1.0, 21.0, 1.0)),
+            connected_profile(FluidParams(1.0, 0.01, 1.0), side="left"),
+            boundary_disconnected_profile(FluidParams(1.0, 10.0, 1.0)).profile,
+            boundary_disconnected_profile(FluidParams(1.0, 0.1, 1.0), side="left").profile]
+    for p in (FluidParams(1.0, 10.0, 1.0), FluidParams(1.0, 0.1, 1.0),
+              FluidParams(2.0, 40.0, 0.8)):
+        out += [cp.profile for cp in continue_curve(p, 9)]
+    return out
+
+
+def test_exact_residual_bounds_dense_sample():
+    for pp in _residual_test_profiles():
+        exact = steady_residual(pp)
+        assert exact < 1e-9
+        assert exact >= _sampled_residual(pp.F, pp.G, pp.params) - 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_exact_residual_matches_dense_sample_off_steady(eps):
+    for pp in _residual_test_profiles():
+        F_bad = PiecewiseQuadratic.from_pieces(
+            [(l, r, c0 * (1.0 + eps), c2 * (1.0 + eps)) for l, r, c0, c2 in pp.F.pieces])
+        exact = steady_residual_fields(F_bad, pp.G, pp.params)
+        sampled = _sampled_residual(F_bad, pp.G, pp.params)
+        assert exact >= sampled - 1e-14
+        assert exact == pytest.approx(sampled, rel=1e-2)
+
+
+def test_residual_peak_at_interior_critical_point():
+    # even case 1 has F = G = c0 + c2 x^2 on one interval; scaling F's c2 leaves
+    # F nearly zero at the support ends, so |F (pressure_F)'| peaks inside, at
+    # x^2 = -c0 / (3 c2), and no breakpoint carries the maximum
+    pp = even_profile(FluidParams(1.0, 1.5, 1.0))
+    p = pp.params
+    (l, r, c0, c2), = pp.F.pieces
+    c2_bad = c2 * (1.0 + 1e-3)
+    F_bad = PiecewiseQuadratic.from_pieces([(l, r, c0, c2_bad)])
+    k = 2.0 * p.eta**2 * (1.0 + p.R) * (c2_bad - c2)  # the steady k is zero
+    xc = math.sqrt(-c0 / (3.0 * c2_bad))
+    peak = abs(k * xc * (c0 + c2_bad * xc**2))
+    assert abs(k * r * (c0 + c2_bad * r**2)) < 0.01 * peak
+    res = steady_residual_fields(F_bad, pp.G, p)
+    assert res == pytest.approx(peak, rel=1e-9)
+    assert _sampled_residual(F_bad, pp.G, p) <= res
+
+
 # ----------------------------------------------------------------------
 # continuation curve
 # ----------------------------------------------------------------------
