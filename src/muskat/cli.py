@@ -2,8 +2,8 @@
 
 All numeric output is written with 17 significant digits so that re-running
 a command reproduces byte-identical files.  Exit codes: 0 success, 2 usage
-(including a simulate config that lacks a parameter or whose profiles leave
-the grid), 3 regime error, 4 numerical failure.
+(including a simulate config that lacks a parameter, or whose profiles or
+bumps leave the grid), 3 regime error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -207,9 +207,19 @@ def _initial_from_config(cfg: dict, p: FluidParams, grid: fvm.Grid) -> fvm.SimSt
     if kind == "even-profile":
         return fvm.init_state(profiles.even_profile(p), grid)
     if kind == "bumps":
-        f = _bump(spec.get("center_f", 0.0), spec.get("halfwidth_f", 2.0))
-        g = _bump(spec.get("center_g", 0.0), spec.get("halfwidth_g", 2.0))
-        return fvm.init_state((f, g), grid, renormalize=True)
+        bumps = []
+        for name in ("f", "g"):
+            c, a = spec.get(f"center_{name}", 0.0), spec.get(f"halfwidth_{name}", 2.0)
+            if not a > 0.0:
+                raise ValueError(f"halfwidth_{name} must be positive, got {a}")
+            # quadrature would clip a bump that leaves the grid, and
+            # renormalizing would hide the lost mass
+            if c - a < grid.x_left or c + a > grid.x_right:
+                raise fvm.SupportOutsideDomainError(
+                    f"bump {name} on [{c - a:.4g}, {c + a:.4g}] leaves the domain "
+                    f"[{grid.x_left}, {grid.x_right}]")
+            bumps.append(_bump(c, a))
+        return fvm.init_state(tuple(bumps), grid, renormalize=True)
     raise ValueError(f"unknown initial-condition kind {kind!r}")
 
 

@@ -4,12 +4,14 @@ Both equations are advection laws with velocities built from the pressure
 gradients; the fluxes take the donor cell according to the face velocity
 sign, and the boundary fluxes vanish, so both discrete masses are conserved
 by telescoping.  The time step is plain forward Euler with an optional CFL
-and positivity guard.
+and positivity guard.  Both fields live in one (2, n) array, so every array
+operation of a step runs once for the pair.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -88,17 +90,41 @@ class Grid:
         f = self.faces
         return 0.5 * (f[:-1] + f[1:])
 
+    @cached_property
+    def face_drift(self) -> np.ndarray:
+        """Confinement velocity -x/3 at the interior faces."""
+        x = self.centers
+        return -(x[1:] + x[:-1]) / 6.0
 
-@dataclass
+
 class SimState:
-    f: np.ndarray
-    g: np.ndarray
-    t: float
-    grid: Grid
-    step_count: int = 0
+    """Grid state at time t; ``f`` and ``g`` are the rows of one (2, n) array ``u``."""
+
+    __slots__ = ("u", "t", "grid", "step_count")
+
+    def __init__(self, f, g, t: float, grid: Grid, step_count: int = 0):
+        self.u = np.array((f, g), dtype=float)
+        self.t = t
+        self.grid = grid
+        self.step_count = step_count
+
+    @classmethod
+    def _of(cls, u: np.ndarray, t: float, grid: Grid, step_count: int) -> "SimState":
+        """Wrap a (2, n) array without copying it."""
+        s = cls.__new__(cls)
+        s.u, s.t, s.grid, s.step_count = u, t, grid, step_count
+        return s
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.u[0]
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.u[1]
 
     def copy(self) -> "SimState":
-        return SimState(self.f.copy(), self.g.copy(), self.t, self.grid, self.step_count)
+        return SimState._of(self.u.copy(), self.t, self.grid, self.step_count)
 
 
 @dataclass
@@ -132,8 +158,24 @@ class TrajectoryReport:
 # ----------------------------------------------------------------------
 
 
+# profile -> {grid: read-only cell averages}; an entry goes away with its profile
+_AVERAGES = weakref.WeakKeyDictionary()
+
+
 def cell_averages(q: PiecewiseQuadratic, grid: Grid) -> np.ndarray:
-    """Exact cell averages of a piecewise quadratic whose support lies in the grid."""
+    """Exact cell averages of a piecewise quadratic whose support lies in the grid.
+
+    The result is computed once per profile and grid and returned read-only.
+    """
+    per_grid = _AVERAGES.setdefault(q, {})
+    out = per_grid.get(grid)
+    if out is None:
+        out = per_grid[grid] = _exact_cell_averages(q, grid)
+        out.flags.writeable = False
+    return out
+
+
+def _exact_cell_averages(q: PiecewiseQuadratic, grid: Grid) -> np.ndarray:
     if q.pieces:
         lo, hi = q.pieces[0][0], q.pieces[-1][1]
         if lo < grid.x_left - 1e-12 or hi > grid.x_right + 1e-12:
@@ -152,14 +194,19 @@ def cell_averages(q: PiecewiseQuadratic, grid: Grid) -> np.ndarray:
     return out / grid.h
 
 
-def _gauss_cell_averages(func: Callable, grid: Grid, order: int = 5) -> np.ndarray:
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    faces = grid.faces
-    mid = 0.5 * (faces[:-1] + faces[1:])
-    half = 0.5 * grid.h
-    x = mid[:, None] + half * gx[None, :]
-    vals = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
-    return 0.5 * vals @ gw
+def _gauss_cell_averages(func: Callable, grid: Grid) -> np.ndarray:
+    """5-point Gauss-Legendre cell averages, mirror-exact on a symmetric grid.
+
+    The nodes are made exactly antisymmetric and the weights exactly
+    symmetric, and each node pair is summed before weighting, so an even
+    function gets bitwise even averages.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(5)
+    gx = 0.5 * (gx - gx[::-1])
+    gw = 0.5 * (gw + gw[::-1])
+    x = grid.centers[:, None] + (0.5 * grid.h) * gx[None, :]
+    v = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
+    return 0.5 * (gw[2] * v[:, 2] + gw[1] * (v[:, 1] + v[:, 3]) + gw[0] * (v[:, 0] + v[:, 4]))
 
 
 def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
@@ -177,22 +224,21 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
     else:
         raise TypeError("source must be a ProfilePair or a pair of components")
 
-    fields = []
-    for comp in comps:
+    u = np.empty((2, grid.n_cells))
+    for row, comp in zip(u, comps):
         if isinstance(comp, PiecewiseQuadratic):
-            fields.append(cell_averages(comp, grid))
+            row[:] = cell_averages(comp, grid)
         else:
-            fields.append(_gauss_cell_averages(comp, grid))
-    f, g = fields
-    for name, u in (("f", f), ("g", g)):
-        if float(np.sum(u)) * grid.h <= 0.0:
+            row[:] = _gauss_cell_averages(comp, grid)
+    for name, row in zip("fg", u):
+        if float(np.sum(row)) * grid.h <= 0.0:
             raise ValueError(f"initial {name} has no mass")
-        if np.min(u) < -1e-12:
+        if np.min(row) < -1e-12:
             raise ValueError(f"initial {name} is negative somewhere")
     if renormalize:
-        f = f / (grid.h * float(np.sum(f)))
-        g = g / (grid.h * float(np.sum(g)))
-    return SimState(f=f, g=g, t=0.0, grid=grid)
+        for row in u:
+            row /= grid.h * float(np.sum(row))
+    return SimState._of(u, 0.0, grid, 0)
 
 
 # ----------------------------------------------------------------------
@@ -200,47 +246,37 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
 # ----------------------------------------------------------------------
 
 
-def face_velocities(state: SimState, p: FluidParams) -> tuple[np.ndarray, np.ndarray]:
-    """Velocities at the interior faces (length n_cells - 1)."""
-    f, g = state.f, state.g
-    x = state.grid.centers
+def face_velocities(state: SimState, p: FluidParams) -> np.ndarray:
+    """Velocities (A, B) of f and g at the interior faces, shape (2, n_cells - 1)."""
+    u = state.u
     h = state.grid.h
     e2 = p.eta**2
-    drift = -(x[1:] + x[:-1]) / 6.0
-    df = (f[1:] - f[:-1]) / h
-    dg = (g[1:] - g[:-1]) / h
-    A = drift - (1.0 + p.R) * e2 * df - p.R * dg
-    B = drift - e2 * p.R_mu * df - p.R_mu * dg
-    return A, B
-
-
-def _upwind_flux(vel: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Interior-face donor-cell fluxes, zero-padded at the boundary."""
-    flux = np.zeros(u.size + 1)
-    flux[1:-1] = np.maximum(vel, 0.0) * u[:-1] - np.maximum(-vel, 0.0) * u[1:]
-    return flux
+    du = (u[:, 1:] - u[:, :-1]) / h
+    c_f = np.array([[(1.0 + p.R) * e2], [e2 * p.R_mu]])
+    c_g = np.array([[p.R], [p.R_mu]])
+    return state.grid.face_drift - c_f * du[0] - c_g * du[1]
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """One explicit Euler step of the upwind scheme with no-flux boundaries."""
-    p = cfg.params
-    h = state.grid.h
+    grid = state.grid
+    h = grid.h
     dt = cfg.dt
-    A, B = face_velocities(state, p)
+    u = state.u
+    v = face_velocities(state, cfg.params)
     if cfg.cfl_check:
-        vmax = max(float(np.max(np.abs(A))), float(np.max(np.abs(B))), 0.0)
+        vmax = float(np.abs(v).max())
         if dt * vmax / h > 1.0:
             raise CflViolationError(
                 f"dt * max|velocity| / h = {dt * vmax / h:.3g} > 1; reduce dt")
-    Ff = _upwind_flux(A, state.f)
-    Fg = _upwind_flux(B, state.g)
-    f_new = state.f - (dt / h) * (Ff[1:] - Ff[:-1])
-    g_new = state.g - (dt / h) * (Fg[1:] - Fg[:-1])
-    if cfg.cfl_check and (np.min(f_new) < 0.0 or np.min(g_new) < 0.0):
+    # donor-cell fluxes at every face; the boundary faces carry none
+    flux = np.zeros((2, grid.n_cells + 1))
+    flux[:, 1:-1] = np.maximum(v, 0.0) * u[:, :-1] - np.maximum(-v, 0.0) * u[:, 1:]
+    u_new = u - (dt / h) * (flux[:, 1:] - flux[:, :-1])
+    if cfg.cfl_check and u_new.min() < 0.0:
         raise NegativeCellError(
             f"negative cell after step at t = {state.t:.6g}; reduce dt")
-    return SimState(f=f_new, g=g_new, t=state.t + dt, grid=state.grid,
-                    step_count=state.step_count + 1)
+    return SimState._of(u_new, state.t + dt, grid, state.step_count + 1)
 
 
 def support_components(u: np.ndarray, rel_threshold: float = 1e-9) -> int:
@@ -269,11 +305,6 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
     n_steps = int(round(cfg.t_end / cfg.dt))
     h = state.grid.h
 
-    fr = gr = None
-    if cfg.reference is not None:
-        fr = cell_averages(cfg.reference.F, state.grid)
-        gr = cell_averages(cfg.reference.G, state.grid)
-
     cols = ("mass_f", "mass_g", "M1", "M2", "E", "E_star", "H", "I",
             "n_components_f", "n_components_g", "l2_dist")
     records: dict[str, list[float]] = {c: [] for c in cols}
@@ -293,11 +324,8 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
         records["I"].append(rep.dissipation)
         records["n_components_f"].append(support_components(s.f))
         records["n_components_g"].append(support_components(s.g))
-        if fr is not None:
-            d = math.sqrt(h * float(np.sum((s.f - fr) ** 2 + (s.g - gr) ** 2)))
-        else:
-            d = math.nan
-        records["l2_dist"].append(d)
+        records["l2_dist"].append(math.nan if cfg.reference is None
+                                  else l2_distance(s, cfg.reference))
         states.append(s.copy())
 
     record(state)

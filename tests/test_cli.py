@@ -172,6 +172,12 @@ def test_simulate_bad_config(tmp_path, capsys):
      "leaves the domain"),
     ({"R": 1.0, "R_mu": 21.0, "eta": 1.0, "t_end": 0.01, "n_cells": 60,
       "initial": {"kind": "bumps"}}, "leaves the domain"),
+    # a bump on [2, 6] would be clipped to [2, 5] and the loss renormalized away
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "n_cells": 100,
+      "initial": {"kind": "bumps", "center_f": 4.0, "halfwidth_f": 2.0}},
+     "leaves the domain"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "n_cells": 100,
+      "initial": {"kind": "bumps", "halfwidth_g": 0.0}}, "must be positive"),
 ])
 def test_simulate_config_errors_exit_2(tmp_path, capsys, cfg, says):
     cfg_path = tmp_path / "cfg.json"

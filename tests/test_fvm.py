@@ -84,6 +84,48 @@ def test_init_rejects_support_outside_domain():
         l2_distance(state, even_profile(FluidParams(1.0, 21.0, 1.0)))
 
 
+def _cell_averages_oracle(q: PiecewiseQuadratic, g: Grid) -> np.ndarray:
+    """Reference: exact cell averages recomputed on every call."""
+    faces = g.faces
+    out = np.zeros(g.n_cells)
+    for l, r, c0, c2 in q.pieces:
+        lo = np.maximum(faces[:-1], l)
+        hi = np.minimum(faces[1:], r)
+        mask = np.clip(hi - lo, 0.0, None) > 0.0
+        out[mask] += (c0 * (hi[mask] - lo[mask])
+                      + c2 * (hi[mask] ** 3 - lo[mask] ** 3) / 3.0)
+    return out / g.h
+
+
+def test_cell_averages_computed_once_and_read_only():
+    pp = even_profile(FluidParams(1.0, 2.0, 1.0))
+    g = Grid(n_cells=50)
+    avg = cell_averages(pp.F, g)
+    assert np.array_equal(avg, _cell_averages_oracle(pp.F, g))
+    assert cell_averages(pp.F, g) is avg
+    assert cell_averages(pp.F, Grid(n_cells=50)) is avg  # an equal grid
+    assert not avg.flags.writeable
+    with pytest.raises(ValueError):
+        avg[0] = 1.0
+    # the state holds writable copies; writing to them leaves the averages alone
+    st = init_state(pp, g)
+    st.f[:] = 7.0
+    st.g[:] = 7.0
+    assert np.array_equal(cell_averages(pp.F, g), _cell_averages_oracle(pp.F, g))
+    assert np.array_equal(cell_averages(pp.G, g), _cell_averages_oracle(pp.G, g))
+
+
+def test_l2_distance_equals_uncached_formula():
+    p = FluidParams(4.0, 2.0, 1.0)
+    g = Grid(n_cells=200)
+    st = init_state((bump(0.5, 1.5), bump(-0.3, 1.8)), g, renormalize=True)
+    for ref in (even_profile(p), even_profile(FluidParams(1.0, 0.1, 1.0))):
+        fr, gr = _cell_averages_oracle(ref.F, g), _cell_averages_oracle(ref.G, g)
+        expect = math.sqrt(g.h * float(np.sum((st.f - fr) ** 2 + (st.g - gr) ** 2)))
+        assert l2_distance(st, ref) == expect
+        assert l2_distance(st, ref) == expect  # again, from the stored averages
+
+
 def test_cell_averages_quadratic_exact():
     # averages of a full parabola integrate back to the exact mass
     p = FluidParams(1.0, 2.0, 1.0)
@@ -165,6 +207,42 @@ def test_step_zero_state_fixed_point():
     assert np.array_equal(st2.f, st.f) and np.array_equal(st2.g, st.g)
 
 
+def _two_array_step(state: SimState, cfg: SimConfig) -> SimState:
+    """Reference scheme on f and g as two separate arrays; step must match it bitwise."""
+    p, g = cfg.params, state.grid
+    h, dt, x, e2 = g.h, cfg.dt, g.centers, p.eta**2
+    f, gg = state.f, state.g
+    drift = -(x[1:] + x[:-1]) / 6.0
+    df = (f[1:] - f[:-1]) / h
+    dg = (gg[1:] - gg[:-1]) / h
+    A = drift - (1.0 + p.R) * e2 * df - p.R * dg
+    B = drift - e2 * p.R_mu * df - p.R_mu * dg
+
+    def flux(vel, u):
+        out = np.zeros(u.size + 1)
+        out[1:-1] = np.maximum(vel, 0.0) * u[:-1] - np.maximum(-vel, 0.0) * u[1:]
+        return out
+
+    Ff, Fg = flux(A, f), flux(B, gg)
+    return SimState(f=f - (dt / h) * (Ff[1:] - Ff[:-1]),
+                    g=gg - (dt / h) * (Fg[1:] - Fg[:-1]), t=state.t + dt, grid=g)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_step_matches_two_array_oracle_bitwise(n):
+    p = FluidParams(4.0, 2.0, 1.3)
+    g = Grid(n_cells=n)
+    st = init_state((bump(0.5, 1.5), bump(-0.4, 1.8)), g, renormalize=True)
+    cfg = SimConfig(grid=g, params=p, t_end=1.0, dt=2e-5)
+    ref = st
+    for _ in range(2000):
+        st = step(st, cfg)
+        ref = _two_array_step(ref, cfg)
+    assert st.step_count == 2000 and st.t == ref.t
+    assert np.array_equal(st.f, ref.f) and np.array_equal(st.g, ref.g)
+    assert not np.array_equal(st.f, st.f[::-1])  # the state is asymmetric
+
+
 def test_cfl_violation_raised():
     g = Grid(n_cells=50)
     st = init_state((bump(0.0, 2.0), bump(0.0, 2.0)), g, renormalize=True)
@@ -181,12 +259,15 @@ def test_cfl_violation_raised():
 def test_even_data_stays_even():
     p = FluidParams(1.0, 2.0, 1.0)
     g = Grid(n_cells=100)
-    st = init_state(even_profile(p), g)
     cfg = SimConfig(grid=g, params=p, t_end=0.05, dt=5e-5, record_every=200)
-    rep = run(cfg, st)
-    for s in rep.states:
-        assert np.array_equal(s.f, s.f[::-1])
-        assert np.array_equal(s.g, s.g[::-1])
+    # exact profile averages, and centred bumps through Gauss quadrature as
+    # the CLI builds them
+    for st in (init_state(even_profile(p), g),
+               init_state((bump(0.0, 2.0), bump(0.0, 1.3)), g, renormalize=True)):
+        rep = run(cfg, st)
+        for s in rep.states:
+            assert np.array_equal(s.f, s.f[::-1])
+            assert np.array_equal(s.g, s.g[::-1])
 
 
 def test_run_mass_conservation_and_energy_decay():
