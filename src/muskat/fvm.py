@@ -11,9 +11,8 @@ operation of a step runs once for the pair.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,19 +157,15 @@ class TrajectoryReport:
 # ----------------------------------------------------------------------
 
 
-# profile -> {grid: read-only cell averages}; an entry goes away with its profile
-_AVERAGES = weakref.WeakKeyDictionary()
-
-
 def cell_averages(q: PiecewiseQuadratic, grid: Grid) -> np.ndarray:
     """Exact cell averages of a piecewise quadratic whose support lies in the grid.
 
-    The result is computed once per profile and grid and returned read-only.
+    The result is computed once per profile and grid, kept on the profile,
+    and returned read-only.
     """
-    per_grid = _AVERAGES.setdefault(q, {})
-    out = per_grid.get(grid)
+    out = q._averages.get(grid)
     if out is None:
-        out = per_grid[grid] = _exact_cell_averages(q, grid)
+        out = q._averages[grid] = _exact_cell_averages(q, grid)
         out.flags.writeable = False
     return out
 
@@ -246,14 +241,21 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
 # ----------------------------------------------------------------------
 
 
+@lru_cache
+def _velocity_coefficients(p: FluidParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (2, 1) coefficients of f' and g' in the velocities of f and g."""
+    e2 = p.eta**2
+    c_f = np.array([[(1.0 + p.R) * e2], [e2 * p.R_mu]], dtype=float)
+    c_g = np.array([[p.R], [p.R_mu]], dtype=float)
+    c_f.flags.writeable = c_g.flags.writeable = False
+    return c_f, c_g
+
+
 def face_velocities(state: SimState, p: FluidParams) -> np.ndarray:
     """Velocities (A, B) of f and g at the interior faces, shape (2, n_cells - 1)."""
     u = state.u
-    h = state.grid.h
-    e2 = p.eta**2
-    du = (u[:, 1:] - u[:, :-1]) / h
-    c_f = np.array([[(1.0 + p.R) * e2], [e2 * p.R_mu]])
-    c_g = np.array([[p.R], [p.R_mu]])
+    du = (u[:, 1:] - u[:, :-1]) / state.grid.h
+    c_f, c_g = _velocity_coefficients(p)
     return state.grid.face_drift - c_f * du[0] - c_g * du[1]
 
 

@@ -5,15 +5,19 @@ monotone (or unimodal) scalar equation, solved here by Brent's method on a
 sign-change bracket, or to a polynomial system of at most five equations,
 solved by Newton iterations with an analytic Jacobian and a backtracking
 line search.
+
+The Brent solver is a line-by-line port of scipy's ``brentq``
+(``Zeros/brentq.c``): the same IEEE operations in the same order, so every
+root is bitwise the one ``brentq`` returns, without importing scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "RootConfig",
@@ -48,7 +52,8 @@ class StepTooSmallError(NumericsError):
     pass
 
 
-# brentq rejects relative tolerances below ~4*eps
+# scipy's brentq rejects relative tolerances below 4*eps; the port keeps the
+# clamp because the last bits of every root depend on the tolerance used
 _MIN_RTOL = 4.0 * np.finfo(float).eps
 
 
@@ -81,25 +86,75 @@ def find_root_bracketed(f: Callable[[float], float], a: float, b: float,
                         cfg: RootConfig = RootConfig()) -> float:
     """Root of ``f`` inside the sign-change bracket [a, b] (Brent's method).
 
-    Raises NoBracketError when f(a) and f(b) have the same strict sign, and
-    MaxIterExceededError when Brent fails to converge within cfg.max_iter.
-    The result never leaves [a, b].
+    Raises NoBracketError when f(a) and f(b) have the same strict sign,
+    ValueError when f returns NaN, and MaxIterExceededError when Brent fails
+    to converge within cfg.max_iter.  The result never leaves [a, b].
     """
-    fa, fb = f(a), f(b)
+    a, b = float(a), float(b)
+    fa, fb = _value(f, a), _value(f, b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if fa * fb > 0.0:
+    if (fa < 0.0) == (fb < 0.0):
         raise NoBracketError(f"f({a}) = {fa:.6g} and f({b}) = {fb:.6g} have the same sign")
-    x, res = brentq(
-        f, a, b,
-        xtol=cfg.abs_tol, rtol=max(cfg.rel_tol, _MIN_RTOL),
-        maxiter=cfg.max_iter, full_output=True, disp=False,
-    )
-    if not res.converged:
+    x, converged = _brent(f, a, fa, b, fb, cfg.abs_tol, max(cfg.rel_tol, _MIN_RTOL),
+                          cfg.max_iter)
+    if not converged:
         raise MaxIterExceededError(f"no convergence in {cfg.max_iter} iterations")
-    return float(x)
+    return x
+
+
+def _value(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+    return fx
+
+
+def _brent(f, xpre: float, fpre: float, xcur: float, fcur: float,
+           xtol: float, rtol: float, max_iter: int) -> tuple[float, bool]:
+    """Brent's method from a bracket whose end values are nonzero, of opposite sign.
+
+    Port of scipy's ``brentq.c`` loop; returns the last iterate and whether
+    it converged.  ``xblk`` is the far end of the current bracket, ``spre``
+    and ``scur`` the previous two steps.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    return xcur, False
 
 
 def newton_solve(F: Callable[[np.ndarray], np.ndarray],

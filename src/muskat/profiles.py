@@ -21,7 +21,7 @@ The constructions follow three routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,6 +129,9 @@ class PiecewiseQuadratic:
     """Even-power quadratic segments; the function is zero off all pieces."""
 
     pieces: tuple[Piece, ...]
+    # grid -> read-only exact cell averages, filled by fvm.cell_averages
+    _averages: dict = field(init=False, default_factory=dict, compare=False,
+                            hash=False, repr=False)
 
     @staticmethod
     def from_pieces(pieces: Iterable[Sequence[float]]) -> "PiecewiseQuadratic":

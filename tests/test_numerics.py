@@ -1,10 +1,15 @@
 """Root finder and damped Newton."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from muskat import numerics
 from muskat.numerics import (
     MaxIterExceededError,
     NewtonConfig,
@@ -15,6 +20,7 @@ from muskat.numerics import (
     newton_solve,
 )
 from muskat.params import FluidParams, thresholds, xi2
+from muskat.profiles import solve_even_case3
 
 
 def test_sqrt2():
@@ -48,6 +54,69 @@ def test_no_bracket_raises():
 
 def test_endpoint_root_returned():
     assert find_root_bracketed(lambda t: t, 0.0, 1.0) == 0.0
+
+
+def test_brent_bitwise_equals_scipy_brentq(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    solves = []  # arguments and result of every Brent solve
+    brent = numerics._brent
+
+    def record(f, a, fa, b, fb, xtol, rtol, max_iter):
+        out = brent(f, a, fa, b, fb, xtol, rtol, max_iter)
+        solves.append(((f, a, b, xtol, rtol, max_iter), out))
+        return out
+
+    monkeypatch.setattr(numerics, "_brent", record)
+    find_root_bracketed(lambda t: t * t - 2.0, 1.0, 2.0)
+    find_root_bracketed(lambda s: xi2(s, 1.0, 1.0), 1.0 + 1e-9, 40.0)
+    find_root_bracketed(lambda t: t**3, -1.0, 2.0, RootConfig(rel_tol=1e-13, abs_tol=1e-14))
+    find_root_bracketed(math.cos, 0.0, 3.0)
+    for k in (1, 2, 3):  # unconverged iterates agree too
+        with pytest.raises(MaxIterExceededError):
+            find_root_bracketed(math.cos, 0.0, 3.0, RootConfig(max_iter=k))
+    # xi2 brackets of the large threshold, _xi_even brackets of the split-G profile
+    for R, eta, over in ((1.0, 1.0, 1.5), (2.5, 0.8, 1.1), (0.6, 1.3, 3.0)):
+        r_plus = thresholds(FluidParams(R, 1.0, eta)).r_plus
+        solve_even_case3(FluidParams(R, over * r_plus, eta))
+
+    sites = [f.__qualname__.split(".")[0] for (f, *_), _ in solves]
+    assert sites.count("solve_even_case3") == 3 and sites.count("_t_M") >= 3
+    for (f, a, b, xtol, rtol, max_iter), (x, converged) in solves:
+        y, res = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=max_iter,
+                                 full_output=True, disp=False)
+        assert x.hex() == float(y).hex()
+        assert converged == res.converged
+
+
+def test_nan_raises_value_error():
+    with pytest.raises(ValueError, match="x=0.0"):
+        find_root_bracketed(lambda t: math.nan if t == 0.0 else t, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        find_root_bracketed(lambda t: math.nan if 0.0 < t < 3.0 else t - 1.0, 0.0, 3.0)
+
+
+def test_max_iter_exceeded():
+    with pytest.raises(MaxIterExceededError):
+        find_root_bracketed(math.cos, 0.0, 3.0, RootConfig(max_iter=1))
+
+
+def test_endpoints_evaluated_once():
+    xs = []
+
+    def f(t):
+        xs.append(t)
+        return math.cos(t)
+
+    find_root_bracketed(f, 0.0, 3.0)
+    assert xs[:2] == [0.0, 3.0]
+    assert xs.count(0.0) == 1 and xs.count(3.0) == 1
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, muskat.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_newton_affine_one_step():
