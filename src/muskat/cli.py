@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, functionals, fvm, profiles
 from .numerics import NumericsError
-from .params import FluidParams, classify_regime, thresholds
+from .params import ContinuumClass, FluidParams, classify_regime, thresholds
 from .profiles import InvalidZetaError, RegimeError
 
 _FMT = "%.17g"
@@ -143,7 +143,7 @@ def cmd_profile(args) -> int:
         "entropy": rep.entropy,
         "steady_residual": profiles.steady_residual(pp),
     }, indent=2))
-    _write_manifest(out, "profile", sys.argv[1:], [json_path, csv_path], t0,
+    _write_manifest(out, "profile", args.argv, [json_path, csv_path], t0,
                     extra={"params": params_dict})
     return EXIT_OK
 
@@ -191,7 +191,7 @@ def cmd_curve(args) -> int:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(report, indent=2))
-    _write_manifest(out, "curve", sys.argv[1:], [csv_path, fn_path, json_path], t0,
+    _write_manifest(out, "curve", args.argv, [csv_path, fn_path, json_path], t0,
                     extra={"params": {"R": p.R, "R_mu": p.R_mu, "eta": p.eta}})
     return EXIT_OK
 
@@ -271,7 +271,7 @@ def cmd_simulate(args) -> int:
         outputs.append(path)
 
     digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
-    _write_manifest(out, "simulate", sys.argv[1:], outputs, t0,
+    _write_manifest(out, "simulate", args.argv, outputs, t0,
                     extra={"config_sha256": digest, "config": cfg,
                            "params": {"R": p.R, "R_mu": p.R_mu, "eta": p.eta}})
     ncf = rep.data["n_components_f"]
@@ -324,7 +324,6 @@ def cmd_verify(args) -> int:
 
     check("duality-involution", dual_checks)
 
-    from .params import ContinuumClass
     if regime.continuum is not ContinuumClass.UNIQUE_EVEN:
         def curve_checks():
             curve = profiles.continue_curve(p, n_points=21)
@@ -413,12 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    args.argv = argv  # recorded in the manifests
     try:
         return args.func(args)
     except (RegimeError, InvalidZetaError) as exc:

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .functionals import evaluate
 from .params import FluidParams
 from .profiles import PiecewiseQuadratic, ProfilePair
 
@@ -300,8 +301,6 @@ def l2_distance(state: SimState, reference: ProfilePair) -> float:
 
 def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
     """March to t_end, recording diagnostics every cfg.record_every steps."""
-    from .functionals import evaluate  # deferred: functionals imports profiles
-
     p = cfg.params
     state = initial.copy()
     n_steps = int(round(cfg.t_end / cfg.dt))

@@ -16,6 +16,10 @@ The constructions follow three routes:
   five-equation polynomial system traced as a one-parameter curve by Newton
   continuation from the even solution, with endpoints snapped to the
   boundary constructions above.
+
+Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
+beta <= gamma (even with a split film, connected, boundary, curve) gets its
+pieces from the one function ``_zeta_pieces``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ __all__ = [
     "even_profile",
     "solve_even_case3",
     "solve_even_case4",
-    "solve_even_case4_direct",
     "connected_profile",
     "connected_quadruple",
     "boundary_disconnected_profile",
@@ -62,7 +65,6 @@ __all__ = [
     "profile_from_zeta",
     "reflect",
     "dual_transform",
-    "integrate_moments",
     "steady_residual",
     "steady_residual_fields",
     "xi0",
@@ -417,11 +419,6 @@ def steady_residual(pp: ProfilePair) -> float:
     return steady_residual_fields(pp.F, pp.G, pp.params)
 
 
-def integrate_moments(q: PiecewiseQuadratic, k: int) -> float:
-    """Exact integral of x^k * q(x), k in {0, 1, 2}."""
-    return q.moment(k)
-
-
 def _finish_pair(F, G, p, label, zeta=None) -> ProfilePair:
     pp = ProfilePair(F=PiecewiseQuadratic.from_pieces(F),
                      G=PiecewiseQuadratic.from_pieces(G),
@@ -502,53 +499,6 @@ def solve_even_case4(p: FluidParams) -> tuple[float, float, float]:
     return a, b, g
 
 
-def solve_even_case4_direct(p: FluidParams) -> tuple[float, float, float]:
-    """Duality-free solve of the split-F radii (independent cross-check).
-
-    Eliminates beta and gamma, then finds the single admissible root of the
-    remaining scalar equation in alpha by scan plus bracketed refinement.
-    """
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-    th = thresholds(p)
-    if (Rmu - th.r_minus) / th.r_minus > 1e-13:
-        raise RegimeError("direct split-F solve outside its regime")
-    u, w = 1.0 + R - Rmu, R - Rmu
-    C1 = 4.5 * ((1.0 + R) * e2 + R)
-    D1 = w / Rmu
-    C2 = 4.5 * Rmu
-
-    def gamma3(a):
-        return C1 - D1 * a**3
-
-    def beta3(a):
-        return (C2 + w * a**3) / u
-
-    def phi(a):
-        return (Rmu * np.cbrt(gamma3(a)) ** 2
-                - R * np.cbrt(u) * np.cbrt(C2 + w * a**3) ** 2
-                + (1.0 + R) * w * a**2)
-
-    a_max = C2 ** (1.0 / 3.0) * (1.0 - 1e-12)
-    grid = np.linspace(0.0, a_max, 400)
-    vals = phi(grid)
-    a = None
-    if vals[0] == 0.0:
-        a = 0.0
-    else:
-        for i in range(len(grid) - 1):
-            if vals[i] * vals[i + 1] <= 0.0:
-                a = find_root_bracketed(phi, grid[i], grid[i + 1], _ROOT_CFG)
-                break
-    if a is None:
-        raise RuntimeError("no admissible root in the direct split-F solve")
-    b = beta3(a) ** (1.0 / 3.0)
-    g = gamma3(a) ** (1.0 / 3.0)
-    res = residuals_eq51_53(p, a, b, g)
-    if res > _system_tol(p):
-        raise RuntimeError(f"direct split-F residual {res:.3e}")
-    return a, b, g
-
-
 def even_profile(p: FluidParams) -> ProfilePair:
     """The unique even steady state for the given parameters."""
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
@@ -572,33 +522,11 @@ def even_profile(p: FluidParams) -> ProfilePair:
               (b, g, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu))]
         return _finish_pair(Fp, Gp, p, "even-case2")
 
-    if case is EvenCase.CASE3:
-        a, b, g = solve_even_case3(p)
-        kF = (Rmu - R) / (6.0 * Rmu * e2)
-        c0m = kF * b**2 + R * (1.0 + R - Rmu) * a**2 / (6.0 * Rmu * (1.0 + R) * e2)
-        Fp = [(-b, -a, kF * b**2, -kF),
-              (-a, a, c0m, -1.0 / (6.0 * (1.0 + R) * e2)),
-              (a, b, kF * b**2, -kF)]
-        kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-        Gp = [(-g, -b, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu)),
-              (-b, -a, kG * a**2, -kG),
-              (a, b, kG * a**2, -kG),
-              (b, g, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu))]
-        return _finish_pair(Fp, Gp, p, "even-case3", zeta=(-g, -b, -a, a, b, g))
-
-    if case is EvenCase.CASE4:
-        a, b, g = solve_even_case4(p)
-        kF = (Rmu - R) / (6.0 * Rmu * e2)  # negative here
-        Fp = [(-g, -b, g**2 / (6.0 * (1.0 + R) * e2), -1.0 / (6.0 * (1.0 + R) * e2)),
-              (-b, -a, kF * a**2, -kF),
-              (a, b, kF * a**2, -kF),
-              (b, g, g**2 / (6.0 * (1.0 + R) * e2), -1.0 / (6.0 * (1.0 + R) * e2))]
-        kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-        c0m = ((Rmu - R) * a**2 + (1.0 + R - Rmu) * b**2) / (6.0 * Rmu)
-        Gp = [(-b, -a, kG * b**2, -kG),
-              (-a, a, c0m, -1.0 / (6.0 * Rmu)),
-              (a, b, kG * b**2, -kG)]
-        return _finish_pair(Fp, Gp, p, "even-case4", zeta=(-g, -b, -a, a, b, g))
+    if case in (EvenCase.CASE3, EvenCase.CASE4):
+        a, b, g = solve_even_case3(p) if case is EvenCase.CASE3 else solve_even_case4(p)
+        zeta = (-g, -b, -a, a, b, g)
+        return _finish_pair(*_zeta_pieces(p, zeta), p, f"even-case{case.value}",
+                            zeta=zeta)
 
     # CASE5
     b = (4.5 * Rmu / (1.0 + R - Rmu)) ** (1.0 / 3.0)
@@ -664,35 +592,25 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    Rmu = p.R_mu
     th = thresholds(p)
 
     if (Rmu - th.r_M) / th.r_M >= -1e-12:
         b1, a, b, g = connected_quadruple(p)
-        Fp = [(b1, a, b1**2 / (6.0 * (1.0 + R) * e2), -1.0 / (6.0 * (1.0 + R) * e2)),
-              (a, b, (Rmu - R) * b**2 / (6.0 * Rmu * e2), -(Rmu - R) / (6.0 * Rmu * e2))]
-        kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-        Gp = [(a, b, kG * a**2, -kG),
-              (b, g, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu))]
-        pp = _finish_pair(Fp, Gp, p, "connected-large")
+        label = "connected-large"
     elif (Rmu - th.r_m) / th.r_m <= 1e-12:
         p1, lam = dual_params(p)
-        b1d, ad, bd, gd = connected_quadruple(p1)
-        b1, a, b, g = lam * b1d, lam * ad, lam * bd, lam * gd
+        b1, a, b, g = (lam * v for v in connected_quadruple(p1))
         res = residuals_d2(p, b1, a, b, g)
         if res > _system_tol(p):
             raise RuntimeError(f"dual connected-profile residual {res:.3e}")
-        kF = (Rmu - R) / (6.0 * Rmu * e2)  # negative
-        Fp = [(a, b, kF * a**2, -kF),
-              (b, g, g**2 / (6.0 * (1.0 + R) * e2), -1.0 / (6.0 * (1.0 + R) * e2))]
-        kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-        Gp = [(b1, a, b1**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu)),
-              (a, b, kG * b**2, -kG)]
-        pp = _finish_pair(Fp, Gp, p, "connected-small")
+        label = "connected-small"
     else:
         raise RegimeError(
             "connected non-symmetric profiles exist only for "
             f"R_mu >= {th.r_M:.6g} or R_mu <= {th.r_m:.6g}; got {Rmu:.6g}")
+    # the sextuplet with its split support collapsed onto beta1
+    pp = _finish_pair(*_zeta_pieces(p, (b1, b1, b1, a, b, g)), p, label)
     return reflect(pp) if side == "left" else pp
 
 
@@ -790,6 +708,35 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
 # ----------------------------------------------------------------------
 
 
+def _zeta_pieces(p: FluidParams, zeta: Sequence[float]) -> tuple[list, list]:
+    """Pieces of F and G for g1 <= b1 <= a1 <= 0 <= a <= b <= g: G split for
+    R_mu > R + 1, else F split (R_mu < R); zero-width pieces are dropped later."""
+    g1, b1, a1, a, b, g = zeta
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    kF = (Rmu - R) / (6.0 * Rmu * e2)  # negative when F is split
+    kG = (1.0 + R - Rmu) / (6.0 * Rmu)
+    if Rmu > R + 1.0:
+        c0m = (R * g1**2 + (Rmu - R) * b1**2) / (6.0 * (1.0 + R) * Rmu * e2)
+        Fp = [(b1, a1, kF * b1**2, -kF),
+              (a1, a, c0m, -1.0 / (6.0 * (1.0 + R) * e2)),
+              (a, b, kF * b**2, -kF)]
+        Gp = [(g1, b1, g1**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu)),
+              (b1, a1, kG * a1**2, -kG),
+              (a, b, kG * a**2, -kG),
+              (b, g, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu))]
+        return Fp, Gp
+    cO = 1.0 / (6.0 * (1.0 + R) * e2)
+    Fp = [(g1, b1, cO * g1**2, -cO),
+          (b1, a1, kF * a1**2, -kF),
+          (a, b, kF * a**2, -kF),
+          (b, g, cO * g**2, -cO)]
+    c0m = ((Rmu - R) * a1**2 + (1.0 + R - Rmu) * b1**2) / (6.0 * Rmu)
+    Gp = [(b1, a1, kG * b1**2, -kG),
+          (a1, a, c0m, -1.0 / (6.0 * Rmu)),
+          (a, b, kG * b**2, -kG)]
+    return Fp, Gp
+
+
 def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
     """Assemble the piecewise formulas attached to a disconnected sextuplet.
 
@@ -810,40 +757,15 @@ def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
 
     zeta_tol = max(1e-8, 1e-12 * 9.0 * Rmu * (1.0 + R) * (1.0 + e2))
     if Rmu > R + 1.0:
-        res = residuals_R1(p, zeta)
-        if res > zeta_tol:
-            raise InvalidZetaError(f"system residual {res:.3e} too large")
-        kF = (Rmu - R) / (6.0 * Rmu * e2)
-        c0m = (R * g1**2 + (Rmu - R) * b1**2) / (6.0 * (1.0 + R) * Rmu * e2)
-        Fp = [(b1, a1, kF * b1**2, -kF),
-              (a1, a, c0m, -1.0 / (6.0 * (1.0 + R) * e2)),
-              (a, b, kF * b**2, -kF)]
-        kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-        Gp = [(g1, b1, g1**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu)),
-              (b1, a1, kG * a1**2, -kG),
-              (a, b, kG * a**2, -kG),
-              (b, g, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu))]
-        label = "zeta-large"
+        res, label = residuals_R1(p, zeta), "zeta-large"
     elif Rmu < R:
-        res = residuals_R2(p, zeta)
-        if res > zeta_tol:
-            raise InvalidZetaError(f"system residual {res:.3e} too large")
-        kF = (Rmu - R) / (6.0 * Rmu * e2)  # negative
-        cO = 1.0 / (6.0 * (1.0 + R) * e2)
-        Fp = [(g1, b1, cO * g1**2, -cO),
-              (b1, a1, kF * a1**2, -kF),
-              (a, b, kF * a**2, -kF),
-              (b, g, cO * g**2, -cO)]
-        kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-        c0m = ((Rmu - R) * a1**2 + (1.0 + R - Rmu) * b1**2) / (6.0 * Rmu)
-        Gp = [(b1, a1, kG * b1**2, -kG),
-              (a1, a, c0m, -1.0 / (6.0 * Rmu)),
-              (a, b, kG * b**2, -kG)]
-        label = "zeta-small"
+        res, label = residuals_R2(p, zeta), "zeta-small"
     else:
         raise InvalidZetaError(
             "disconnected-support sextuplets require R_mu > R + 1 or R_mu < R")
-    return _finish_pair(Fp, Gp, p, label, zeta=zeta)
+    if res > zeta_tol:
+        raise InvalidZetaError(f"system residual {res:.3e} too large")
+    return _finish_pair(*_zeta_pieces(p, zeta), p, label, zeta=zeta)
 
 
 # ----------------------------------------------------------------------

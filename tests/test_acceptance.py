@@ -30,11 +30,11 @@ from muskat.profiles import (
     residuals_eq51_53,
     solve_even_case3,
     solve_even_case4,
-    solve_even_case4_direct,
     steady_residual,
     xi0,
     xi3,
 )
+from oracles import solve_even_case4_direct
 
 TH = thresholds(FluidParams(1.0, 1.0, 1.0))
 

@@ -14,6 +14,9 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+DECOY_ARGV = ["host-program", "--not", "a", "muskat", "command"]
+
+
 def test_thresholds_stdout(capsys):
     code, out, _ = run_cli(capsys, "thresholds", "--R", "1", "--eta", "1")
     assert code == EXIT_OK
@@ -37,9 +40,11 @@ def test_thresholds_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
-def test_profile_even_files(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "profile", "--R", "1", "--R-mu", "10", "--eta", "1",
-                           "--kind", "even", "--out-dir", str(tmp_path))
+def test_profile_even_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", DECOY_ARGV)
+    argv = ["profile", "--R", "1", "--R-mu", "10", "--eta", "1",
+            "--kind", "even", "--out-dir", str(tmp_path)]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     info = json.loads(out)
     assert info["label"] == "even-case3"
@@ -51,6 +56,7 @@ def test_profile_even_files(tmp_path, capsys):
     assert "manifest_profile.json" in files
     manifest = json.loads((tmp_path / "manifest_profile.json").read_text())
     assert len(manifest["outputs"]) == 2
+    assert manifest["argv"] == argv
 
 
 def test_profile_connected(tmp_path, capsys):
@@ -70,9 +76,11 @@ def test_profile_regime_error_exit_3(tmp_path, capsys):
     assert "12.258" in err  # names the admissible window
 
 
-def test_curve_command(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "curve", "--R", "1", "--R-mu", "10", "--eta", "1",
-                           "-n", "21", "--out-dir", str(tmp_path))
+def test_curve_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", DECOY_ARGV)
+    argv = ["curve", "--R", "1", "--R-mu", "10", "--eta", "1",
+            "-n", "21", "--out-dir", str(tmp_path)]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     rep = json.loads(out)
     assert rep["n_points"] == 21
@@ -84,6 +92,8 @@ def test_curve_command(tmp_path, capsys):
     fn = (tmp_path / "curve_R1_Rmu10_eta1_functionals.csv").read_text().splitlines()
     assert fn[0] == "ell,E,E_star,M1,M2,H"
     assert len(fn) == 22
+    manifest = json.loads((tmp_path / "manifest_curve.json").read_text())
+    assert manifest["argv"] == argv
 
 
 def test_curve_regime_error(tmp_path, capsys):
@@ -100,7 +110,8 @@ def test_curve_endpoint_labels(tmp_path, capsys):
     assert code == EXIT_OK and rep["endpoint_kind"] == "connected-support"
 
 
-def test_simulate_and_manifest_reproducibility(tmp_path, capsys):
+def test_simulate_and_manifest_reproducibility(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", DECOY_ARGV)
     cfg = {
         "R": 1.0, "R_mu": 2.0, "eta": 1.0,
         "n_cells": 60, "dt": 1e-4, "t_end": 0.02, "record_every": 50,
@@ -111,8 +122,8 @@ def test_simulate_and_manifest_reproducibility(tmp_path, capsys):
 
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
-    code, summary, _ = run_cli(capsys, "simulate", "--config", str(cfg_path),
-                               "--out-dir", str(out1))
+    argv1 = ["simulate", "--config", str(cfg_path), "--out-dir", str(out1)]
+    code, summary, _ = run_cli(capsys, *argv1)
     assert code == EXIT_OK
     info = json.loads(summary)
     assert info["mass_f_drift"] < 1e-12
@@ -131,6 +142,7 @@ def test_simulate_and_manifest_reproducibility(tmp_path, capsys):
     manifest = json.loads((out1 / "manifest_simulate.json").read_text())
     assert manifest["config_sha256"] == json.loads(
         (out2 / "manifest_simulate.json").read_text())["config_sha256"]
+    assert manifest["argv"] == argv1
 
 
 def test_simulate_rupture_logged(tmp_path, capsys):

@@ -1,0 +1,44 @@
+"""Imports inside the package run one way, and only at module level."""
+
+import ast
+from pathlib import Path
+
+import muskat
+
+# each module may import only modules to its left; the package __init__
+# imports the layers below cli, and cli reads __version__ from it
+ORDER = ["numerics", "params", "profiles", "functionals", "fvm", "__init__", "cli"]
+
+
+def _targets(node: ast.AST) -> list[str]:
+    """Package modules that an import statement reads."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        if node.module:
+            return [node.module.split(".")[0]]
+        return [a.name if a.name in ORDER else "__init__" for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        names = [a.name for a in node.names]
+    parts = [n.split(".") for n in names if n.split(".")[0] == "muskat"]
+    return [p[1] if len(p) > 1 and p[1] in ORDER else "__init__" for p in parts]
+
+
+def test_imports_follow_layer_order():
+    src = Path(muskat.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert sorted(f.stem for f in files) == sorted(ORDER)
+    bad = []
+    for f in files:
+        tree = ast.parse(f.read_text())
+        top = {id(n) for n in tree.body}
+        rank = ORDER.index(f.stem)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if id(node) not in top:
+                bad.append(f"{f.name}:{node.lineno} imports below module level")
+            for t in _targets(node):
+                if ORDER.index(t) >= rank:
+                    bad.append(f"{f.name}:{node.lineno} imports {t}")
+    assert not bad, bad

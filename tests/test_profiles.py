@@ -22,7 +22,6 @@ from muskat.profiles import (
     curve_jacobian_det,
     dual_transform,
     even_profile,
-    integrate_moments,
     profile_from_zeta,
     profile_to_dict,
     reflect,
@@ -35,13 +34,13 @@ from muskat.profiles import (
     sample_profile,
     solve_even_case3,
     solve_even_case4,
-    solve_even_case4_direct,
     steady_residual,
     steady_residual_fields,
     xi0,
     xi3,
     _R1_newton_funcs,
 )
+from oracles import solve_even_case4_direct
 
 P1 = FluidParams(1.0, 1.0, 1.0)
 TH1 = thresholds(P1)
@@ -61,18 +60,18 @@ CBRT_45 = 3.5568933044900626
 
 def test_moments_of_indicator():
     q = PiecewiseQuadratic.from_pieces([(-1.0, 1.0, 0.5, 0.0)])
-    assert integrate_moments(q, 0) == pytest.approx(1.0, abs=1e-15)
-    assert integrate_moments(q, 1) == 0.0
-    assert integrate_moments(q, 2) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert q.moment(0) == pytest.approx(1.0, abs=1e-15)
+    assert q.moment(1) == 0.0
+    assert q.moment(2) == pytest.approx(1.0 / 3.0, rel=1e-15)
     with pytest.raises(ValueError):
-        integrate_moments(q, 3)
+        q.moment(3)
 
 
 def test_even_profile_moments():
     pp = even_profile(FluidParams(1.0, 1.5, 1.0))
-    assert integrate_moments(pp.F, 0) == pytest.approx(1.0, abs=1e-12)
-    assert integrate_moments(pp.G, 0) == pytest.approx(1.0, abs=1e-12)
-    assert integrate_moments(pp.F, 1) == pytest.approx(0.0, abs=1e-14)
+    assert pp.F.moment(0) == pytest.approx(1.0, abs=1e-12)
+    assert pp.G.moment(0) == pytest.approx(1.0, abs=1e-12)
+    assert pp.F.moment(1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_scaled_preserves_mass():
@@ -386,8 +385,12 @@ def test_zeta_rejects_garbage():
 # ----------------------------------------------------------------------
 
 
-def test_reflect_even_identity():
-    pp = even_profile(FluidParams(1.0, 2.0, 1.0))
+@pytest.mark.parametrize("rmu, case", [(2.0, 2), (10.0, 3), (0.05, 4)],
+                         ids=["case2", "case3", "case4"])
+def test_reflect_even_identity(rmu, case):
+    # mirror symmetry bit for bit, also where the pieces come from a sextuplet
+    pp = even_profile(FluidParams(1.0, rmu, 1.0))
+    assert pp.label == f"even-case{case}"
     rr = reflect(pp)
     assert rr.F.pieces == pp.F.pieces
     assert rr.G.pieces == pp.G.pieces
