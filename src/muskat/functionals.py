@@ -47,16 +47,27 @@ class FunctionalReport:
     dissipation: float | None = None
 
 
-def _entropy_piecewise(q, floor: float = 1e-300) -> float:
-    """Gauss-Legendre quadrature of q ln q per piece, with 0 ln 0 = 0."""
-    total = 0.0
-    for l, r, c0, c2 in q.pieces:
-        xm, half = 0.5 * (l + r), 0.5 * (r - l)
-        x = xm + half * _GAUSS_X
-        v = c0 + c2 * x**2
-        v = np.where(v > floor, v, 1.0)  # v ln v -> 0 there
-        total += half * float(np.sum(_GAUSS_W * v * np.log(v)))
-    return total
+def _entropy_piecewise(*fields, floor: float = 1e-300) -> list[float]:
+    """Gauss-Legendre quadrature of q ln q for each field, with 0 ln 0 = 0.
+
+    The pieces of all fields are evaluated as one (pieces, nodes) array; each
+    field's per-piece totals are then added in piece order.
+    """
+    pieces = [pc for q in fields for pc in q.pieces]
+    l, r, c0, c2 = np.array(pieces, dtype=float).reshape(-1, 4).T[:, :, None]
+    half = 0.5 * (r - l)
+    x = 0.5 * (l + r) + half * _GAUSS_X
+    v = c0 + c2 * x**2
+    v = np.where(v > floor, v, 1.0)  # v ln v -> 0 there
+    per_piece = (half[:, 0] * np.sum(_GAUSS_W * v * np.log(v), axis=1)).tolist()
+    totals, start = [], 0
+    for q in fields:
+        total = 0.0
+        for t in per_piece[start:start + len(q.pieces)]:
+            total += t
+        totals.append(total)
+        start += len(q.pieces)
+    return totals
 
 
 def _fields_report(F, G, p: FluidParams) -> FunctionalReport:
@@ -74,7 +85,8 @@ def _fields_report(F, G, p: FluidParams) -> FunctionalReport:
     theta = p.theta
     m1 = F.moment(1) + theta * G.moment(1)
     m2 = F.moment(2) + theta * G.moment(2)
-    entropy = _entropy_piecewise(F) + theta * _entropy_piecewise(G)
+    h_f, h_g = _entropy_piecewise(F, G)
+    entropy = h_f + theta * h_g
     return FunctionalReport(energy=energy, rescaled_energy=energy + m2 / 6.0,
                             m1=m1, m2=m2, entropy=entropy)
 

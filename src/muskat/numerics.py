@@ -2,9 +2,9 @@
 
 Every profile construction in this package reduces to either a single
 monotone (or unimodal) scalar equation, solved here by Brent's method on a
-sign-change bracket, or to a polynomial system of at most five equations,
-solved by Newton iterations with an analytic Jacobian and a backtracking
-line search.
+sign-change bracket, or to a small polynomial system (two equations once
+the curve system is reduced), solved by Newton iterations in Python floats
+with an analytic Jacobian and a backtracking line search.
 
 The Brent solver is a line-by-line port of scipy's ``brentq``
 (``Zeros/brentq.c``): the same IEEE operations in the same order, so every
@@ -157,38 +157,36 @@ def _brent(f, xpre: float, fpre: float, xcur: float, fcur: float,
     return xcur, False
 
 
-def newton_solve(F: Callable[[np.ndarray], np.ndarray],
-                 J: Callable[[np.ndarray], np.ndarray],
+def newton_solve(F: Callable[[list[float]], Sequence[float]],
+                 J: Callable[[list[float]], Sequence[Sequence[float]]],
                  x0: Sequence[float],
                  cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
     """Damped Newton iteration for F(x) = 0 with analytic Jacobian J.
 
-    The step is halved until the max-norm residual decreases; acceptance of
-    the full step once the iterate is close enough gives the usual quadratic
-    tail.  Raises SingularJacobianError / StepTooSmallError /
-    MaxIterExceededError on the corresponding failures.
+    F and J receive the iterate as a list of floats and may return any
+    sequences (tuples, lists or arrays) of the residual and of the Jacobian's
+    rows.  The loop runs in Python floats: the step comes from Gaussian
+    elimination with partial pivoting, and J counts as singular when the
+    product of the pivots is below 1e-14 times the product of the row norms
+    (the Hadamard bound).  The step is halved until the max-norm residual
+    decreases; a residual that is NaN or infinite counts as no decrease.
+    Returns the root as an array.  Raises SingularJacobianError /
+    StepTooSmallError / MaxIterExceededError on the corresponding failures.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    Fx = np.asarray(F(x), dtype=float)
-    norm = np.max(np.abs(Fx))
+    x = [float(v) for v in x0]
+    n = len(x)
+    Fx = [float(v) for v in F(x)]
+    norm = _max_abs(Fx)
     for _ in range(cfg.max_iter):
         if norm <= cfg.tol:
-            return x
-        Jx = np.asarray(J(x), dtype=float)
-        det = np.linalg.det(Jx)
-        scale = float(np.prod(np.linalg.norm(Jx, axis=1)))  # Hadamard bound
-        if not np.isfinite(det) or abs(det) < 1e-14 * max(scale, 1e-300):
-            raise SingularJacobianError(f"|det J| = {abs(det):.3e} below 1e-14 * scale")
-        try:
-            dx = np.linalg.solve(Jx, -Fx)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(str(exc)) from exc
+            return np.array(x)
+        dx = _solve_step([[float(v) for v in row] for row in J(x)], Fx)
         t = 1.0
         while True:
-            x_new = x + t * dx
-            F_new = np.asarray(F(x_new), dtype=float)
-            norm_new = np.max(np.abs(F_new))
-            if np.isfinite(norm_new) and norm_new < norm:
+            x_new = [x[i] + t * dx[i] for i in range(n)]
+            F_new = [float(v) for v in F(x_new)]
+            norm_new = _max_abs(F_new)
+            if math.isfinite(norm_new) and norm_new < norm:
                 break
             t *= cfg.damping
             if t < cfg.min_step:
@@ -196,5 +194,49 @@ def newton_solve(F: Callable[[np.ndarray], np.ndarray],
                     f"line search stalled at step {t:.3e} with residual {norm:.3e}")
         x, Fx, norm = x_new, F_new, norm_new
     if norm <= cfg.tol:
-        return x
+        return np.array(x)
     raise MaxIterExceededError(f"residual {norm:.3e} after {cfg.max_iter} iterations")
+
+
+def _max_abs(v: list[float]) -> float:
+    """Max-norm that is NaN when any entry is (Python's max would skip it)."""
+    if any(map(math.isnan, v)):
+        return math.nan
+    return max(map(abs, v))
+
+
+def _solve_step(A: list[list[float]], Fx: list[float]) -> list[float]:
+    """Solve A dx = -Fx by Gaussian elimination with partial pivoting.
+
+    A is overwritten.  The determinant is the signed product of the pivots.
+    """
+    n = len(Fx)
+    scale = math.prod([math.hypot(*row) for row in A])
+    b = [-v for v in Fx]
+    det = 1.0
+    for k in range(n):
+        piv = k
+        for i in range(k + 1, n):
+            if abs(A[i][k]) > abs(A[piv][k]):
+                piv = i
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            b[k], b[piv] = b[piv], b[k]
+            det = -det
+        Ak = A[k]
+        det *= Ak[k]
+        if Ak[k] == 0.0:
+            break
+        for i in range(k + 1, n):
+            Ai = A[i]
+            m = Ai[k] / Ak[k]
+            for j in range(k + 1, n):
+                Ai[j] -= m * Ak[j]
+            b[i] -= m * b[k]
+    if not math.isfinite(det) or abs(det) < 1e-14 * max(scale, 1e-300):
+        raise SingularJacobianError(f"|det J| = {abs(det):.3e} below 1e-14 * scale")
+    dx = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        Ak = A[k]
+        dx[k] = (b[k] - sum([Ak[j] * dx[j] for j in range(k + 1, n)])) / Ak[k]
+    return dx

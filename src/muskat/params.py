@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .numerics import RootConfig, find_root_bracketed
 
@@ -169,8 +170,13 @@ def thresholds(p: FluidParams) -> RegimeThresholds:
 
     r_m is constructed from r_M of the dual parameters; its residual in the
     direct defining equation is asserted below 1e-10 as a cross-check.
+    The result is memoised per (R, eta).
     """
-    R, eta = p.R, p.eta
+    return _thresholds(float(p.R), float(p.eta))
+
+
+@lru_cache(maxsize=256)
+def _thresholds(R: float, eta: float) -> RegimeThresholds:
     e2 = eta**2
     r0 = R + e2 / (1.0 + e2)
     r_plus = R + ((1.0 + e2) / e2) ** 2

@@ -15,7 +15,8 @@ The constructions follow three routes:
 * non-symmetric profiles with one disconnected support: an underdetermined
   five-equation polynomial system traced as a one-parameter curve by Newton
   continuation from the even solution, with endpoints snapped to the
-  boundary constructions above.
+  boundary constructions above; Newton runs on its two cubic equations in
+  (alpha, beta), the three quadratic ones solved in closed form.
 
 Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
 beta <= gamma (even with a split film, connected, boundary, curve) gets its
@@ -76,13 +77,11 @@ __all__ = [
     "residuals_R1",
     "residuals_R2",
     "curve_energy_closed_form",
-    "curve_jacobian_det",
     "profile_to_dict",
     "sample_profile",
 ]
 
 _ROOT_CFG = RootConfig(rel_tol=4e-16, abs_tol=1e-15, max_iter=200)
-_NEWTON_CFG = NewtonConfig(tol=1e-12, max_iter=60)
 
 _CONTINUITY_TOL = 1e-10
 _MASS_TOL = 1e-10
@@ -157,14 +156,9 @@ class PiecewiseQuadratic:
         """Exact integral of x^k times the function, k in {0, 1, 2}."""
         if k not in (0, 1, 2):
             raise ValueError("moment order must be 0, 1 or 2")
-        total = 0.0
+        total, k1, k3 = 0.0, k + 1, k + 3
         for l, r, c0, c2 in self.pieces:
-            if k == 0:
-                total += c0 * (r - l) + c2 * (r**3 - l**3) / 3.0
-            elif k == 1:
-                total += c0 * (r**2 - l**2) / 2.0 + c2 * (r**4 - l**4) / 4.0
-            else:
-                total += c0 * (r**3 - l**3) / 3.0 + c2 * (r**5 - l**5) / 5.0
+            total += c0 * (r**k1 - l**k1) / k1 + c2 * (r**k3 - l**k3) / k3
         return total
 
     def mass(self) -> float:
@@ -381,8 +375,14 @@ def residuals_R2(p: FluidParams, zeta: Sequence[float]) -> float:
 # ----------------------------------------------------------------------
 
 
-def _coeffs_at(q: PiecewiseQuadratic, x: float) -> tuple[float, float]:
-    return next(((c0, c2) for l, r, c0, c2 in q.pieces if l <= x <= r), (0.0, 0.0))
+def _coeffs_walk(q: PiecewiseQuadratic, xs: Iterable[float]):
+    """(c0, c2) of the first piece holding each x, or (0, 0): one forward walk,
+    so the xs must increase and the pieces be sorted by left end."""
+    pieces, i, n = q.pieces, 0, len(q.pieces)
+    for x in xs:
+        while i < n and pieces[i][1] < x:
+            i += 1
+        yield pieces[i][2:] if i < n and pieces[i][0] <= x else (0.0, 0.0)
 
 
 def steady_residual_fields(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
@@ -398,20 +398,18 @@ def steady_residual_fields(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     breaks = sorted({v for l, r, _, _ in F.pieces + G.pieces for v in (l, r)})
     min_len = 1e-13 * max(breaks[-1] - breaks[0], 1.0)
+    spans = [(u, v) for u, v in zip(breaks[:-1], breaks[1:]) if v - u > min_len]
+    mids = [0.5 * (u + v) for u, v in spans]
     worst = 0.0
-    for u, v in zip(breaks[:-1], breaks[1:]):
-        if v - u <= min_len:
-            continue
-        f0, f2 = _coeffs_at(F, 0.5 * (u + v))
-        g0, g2 = _coeffs_at(G, 0.5 * (u + v))
+    for (u, v), (f0, f2), (g0, g2) in zip(spans, _coeffs_walk(F, mids), _coeffs_walk(G, mids)):
         k_f = 2.0 * (e2 * (1.0 + R) * f2 + R * g2) + 1.0 / 3.0
         k_g = 2.0 * (e2 * Rmu * f2 + Rmu * g2) + 1.0 / 3.0
         for k, c0, c2 in ((k_f, f0, f2), (k_g, g0, g2)):
-            xs = [u, v]
+            worst = max(worst, abs(k * u * (c0 + c2 * u * u)), abs(k * v * (c0 + c2 * v * v)))
             if c0 * c2 < 0.0:
-                xc = math.sqrt(-c0 / (3.0 * c2))
-                xs += [x for x in (-xc, xc) if u < x < v]
-            worst = max(worst, *(abs(k * x * (c0 + c2 * x * x)) for x in xs))
+                xc = math.sqrt(-c0 / (3.0 * c2))  # the cubic is odd: equal at -xc
+                if u < xc < v or u < -xc < v:
+                    worst = max(worst, abs(k * xc * (c0 + c2 * xc * xc)))
     return worst
 
 
@@ -491,12 +489,16 @@ def solve_even_case4(p: FluidParams) -> tuple[float, float, float]:
     p1, lam = dual_params(p)
     a1, b1, g1 = solve_even_case3(p1)
     a, b, g = lam * a1, lam * b1, lam * g1
+    _check_even_case4(p, a, b, g)
+    return a, b, g
+
+
+def _check_even_case4(p: FluidParams, a: float, b: float, g: float) -> None:
     res = residuals_eq51_53(p, a, b, g)
     if res > _system_tol(p):
         raise RuntimeError(f"even case-4 system residual {res:.3e}")
     if not (0.0 <= a < b < g):
         raise RuntimeError(f"radii out of order: {a}, {b}, {g}")
-    return a, b, g
 
 
 def even_profile(p: FluidParams) -> ProfilePair:
@@ -677,28 +679,21 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
     th = thresholds(p)
     Rmu = p.R_mu
     if th.r_plus * (1.0 + 1e-13) < Rmu < th.r_M * (1.0 - 1e-13):
-        zeta_work = boundary_zeta(p)
-        a_even, _, _ = solve_even_case3(p)
-        lam = 1.0
-        dual = False
+        work, lam, dual = p, 1.0, False
     elif th.r_m * (1.0 + 1e-13) < Rmu < th.r_minus * (1.0 - 1e-13):
-        p1, lam = dual_params(p)
-        zeta_work = boundary_zeta(p1)
-        a_even, _, _ = solve_even_case3(p1)
-        dual = True
+        (work, lam), dual = dual_params(p), True
     else:
         raise RegimeError(
             "alpha = 0 endpoints exist only for R_mu in "
             f"({th.r_plus:.6g}, {th.r_M:.6g}) or ({th.r_m:.6g}, {th.r_minus:.6g}); "
             f"got {Rmu:.6g}")
+    zeta_work = boundary_zeta(work)
+    a_even, _, _ = solve_even_case3(work)
     if side == "left":
         # other end of the curve: reflected state, parameter a_even + alpha1
         zeta_work = _reflect_zeta(zeta_work)
     ell = lam * (a_even + zeta_work[2])
-    if dual:
-        zeta = tuple(-lam * z for z in reversed(zeta_work))
-    else:
-        zeta = tuple(zeta_work)
+    zeta = tuple(-lam * z for z in reversed(zeta_work)) if dual else tuple(zeta_work)
     pp = profile_from_zeta(p, zeta)
     return CurvePoint(ell=ell, zeta=zeta, profile=pp)
 
@@ -808,42 +803,56 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
 # ----------------------------------------------------------------------
 
 
-def _R1_newton_funcs(p: FluidParams, a1: float):
-    """Residual and Jacobian in (gamma1, beta1, alpha, beta, gamma) at fixed alpha1."""
+def _R1_complete(p: FluidParams, a1: float, a: float, b: float):
+    """The sextuplet at (alpha1, alpha, beta) from the three quadratic rows of
+    R1, with gamma1 < beta1 < 0 < gamma; None when a radicand is not positive."""
     R, Rmu = p.R, p.R_mu
     s, q = Rmu - R, Rmu - R - 1.0
+    g2 = s * b**2 - q * a**2
+    b12 = b**2 + R * q * (a1**2 - a**2) / (s * (1.0 + R))
+    g12 = s * b12 - q * a1**2
+    if not (g2 > 0.0 and b12 > 0.0 and g12 > 0.0):
+        return None
+    return (-math.sqrt(g12), -math.sqrt(b12), a1, a, b, math.sqrt(g2))
+
+
+def _R1_reduced_funcs(p: FluidParams, a1: float):
+    """Rows 4 and 5 of R1 and their Jacobian in (alpha, beta) at fixed alpha1,
+    the other unknowns given by ``_R1_complete``; NaN where it has none."""
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    s, q = Rmu - R, Rmu - R - 1.0
+    k = R * q / (1.0 + R)
 
     def F(u):
-        g1, b1, a, b, g = u
-        return _R1_vector(p, (g1, b1, a1, a, b, g))
+        zeta = _R1_complete(p, a1, *u)
+        if zeta is None:
+            return math.nan, math.nan
+        g1, b1, _, a, b, g = zeta
+        return (s * (b**3 - b1**3) - R * q * (a**3 - a1**3) / (1.0 + R) - 9.0 * e2 * Rmu,
+                (g**3 - g1**3) - s * (b**3 - b1**3) + q * (a**3 - a1**3) - 9.0 * Rmu)
 
     def J(u):
-        g1, b1, a, b, g = u
-        return np.array([
-            [2.0 * g1, -2.0 * s * b1, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 2.0 * q * a, -2.0 * s * b, 2.0 * g],
-            [2.0 * R * g1, 2.0 * s * b1, 0.0, -2.0 * s * b, -2.0 * R * g],
-            [0.0, -3.0 * s * b1**2, -3.0 * R * q * a**2 / (1.0 + R), 3.0 * s * b**2, 0.0],
-            [-3.0 * g1**2, 3.0 * s * b1**2, 3.0 * q * a**2, -3.0 * s * b**2, 3.0 * g**2],
-        ])
+        zeta = _R1_complete(p, a1, *u)
+        if zeta is None:
+            return (math.nan, math.nan), (math.nan, math.nan)
+        g1, b1, _, a, b, g = zeta
+        # chain rule: d(b1^3) = 3 b1 (b db - (k/s) a da), d(g^3) = 3 g (s b db - q a da),
+        # d(g1^3) = 3 g1 (s b db - k a da)
+        return ((3.0 * k * a * (b1 - a), 3.0 * s * b * (b - b1)),
+                (3.0 * a * (q * (a - g) + k * (g1 - b1)), 3.0 * s * b * (g - g1 - b + b1)))
 
     return F, J
 
 
-def _ordered_strictly(zeta: Sequence[float]) -> bool:
-    g1, b1, a1, a, b, g = zeta
-    return g1 < b1 < a1 < 0.0 < a < b < g
-
-
-def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float,
-                 u_from: np.ndarray, u_prev: np.ndarray | None = None,
-                 a1_prev: float | None = None,
-                 cfg: NewtonConfig = _NEWTON_CFG) -> np.ndarray:
-    """Newton solve at a1_target, bisecting the parameter step on failure."""
+def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float, u_from: np.ndarray,
+                 u_prev: np.ndarray | None, a1_prev: float | None,
+                 cfg: NewtonConfig) -> tuple[np.ndarray, tuple]:
+    """Newton solve in (alpha, beta) at a1_target, bisecting the parameter
+    step on failure; returns (alpha, beta) and the sextuplet."""
     a1_cur, u_cur = a1_from, u_from.copy()
     u_sec, a1_sec = u_prev, a1_prev
     step = a1_target - a1_cur
-    guard = 0
+    guard, zeta = 0, None
     while a1_cur != a1_target:
         if abs(step) > abs(a1_target - a1_cur):
             step = a1_target - a1_cur
@@ -852,23 +861,24 @@ def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float,
             pred = u_cur + (u_cur - u_sec) * ((trial - a1_cur) / (a1_cur - a1_sec))
         else:
             pred = u_cur
-        F, J = _R1_newton_funcs(p, trial)
+        F, J = _R1_reduced_funcs(p, trial)
         try:
             u_new = newton_solve(F, J, pred, cfg)
-            ok = _ordered_strictly((u_new[0], u_new[1], trial, u_new[2], u_new[3], u_new[4]))
+            z_new = _R1_complete(p, trial, *u_new.tolist())
+            g1, b1, a1, a, b, g = z_new or (math.nan,) * 6
+            ok = g1 < b1 < a1 < 0.0 < a < b < g
         except NumericsError:
             ok = False
-            u_new = None
         if ok:
             u_sec, a1_sec = u_cur, a1_cur
-            u_cur, a1_cur = u_new, trial
+            u_cur, a1_cur, zeta = u_new, trial, z_new
         else:
             step *= 0.5
             guard += 1
             if abs(step) < 1e-12 * max(abs(a1_target), 1.0) or guard > 200:
                 raise ContinuationStallError(
                     f"continuation stalled near alpha1 = {a1_cur:.12g}")
-    return u_cur
+    return u_cur, zeta
 
 
 def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
@@ -895,23 +905,22 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     thw = thresholds(work)
 
     a_even, b_even, g_even = solve_even_case3(work)
-    u_even = np.array([-g_even, -b_even, a_even, b_even, g_even])
+    u_even = np.array([a_even, b_even])
 
     if (work.R_mu - thw.r_M) / thw.r_M >= -1e-12:
         b1e, ae, be, ge = connected_quadruple(work)
         zeta_lo = (b1e, b1e, b1e, ae, be, ge)
         a1_lo, a1_hi = b1e, -ae
-        label = "connected-support"
     else:
         zeta_lo = boundary_zeta(work)
         a1_lo, a1_hi = zeta_lo[2], 0.0
-        label = "alpha-zero"
     zeta_hi = _reflect_zeta(zeta_lo)
 
     a1_grid = np.linspace(a1_lo, a1_hi, n_points)
     i0 = int(np.argmin(np.abs(a1_grid - (-a_even))))
     i0 = min(max(i0, 1), n_points - 2)
     a1_grid[i0] = -a_even
+    a1_grid = a1_grid.tolist()
 
     newton_cfg = NewtonConfig(tol=max(1e-12, 1e-13 * 9.0 * work.R_mu
                                       * (1.0 + work.R) * (1.0 + work.eta**2)),
@@ -927,24 +936,22 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
         u_prev, a1_prev = None, None
         rng = range(i0 + 1, n_points - 1) if direction == 1 else range(i0 - 1, 0, -1)
         for i in rng:
-            u_new = _solve_R1_at(work, a1_grid[i], a1_cur, u_cur, u_prev, a1_prev,
-                                 newton_cfg)
-            zetas[i] = (u_new[0], u_new[1], a1_grid[i], u_new[2], u_new[3], u_new[4])
+            u_new, zetas[i] = _solve_R1_at(work, a1_grid[i], a1_cur, u_cur, u_prev,
+                                           a1_prev, newton_cfg)
             u_prev, a1_prev = u_cur, a1_cur
             u_cur, a1_cur = u_new, a1_grid[i]
 
     points = []
     for i in range(n_points):
         zw = zetas[i]
-        ell_w = a_even + zw[2]
-        if dual:
-            zeta = tuple(-lam * z for z in reversed(zw))
-            ell = lam * ell_w
-        else:
-            zeta, ell = tuple(zw), ell_w
+        ell = lam * (a_even + zw[2])
+        zeta = tuple(-lam * z for z in reversed(zw)) if dual else tuple(zw)
         if i == i0:
-            pp = even_profile(p)
-            zeta = tuple(zeta)
+            # the even state, as even_profile(p) assembles it
+            if dual:
+                _check_even_case4(p, *zeta[3:])
+            pp = _finish_pair(*_zeta_pieces(p, zeta), p,
+                              "even-case4" if dual else "even-case3", zeta=zeta)
         else:
             pp = profile_from_zeta(p, zeta)
         points.append(CurvePoint(ell=ell, zeta=zeta, profile=pp))
@@ -985,14 +992,6 @@ def curve_energy_closed_form(p: FluidParams, zeta: Sequence[float]) -> float:
         zeta_d = tuple(-z / lam for z in reversed(tuple(zeta)))
         return _fifth_power_energy(p1, zeta_d) / lam
     raise RegimeError("closed-form curve energy needs R_mu > R + 1 or R_mu < R")
-
-
-def curve_jacobian_det(p: FluidParams, zeta: Sequence[float]) -> float:
-    """Closed-form Jacobian determinant of the curve system (positive inside)."""
-    R, Rmu = p.R, p.R_mu
-    g1, b1, a1, a, b, g = zeta
-    return (72.0 * (Rmu - R - 1.0) * (Rmu - R) ** 2 * a * b * b1 * g * g1
-            * ((b - b1) * (g - a) + R * (g - g1) * (b - a)))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Independent constructions that the tests check the library against."""
 
+import math
+from typing import Sequence
+
 import numpy as np
 
+from muskat.functionals import _GAUSS_W, _GAUSS_X
 from muskat.numerics import find_root_bracketed
 from muskat.params import FluidParams, thresholds
-from muskat.profiles import RegimeError, _ROOT_CFG, _system_tol, residuals_eq51_53
+from muskat.profiles import (
+    PiecewiseQuadratic,
+    RegimeError,
+    _R1_vector,
+    _ROOT_CFG,
+    _system_tol,
+    residuals_eq51_53,
+)
 
 
 def solve_even_case4_direct(p: FluidParams) -> tuple[float, float, float]:
@@ -52,3 +63,75 @@ def solve_even_case4_direct(p: FluidParams) -> tuple[float, float, float]:
     if res > _system_tol(p):
         raise RuntimeError(f"direct split-F residual {res:.3e}")
     return a, b, g
+
+
+def _R1_newton_funcs(p: FluidParams, a1: float):
+    """Residual and Jacobian in (gamma1, beta1, alpha, beta, gamma) at fixed alpha1."""
+    R, Rmu = p.R, p.R_mu
+    s, q = Rmu - R, Rmu - R - 1.0
+
+    def F(u):
+        g1, b1, a, b, g = u
+        return _R1_vector(p, (g1, b1, a1, a, b, g))
+
+    def J(u):
+        g1, b1, a, b, g = u
+        return np.array([
+            [2.0 * g1, -2.0 * s * b1, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0 * q * a, -2.0 * s * b, 2.0 * g],
+            [2.0 * R * g1, 2.0 * s * b1, 0.0, -2.0 * s * b, -2.0 * R * g],
+            [0.0, -3.0 * s * b1**2, -3.0 * R * q * a**2 / (1.0 + R), 3.0 * s * b**2, 0.0],
+            [-3.0 * g1**2, 3.0 * s * b1**2, 3.0 * q * a**2, -3.0 * s * b**2, 3.0 * g**2],
+        ])
+
+    return F, J
+
+
+def _coeffs_at(q: PiecewiseQuadratic, x: float) -> tuple[float, float]:
+    return next(((c0, c2) for l, r, c0, c2 in q.pieces if l <= x <= r), (0.0, 0.0))
+
+
+def steady_residual_fields_by_scan(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
+                                   p: FluidParams) -> float:
+    """Exact steady residual, each interval's coefficients found by a scan of
+    all pieces (the per-interval form of ``profiles.steady_residual_fields``)."""
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    breaks = sorted({v for l, r, _, _ in F.pieces + G.pieces for v in (l, r)})
+    min_len = 1e-13 * max(breaks[-1] - breaks[0], 1.0)
+    worst = 0.0
+    for u, v in zip(breaks[:-1], breaks[1:]):
+        if v - u <= min_len:
+            continue
+        f0, f2 = _coeffs_at(F, 0.5 * (u + v))
+        g0, g2 = _coeffs_at(G, 0.5 * (u + v))
+        k_f = 2.0 * (e2 * (1.0 + R) * f2 + R * g2) + 1.0 / 3.0
+        k_g = 2.0 * (e2 * Rmu * f2 + Rmu * g2) + 1.0 / 3.0
+        for k, c0, c2 in ((k_f, f0, f2), (k_g, g0, g2)):
+            xs = [u, v]
+            if c0 * c2 < 0.0:
+                xc = math.sqrt(-c0 / (3.0 * c2))
+                xs += [x for x in (-xc, xc) if u < x < v]
+            worst = max(worst, *(abs(k * x * (c0 + c2 * x * x)) for x in xs))
+    return worst
+
+
+def entropy_piecewise_by_loop(q: PiecewiseQuadratic, floor: float = 1e-300) -> float:
+    """Gauss-Legendre quadrature of q ln q, one piece at a time (the per-piece
+    form of ``functionals._entropy_piecewise``)."""
+    total = 0.0
+    for l, r, c0, c2 in q.pieces:
+        xm, half = 0.5 * (l + r), 0.5 * (r - l)
+        x = xm + half * _GAUSS_X
+        v = c0 + c2 * x**2
+        v = np.where(v > floor, v, 1.0)  # v ln v -> 0 there
+        total += half * float(np.sum(_GAUSS_W * v * np.log(v)))
+    return total
+
+
+def curve_jacobian_det(p: FluidParams, zeta: Sequence[float]) -> float:
+    """Closed-form determinant of the Jacobian of ``_R1_newton_funcs``
+    (positive inside the curve)."""
+    R, Rmu = p.R, p.R_mu
+    g1, b1, a1, a, b, g = zeta
+    return (72.0 * (Rmu - R - 1.0) * (Rmu - R) ** 2 * a * b * b1 * g * g1
+            * ((b - b1) * (g - a) + R * (g - g1) * (b - a)))

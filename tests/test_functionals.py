@@ -7,6 +7,7 @@ import pytest
 
 from muskat.functionals import (
     MismatchError,
+    _entropy_piecewise,
     NegativeInputError,
     dissipation,
     energy_along_curve,
@@ -20,6 +21,7 @@ from muskat.profiles import (
     continue_curve,
     even_profile,
 )
+from oracles import entropy_piecewise_by_loop
 
 
 def test_indicator_pair_hand_values():
@@ -145,3 +147,17 @@ def test_energy_mismatch_detection():
                               profile=cp.profile) for cp in curve]
     with pytest.raises(MismatchError):
         energy_along_curve(bad)
+
+
+def test_entropy_one_array_bitwise_equals_per_piece_loop():
+    profiles = [even_profile(FluidParams(1.0, rmu, 1.0))
+                for rmu in (0.01, 0.1, 1.0 / 3.0, 1.0 + 0.5, 2.0, 10.0)]
+    profiles.append(connected_profile(FluidParams(1.0, 21.0, 1.0)))
+    for p in (FluidParams(1.0, 10.0, 1.0), FluidParams(1.0, 0.1, 1.0),
+              FluidParams(1.0, 21.0, 1.0), FluidParams(4.0, 0.7, 1.0)):
+        profiles += [cp.profile for cp in continue_curve(p, 9)]
+    for pp in profiles:
+        whole = _entropy_piecewise(pp.F, pp.G)
+        loop = [entropy_piecewise_by_loop(pp.F), entropy_piecewise_by_loop(pp.G)]
+        assert np.array(whole).tobytes() == np.array(loop).tobytes()
+    assert _entropy_piecewise(PiecewiseQuadratic(())) == [0.0]

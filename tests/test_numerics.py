@@ -141,11 +141,43 @@ def test_newton_residual_bound():
     assert np.max(np.abs(F(x))) <= cfg.tol
 
 
+def test_newton_accepts_tuples():
+    # F and J may return plain tuples; the root comes back as an array
+    F = lambda x: (x[0] ** 2 - 4.0, x[0] * x[1] - 6.0)
+    J = lambda x: ((2.0 * x[0], 0.0), (x[1], x[0]))
+    x = newton_solve(F, J, (3.0, 1.0))
+    assert isinstance(x, np.ndarray)
+    assert np.allclose(x, [2.0, 3.0], rtol=1e-13)
+
+
+def test_newton_pivots_on_zero_diagonal():
+    F = lambda x: (x[1] - 2.0, x[0] - 3.0)
+    J = lambda x: ((0.0, 1.0), (1.0, 0.0))
+    assert list(newton_solve(F, J, [0.0, 0.0])) == [3.0, 2.0]
+
+
+def test_newton_nan_residual_halves_the_step():
+    # the full first step leaves the domain of log; a NaN in any entry of
+    # the residual makes the line search halve it
+    F = lambda x: (x[1] - 5.0, math.log(x[0]) if x[0] > 0.0 else math.nan)
+    J = lambda x: ((0.0, 1.0), (1.0 / x[0], 0.0))
+    x = newton_solve(F, J, [3.0, 5.0])
+    assert abs(x[0] - 1.0) < 1e-12 and x[1] == 5.0
+
+
 def test_newton_singular_jacobian():
     F = lambda x: np.array([x[0] + x[1], x[0] + x[1]])
     J = lambda x: np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularJacobianError):
         newton_solve(F, J, [1.0, 1.0])
+
+
+def test_newton_nearly_singular_jacobian():
+    # |det J| = 1e-15 sits below 1e-14 times the product of the row norms
+    F = lambda x: (x[0] + x[1] - 1.0, x[0] + x[1] - 1.0)
+    J = lambda x: ((1.0, 1.0), (1.0, 1.0 + 1e-15))
+    with pytest.raises(SingularJacobianError):
+        newton_solve(F, J, [0.0, 0.0])
 
 
 def test_newton_max_iter():

@@ -69,6 +69,21 @@ def test_thresholds_reference_point():
     assert th.r_m == pytest.approx(0.058, abs=1e-3)
 
 
+def test_thresholds_memoised_per_R_eta(monkeypatch):
+    from muskat import params
+    calls = []
+    brent = params.find_root_bracketed
+    monkeypatch.setattr(params, "find_root_bracketed",
+                        lambda *args: calls.append(args) or brent(*args))
+    params._thresholds.cache_clear()
+    th = thresholds(FluidParams(1.7, 3.0, 0.9))
+    assert len(calls) == 2  # r_M and, through the dual, r_m
+    # R_mu plays no part, and an int R or eta is the same key as its float
+    assert thresholds(FluidParams(1.7, 40.0, 0.9)) is th
+    assert thresholds(FluidParams(2, 1.0, 1)) is thresholds(FluidParams(2.0, 5.0, 1.0))
+    assert len(calls) == 4
+
+
 def test_threshold_defining_residuals():
     p = FluidParams(1.0, 1.0, 1.0)
     th = thresholds(p)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from muskat.numerics import newton_solve, NewtonConfig
-from muskat.params import FluidParams, dual_params, thresholds
+from muskat.params import ContinuumClass, FluidParams, classify_regime, dual_params, thresholds
 from muskat.profiles import (
     ContinuationStallError,
     InvalidZetaError,
@@ -19,7 +19,6 @@ from muskat.profiles import (
     connected_quadruple,
     continue_curve,
     curve_energy_closed_form,
-    curve_jacobian_det,
     dual_transform,
     even_profile,
     profile_from_zeta,
@@ -38,9 +37,16 @@ from muskat.profiles import (
     steady_residual_fields,
     xi0,
     xi3,
-    _R1_newton_funcs,
+    _system_tol,
+    _R1_reduced_funcs,
+    _R1_vector,
 )
-from oracles import solve_even_case4_direct
+from oracles import (
+    _R1_newton_funcs,
+    curve_jacobian_det,
+    solve_even_case4_direct,
+    steady_residual_fields_by_scan,
+)
 
 P1 = FluidParams(1.0, 1.0, 1.0)
 TH1 = thresholds(P1)
@@ -532,6 +538,21 @@ def test_exact_residual_matches_dense_sample_off_steady(eps):
         assert exact == pytest.approx(sampled, rel=1e-2)
 
 
+def test_exact_residual_walk_bitwise_equals_scan():
+    # one forward walk over the sorted pieces finds the same coefficients as
+    # a scan of all pieces for every interval
+    for pp in _residual_test_profiles():
+        # off-steady variants: scaled throughout, and bent on x < 0 only, where
+        # the residual peaks at the negative critical point of a cubic
+        for F in (pp.F, PiecewiseQuadratic.from_pieces(
+                [(l, r, c0 * 1.01, c2 * 1.01) for l, r, c0, c2 in pp.F.pieces]),
+                PiecewiseQuadratic.from_pieces(
+                [(l, r, c0, c2 * 1.01 if r <= 0.0 else c2) for l, r, c0, c2 in pp.F.pieces])):
+            walk = steady_residual_fields(F, pp.G, pp.params)
+            scan = steady_residual_fields_by_scan(F, pp.G, pp.params)
+            assert np.float64(walk).tobytes() == np.float64(scan).tobytes()
+
+
 def test_residual_peak_at_interior_critical_point():
     # even case 1 has F = G = c0 + c2 x^2 on one interval; scaling F's c2 leaves
     # F nearly zero at the support ends, so |F (pressure_F)'| peaks inside, at
@@ -569,6 +590,57 @@ def test_newton_converges_fast_near_curve_point():
         iterations += 1
         assert iterations <= 6
     assert np.allclose(x, [g1, b1, a, b, g], rtol=1e-9)
+
+
+@pytest.mark.parametrize("p, cls", [
+    (FluidParams(1.0, 10.0, 1.0), ContinuumClass.DISCONNECTED_ENDPOINTS),
+    (FluidParams(1.0, 21.0, 1.0), ContinuumClass.CONNECTED_ENDPOINTS),
+    (FluidParams(1.0, 0.1, 1.0), ContinuumClass.DISCONNECTED_ENDPOINTS),
+    (FluidParams(4.0, 0.7, 1.0), ContinuumClass.CONNECTED_ENDPOINTS),
+], ids=["disconnected-large", "connected-large", "disconnected-small", "connected-small"])
+def test_reduced_newton_matches_5x5_oracle(p, cls):
+    # every interior state of the (alpha, beta) continuation solves the full
+    # five-unknown system: the 5x5 Newton oracle, started 1e-6 away, returns it
+    assert classify_regime(p).continuum is cls
+    work, lam = (p, 1.0) if p.R_mu > p.R + 1.0 else dual_params(p)
+    curve = continue_curve(p, 21)
+    for cp in curve[1:-1]:
+        if cp.ell == 0.0:
+            continue
+        zw = cp.zeta if lam == 1.0 else tuple(-z / lam for z in reversed(cp.zeta))
+        assert np.max(np.abs(_R1_vector(work, zw))) < _system_tol(work)
+        F, J = _R1_newton_funcs(work, zw[2])
+        u = np.array([zw[0], zw[1], zw[3], zw[4], zw[5]])
+        x = newton_solve(F, J, u * (1.0 + 1e-6), NewtonConfig(tol=1e-13))
+        assert np.max(np.abs(x - u)) <= 1e-10 * np.max(np.abs(u))
+
+
+def test_reduced_jacobian_matches_central_differences():
+    p = FluidParams(2.0, 40.0, 0.8)
+    for cp in continue_curve(p, 9)[1:-1]:
+        g1, b1, a1, a, b, g = cp.zeta
+        F, J = _R1_reduced_funcs(p, a1)
+        h = 1e-6
+        fd = [[(F([a + h * (i == 0), b + h * (i == 1)])[r]
+                - F([a - h * (i == 0), b - h * (i == 1)])[r]) / (2.0 * h) for i in (0, 1)]
+              for r in (0, 1)]
+        assert np.allclose(J([a, b]), fd, rtol=1e-8, atol=1e-8)
+    # off the domain of the closed-form completion both return NaN
+    F, J = _R1_reduced_funcs(p, -1.0)
+    assert all(math.isnan(v) for v in F([1.0, 0.0]))
+    assert all(math.isnan(v) for row in J([1.0, 0.0]) for v in row)
+
+
+@pytest.mark.parametrize("rmu", [10.0, 21.0, 0.1, 0.01])
+def test_curve_even_point_bitwise_equals_even_profile(rmu):
+    p = FluidParams(1.0, rmu, 1.0)
+    cp = next(cp for cp in continue_curve(p, 11) if cp.ell == 0.0)
+    ev = even_profile(p)
+    assert cp.profile.label == ev.label
+    for q, r in ((cp.profile.F, ev.F), (cp.profile.G, ev.G)):
+        assert np.array(q.pieces).tobytes() == np.array(r.pieces).tobytes()
+    assert np.array(cp.zeta).tobytes() == np.array(ev.zeta).tobytes()
+    assert np.array(cp.profile.zeta).tobytes() == np.array(ev.zeta).tobytes()
 
 
 def test_curve_direct_regime():
