@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -365,7 +366,9 @@ def _positive(value: str) -> float:
     return x
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="muskat",
                                  description="Self-similar profiles and upwind "
                                              "finite-volume runs for the two-layer "

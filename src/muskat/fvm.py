@@ -6,13 +6,25 @@ sign, and the boundary fluxes vanish, so both discrete masses are conserved
 by telescoping.  The time step is plain forward Euler with an optional CFL
 and positivity guard.  Both fields live in one (2, n) array, so every array
 operation of a step runs once for the pair.
+
+A step reads that array as one flat lane of 2n cells, f then g, with flat
+face k between flat cells k and k + 1.  The seam face between the last f
+cell and the first g cell has zero drift and zero velocity coefficients, so
+its velocity and flux are exactly zero, as at the two boundary faces.  The
+coefficients, the drift and every scratch array are built once per (grid,
+params, dt) and thread and kept on the SimConfig, so a step makes fourteen
+numpy calls and allocates only its result and the donor-cell values.  The
+states, the errors and the step that raises them are bitwise those of a
+per-field two-array step on finite data: a zero flux may carry the other
+sign of zero, which changes no cell unless that cell holds -0.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+import threading
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -136,6 +148,7 @@ class SimConfig:
     cfl_check: bool = True
     record_every: int = 1000
     reference: ProfilePair | None = None
+    _kernel: _Kernel | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
@@ -242,44 +255,87 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
 # ----------------------------------------------------------------------
 
 
-@lru_cache
-def _velocity_coefficients(p: FluidParams) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (2, 1) coefficients of f' and g' in the velocities of f and g."""
-    e2 = p.eta**2
-    c_f = np.array([[(1.0 + p.R) * e2], [e2 * p.R_mu]], dtype=float)
-    c_g = np.array([[p.R], [p.R_mu]], dtype=float)
-    c_f.flags.writeable = c_g.flags.writeable = False
-    return c_f, c_g
+class _Kernel:
+    """Constants and scratch of the upwind step for one (grid, params, dt).
+
+    Velocities are (2, n): flat face k is entry k of the flattened array, so
+    column n - 1 holds the seam face in row f and the right boundary in row
+    g, both with zero drift and coefficients.  The flux array behind the
+    ``flux_*`` views has one entry per flat face plus the two boundary faces
+    at its ends, which stay zero.
+    """
+
+    __slots__ = ("grid", "params", "dt", "thread", "h", "dt_h", "coef", "drift", "du",
+                 "du_head", "du_cols", "term", "term_df", "term_dg", "v", "v_head", "vabs",
+                 "mask", "flux_head", "flux_tail", "flux_interior", "dflux", "dflux_rows")
+
+    def __init__(self, grid: Grid, p: FluidParams, dt: float):
+        n = grid.n_cells
+        self.grid, self.params, self.dt = grid, p, dt
+        self.thread = threading.get_ident()
+        self.h = grid.h
+        self.dt_h = dt / self.h
+        e2 = p.eta**2
+        # coef[c, r]: coefficient of the gradient of field c in the velocity of field r
+        self.coef = np.zeros((2, 2, n))
+        self.coef[:, :, :-1] = [[[(1.0 + p.R) * e2], [e2 * p.R_mu]], [[p.R], [p.R_mu]]]
+        self.drift = np.zeros((2, n))
+        self.drift[:, :-1] = grid.face_drift
+        self.du = np.zeros(2 * n)  # gradients at the flat faces; the last entry stays 0
+        self.du_head, self.du_cols = self.du[:-1], self.du.reshape(2, 1, n)
+        self.term = np.empty((2, 2, n))
+        self.term_df, self.term_dg = self.term
+        self.v = np.empty((2, n))
+        self.v_head = self.v.reshape(-1)[:-1]
+        self.vabs = np.empty((2, n))
+        self.mask = np.empty(2 * n - 1, dtype=bool)
+        flux = np.zeros(2 * n + 1)
+        self.flux_head, self.flux_tail, self.flux_interior = flux[:-1], flux[1:], flux[1:-1]
+        self.dflux = np.empty(2 * n)
+        self.dflux_rows = self.dflux.reshape(2, n)
+
+    def velocities(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Velocities (2, n) at the flat faces between cells ``lo`` and ``hi``."""
+        np.subtract(hi, lo, out=self.du_head)
+        np.divide(self.du, self.h, out=self.du)
+        np.multiply(self.coef, self.du_cols, out=self.term)
+        np.subtract(self.drift, self.term_df, out=self.v)
+        return np.subtract(self.v, self.term_dg, out=self.v)
 
 
 def face_velocities(state: SimState, p: FluidParams) -> np.ndarray:
     """Velocities (A, B) of f and g at the interior faces, shape (2, n_cells - 1)."""
-    u = state.u
-    du = (u[:, 1:] - u[:, :-1]) / state.grid.h
-    c_f, c_g = _velocity_coefficients(p)
-    return state.grid.face_drift - c_f * du[0] - c_g * du[1]
+    uf = state.u.reshape(-1)
+    k = _Kernel(state.grid, p, dt=1.0)  # dt does not enter the velocities
+    return k.velocities(uf[:-1], uf[1:])[:, :-1].copy()
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """One explicit Euler step of the upwind scheme with no-flux boundaries."""
-    grid = state.grid
-    h = grid.h
-    dt = cfg.dt
-    u = state.u
-    v = face_velocities(state, cfg.params)
+    grid, u = state.grid, state.u
+    k = cfg._kernel
+    if (k is None or k.grid is not grid or k.params is not cfg.params
+            or k.dt != cfg.dt or k.thread != threading.get_ident()):
+        # numpy releases the GIL in these loops, so each thread gets its own scratch
+        k = cfg._kernel = _Kernel(grid, cfg.params, cfg.dt)
+    uf = u.reshape(-1)
+    lo, hi = uf[:-1], uf[1:]
+    v = k.velocities(lo, hi)
     if cfg.cfl_check:
-        vmax = float(np.abs(v).max())
-        if dt * vmax / h > 1.0:
+        vmax = float(np.maximum.reduce(np.absolute(v, out=k.vabs), axis=None))
+        if k.dt * vmax / k.h > 1.0:
             raise CflViolationError(
-                f"dt * max|velocity| / h = {dt * vmax / h:.3g} > 1; reduce dt")
-    # donor-cell fluxes at every face; the boundary faces carry none
-    flux = np.zeros((2, grid.n_cells + 1))
-    flux[:, 1:-1] = np.maximum(v, 0.0) * u[:, :-1] - np.maximum(-v, 0.0) * u[:, 1:]
-    u_new = u - (dt / h) * (flux[:, 1:] - flux[:, :-1])
-    if cfg.cfl_check and u_new.min() < 0.0:
+                f"dt * max|velocity| / h = {k.dt * vmax / k.h:.3g} > 1; reduce dt")
+    # donor-cell fluxes at the interior flat faces
+    np.greater(k.v_head, 0.0, out=k.mask)
+    np.multiply(np.where(k.mask, lo, hi), k.v_head, out=k.flux_interior)
+    dflux = np.subtract(k.flux_tail, k.flux_head, out=k.dflux)
+    np.multiply(dflux, k.dt_h, out=dflux)
+    u_new = np.subtract(u, k.dflux_rows)
+    if cfg.cfl_check and np.minimum.reduce(u_new, axis=None) < 0.0:
         raise NegativeCellError(
             f"negative cell after step at t = {state.t:.6g}; reduce dt")
-    return SimState._of(u_new, state.t + dt, grid, state.step_count + 1)
+    return SimState._of(u_new, state.t + k.dt, grid, state.step_count + 1)
 
 
 def support_components(u: np.ndarray, rel_threshold: float = 1e-9) -> int:
@@ -330,10 +386,10 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
         states.append(s.copy())
 
     record(state)
-    for k in range(n_steps):
-        state = step(state, cfg)
-        if (k + 1) % cfg.record_every == 0 or k == n_steps - 1:
-            record(state)
+    for done in range(0, n_steps, cfg.record_every):
+        for _ in range(min(cfg.record_every, n_steps - done)):
+            state = step(state, cfg)
+        record(state)
 
     return TrajectoryReport(
         times=np.asarray(times),

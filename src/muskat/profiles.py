@@ -818,30 +818,41 @@ def _R1_complete(p: FluidParams, a1: float, a: float, b: float):
 
 def _R1_reduced_funcs(p: FluidParams, a1: float):
     """Rows 4 and 5 of R1 and their Jacobian in (alpha, beta) at fixed alpha1,
-    the other unknowns given by ``_R1_complete``; NaN where it has none."""
+    the other unknowns given by ``_R1_complete``; NaN where it has none.
+    Returns (F, J, complete): ``complete(u)`` is ``_R1_complete`` at u,
+    remembered for the last iterate, so F, J and the caller share one
+    completion per iterate.  F and J take alpha and beta from u itself, so a
+    hit on an iterate that differs only in the sign of a zero changes nothing."""
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     s, q = Rmu - R, Rmu - R - 1.0
     k = R * q / (1.0 + R)
+    last = [None, None]  # (alpha, beta) and its completion
+
+    def complete(u):
+        key = (u[0], u[1])
+        if key != last[0]:
+            last[:] = key, _R1_complete(p, a1, *key)
+        return last[1]
 
     def F(u):
-        zeta = _R1_complete(p, a1, *u)
+        zeta = complete(u)
         if zeta is None:
             return math.nan, math.nan
-        g1, b1, _, a, b, g = zeta
+        (g1, b1, _, _, _, g), (a, b) = zeta, u
         return (s * (b**3 - b1**3) - R * q * (a**3 - a1**3) / (1.0 + R) - 9.0 * e2 * Rmu,
                 (g**3 - g1**3) - s * (b**3 - b1**3) + q * (a**3 - a1**3) - 9.0 * Rmu)
 
     def J(u):
-        zeta = _R1_complete(p, a1, *u)
+        zeta = complete(u)
         if zeta is None:
             return (math.nan, math.nan), (math.nan, math.nan)
-        g1, b1, _, a, b, g = zeta
+        (g1, b1, _, _, _, g), (a, b) = zeta, u
         # chain rule: d(b1^3) = 3 b1 (b db - (k/s) a da), d(g^3) = 3 g (s b db - q a da),
         # d(g1^3) = 3 g1 (s b db - k a da)
         return ((3.0 * k * a * (b1 - a), 3.0 * s * b * (b - b1)),
                 (3.0 * a * (q * (a - g) + k * (g1 - b1)), 3.0 * s * b * (g - g1 - b + b1)))
 
-    return F, J
+    return F, J, complete
 
 
 def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float, u_from: np.ndarray,
@@ -861,10 +872,10 @@ def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float, u_from: np.nd
             pred = u_cur + (u_cur - u_sec) * ((trial - a1_cur) / (a1_cur - a1_sec))
         else:
             pred = u_cur
-        F, J = _R1_reduced_funcs(p, trial)
+        F, J, complete = _R1_reduced_funcs(p, trial)
         try:
             u_new = newton_solve(F, J, pred, cfg)
-            z_new = _R1_complete(p, trial, *u_new.tolist())
+            z_new = complete(u_new.tolist())
             g1, b1, a1, a, b, g = z_new or (math.nan,) * 6
             ok = g1 < b1 < a1 < 0.0 < a < b < g
         except NumericsError:

@@ -1,6 +1,9 @@
 """Upwind finite-volume scheme: discretization, conservation, dynamics."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -228,27 +231,126 @@ def _two_array_step(state: SimState, cfg: SimConfig) -> SimState:
                     g=gg - (dt / h) * (Fg[1:] - Fg[:-1]), t=state.t + dt, grid=g)
 
 
-@pytest.mark.parametrize("n", [200, 400])
-def test_step_matches_two_array_oracle_bitwise(n):
+def _skewed_bumps(background: float = 0.0):
+    f, g = bump(0.5, 1.5), bump(-0.4, 1.8)
+    return lambda x: background + f(x), lambda x: background + g(x)
+
+
+@pytest.mark.parametrize("n, background, dt, steps, cfl_check", [
+    pytest.param(200, 0.0, 2e-5, 2000, True, id="200"),
+    pytest.param(400, 0.0, 2e-5, 2000, True, id="400"),
+    # mass in the last f cell and the first g cell: the flat lane's seam face
+    # between them must carry no flux
+    pytest.param(200, 0.05, 2e-5, 2000, True, id="seam"),
+    # unguarded at a dt that drives cells negative within a few steps
+    pytest.param(200, 0.0, 1e-3, 10, False, id="unguarded-negative"),
+])
+def test_step_matches_two_array_oracle_bitwise(n, background, dt, steps, cfl_check):
     p = FluidParams(4.0, 2.0, 1.3)
     g = Grid(n_cells=n)
-    st = init_state((bump(0.5, 1.5), bump(-0.4, 1.8)), g, renormalize=True)
-    cfg = SimConfig(grid=g, params=p, t_end=1.0, dt=2e-5)
+    st = init_state(_skewed_bumps(background), g, renormalize=True)
+    cfg = SimConfig(grid=g, params=p, t_end=1.0, dt=dt, cfl_check=cfl_check)
     ref = st
-    for _ in range(2000):
+    for _ in range(steps):
         st = step(st, cfg)
         ref = _two_array_step(ref, cfg)
-    assert st.step_count == 2000 and st.t == ref.t
+    assert st.step_count == steps and st.t == ref.t
     assert np.array_equal(st.f, ref.f) and np.array_equal(st.g, ref.g)
     assert not np.array_equal(st.f, st.f[::-1])  # the state is asymmetric
+    assert np.all(np.isfinite(st.u))
+    if background:
+        assert st.f[-1] > 0.0 and st.g[0] > 0.0
+    if not cfl_check:
+        assert st.u.min() < 0.0
+
+
+def test_step_follows_a_changed_dt():
+    p = FluidParams(4.0, 2.0, 1.3)
+    g = Grid(n_cells=200)
+    st = init_state(_skewed_bumps(), g, renormalize=True)
+    cfg = SimConfig(grid=g, params=p, t_end=1.0, dt=2e-5)
+    ref = st
+    for dt in (2e-5, 1e-5, 2e-5):
+        cfg.dt = dt
+        for _ in range(50):
+            st = step(st, cfg)
+            ref = _two_array_step(ref, cfg)
+        assert np.array_equal(st.u, ref.u)
+
+
+def test_threads_stepping_one_config_match_one_thread():
+    # more threads than cores and frequent switches, so steps of different
+    # threads interleave inside one config's kernel
+    p = FluidParams(4.0, 2.0, 1.3)
+    g = Grid(n_cells=400)
+    centers = [(0.5, -0.4), (-0.3, 0.6), (0.2, 0.1), (-0.6, -0.2)]
+    starts = [init_state((bump(cf, 1.6), bump(cg, 1.9)), g, renormalize=True)
+              for cf, cg in centers]
+
+    def march(st, cfg, barrier=None):
+        if barrier is not None:
+            barrier.wait()
+        for _ in range(1000):
+            st = step(st, cfg)
+        return st
+
+    expect = [march(st, SimConfig(grid=g, params=p, t_end=1.0, dt=2e-5)) for st in starts]
+    shared = SimConfig(grid=g, params=p, t_end=1.0, dt=2e-5)
+    barrier = threading.Barrier(len(starts), timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
+            futures = [pool.submit(march, st, shared, barrier) for st in starts]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(got, expect):
+        assert a.step_count == 1000
+        assert np.array_equal(a.u, b.u)
+
+
+def test_face_velocities_match_two_array_oracle_bitwise():
+    p = FluidParams(4.0, 2.0, 1.3)
+    g = Grid(n_cells=200)
+    st = init_state(_skewed_bumps(0.05), g, renormalize=True)
+    h, x, e2 = g.h, g.centers, p.eta**2
+    f, gg = st.f, st.g
+    # the velocity lines of _two_array_step
+    drift = -(x[1:] + x[:-1]) / 6.0
+    df = (f[1:] - f[:-1]) / h
+    dg = (gg[1:] - gg[:-1]) / h
+    A = drift - (1.0 + p.R) * e2 * df - p.R * dg
+    B = drift - e2 * p.R_mu * df - p.R_mu * dg
+    v = face_velocities(st, p)
+    assert v.shape == (2, 199)
+    assert np.array_equal(v[0], A) and np.array_equal(v[1], B)
 
 
 def test_cfl_violation_raised():
     g = Grid(n_cells=50)
     st = init_state((bump(0.0, 2.0), bump(0.0, 2.0)), g, renormalize=True)
     cfg = SimConfig(grid=g, params=P11, t_end=1.0, dt=0.5, record_every=1)
-    with pytest.raises((CflViolationError, NegativeCellError)):
+    with pytest.raises(CflViolationError):
         step(st, cfg)
+
+
+@pytest.mark.parametrize("dt, error, message, at_step", [
+    (4e-4, NegativeCellError, "t = 3.8208;", 9552),
+    (0.5, CflViolationError, "= 33.2 > 1;", 0),
+])
+def test_guards_on_readme_rupture_config(dt, error, message, at_step):
+    # (R, R_mu, eta) = (1, 0.05, 1) with the even bumps of half-width 2 on n = 400
+    p = FluidParams(1.0, 0.05, 1.0)
+    g = Grid(n_cells=400)
+    a = 2.0
+    prof = PiecewiseQuadratic.from_pieces([(-a, a, 0.75 / a, -0.75 / a**3)])
+    st = init_state((prof, prof), g)
+    cfg = SimConfig(grid=g, params=p, t_end=8.0, dt=dt)
+    with pytest.raises(error, match=message.replace(".", r"\.")):
+        while True:
+            st = step(st, cfg)
+    assert st.step_count == at_step
 
 
 # ----------------------------------------------------------------------

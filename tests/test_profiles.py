@@ -619,14 +619,14 @@ def test_reduced_jacobian_matches_central_differences():
     p = FluidParams(2.0, 40.0, 0.8)
     for cp in continue_curve(p, 9)[1:-1]:
         g1, b1, a1, a, b, g = cp.zeta
-        F, J = _R1_reduced_funcs(p, a1)
+        F, J, _ = _R1_reduced_funcs(p, a1)
         h = 1e-6
         fd = [[(F([a + h * (i == 0), b + h * (i == 1)])[r]
                 - F([a - h * (i == 0), b - h * (i == 1)])[r]) / (2.0 * h) for i in (0, 1)]
               for r in (0, 1)]
         assert np.allclose(J([a, b]), fd, rtol=1e-8, atol=1e-8)
     # off the domain of the closed-form completion both return NaN
-    F, J = _R1_reduced_funcs(p, -1.0)
+    F, J, _ = _R1_reduced_funcs(p, -1.0)
     assert all(math.isnan(v) for v in F([1.0, 0.0]))
     assert all(math.isnan(v) for row in J([1.0, 0.0]) for v in row)
 
