@@ -255,10 +255,8 @@ def cmd_simulate(args) -> int:
 
     outputs = []
     traj_path = out / "trajectory.csv"
-    cols = ["t", "mass_f", "mass_g", "M1", "M2", "E", "E_star", "H", "I",
-            "n_components_f", "n_components_g", "l2_dist"]
-    rows = np.column_stack([rep.times] + [rep.data[c] for c in cols[1:]])
-    _write_csv(traj_path, cols, rows)
+    rows = np.column_stack([rep.times, *rep.data.values()])
+    _write_csv(traj_path, ["t", *rep.data], rows)
     outputs.append(traj_path)
 
     snap_every = cfg.get("snapshot_every_records", max(1, len(rep.states) // 8))

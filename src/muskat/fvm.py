@@ -22,6 +22,7 @@ sign of zero, which changes no cell unless that cell holds -0.0.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,6 +72,13 @@ class NonpositiveTimeError(Exception):
     pass
 
 
+def _require_number(name: str, v, integer: bool = False) -> None:
+    """ValueError unless v is an integer (or a finite real); bools are neither."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite real")
+    if isinstance(v, bool) or not isinstance(v, kind) or not (integer or math.isfinite(v)):
+        raise ValueError(f"{name} must be {what}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform mesh of n_cells control volumes on [x_left, x_right]."""
@@ -80,6 +88,9 @@ class Grid:
     x_right: float = 5.0
 
     def __post_init__(self):
+        _require_number("n_cells", self.n_cells, integer=True)
+        _require_number("x_left", self.x_left)
+        _require_number("x_right", self.x_right)
         if self.n_cells < 3:
             raise ValueError("need at least 3 cells")
         if not self.x_right > self.x_left:
@@ -151,6 +162,9 @@ class SimConfig:
     _kernel: _Kernel | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _require_number("dt", self.dt)
+        _require_number("t_end", self.t_end)
+        _require_number("record_every", self.record_every, integer=True)
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.record_every < 1:

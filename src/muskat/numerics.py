@@ -29,6 +29,7 @@ __all__ = [
     "StepTooSmallError",
     "find_root_bracketed",
     "newton_solve",
+    "max_abs",
 ]
 
 
@@ -68,6 +69,10 @@ class RootConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+
+
+# the tolerances of every threshold and profile root in this package
+_ROOT_CFG = RootConfig(rel_tol=4e-16, abs_tol=1e-15, max_iter=200)
 
 
 @dataclass(frozen=True)
@@ -176,7 +181,7 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
     x = [float(v) for v in x0]
     n = len(x)
     Fx = [float(v) for v in F(x)]
-    norm = _max_abs(Fx)
+    norm = max_abs(Fx)
     for _ in range(cfg.max_iter):
         if norm <= cfg.tol:
             return np.array(x)
@@ -185,7 +190,7 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
         while True:
             x_new = [x[i] + t * dx[i] for i in range(n)]
             F_new = [float(v) for v in F(x_new)]
-            norm_new = _max_abs(F_new)
+            norm_new = max_abs(F_new)
             if math.isfinite(norm_new) and norm_new < norm:
                 break
             t *= cfg.damping
@@ -198,7 +203,7 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
     raise MaxIterExceededError(f"residual {norm:.3e} after {cfg.max_iter} iterations")
 
 
-def _max_abs(v: list[float]) -> float:
+def max_abs(v: Sequence[float]) -> float:
     """Max-norm that is NaN when any entry is (Python's max would skip it)."""
     if any(map(math.isnan, v)):
         return math.nan

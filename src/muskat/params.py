@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numerics import RootConfig, find_root_bracketed
+from .numerics import _ROOT_CFG, find_root_bracketed
 
 __all__ = [
     "FluidParams",
@@ -37,8 +37,6 @@ __all__ = [
     "threshold_residual_large",
     "threshold_residual_small",
 ]
-
-_ROOT_CFG = RootConfig(rel_tol=4e-16, abs_tol=1e-15, max_iter=200)
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numerics import (
+    _ROOT_CFG,
     NewtonConfig,
     NumericsError,
-    RootConfig,
     find_root_bracketed,
+    max_abs,
     newton_solve,
 )
 from .params import (
@@ -63,6 +64,7 @@ __all__ = [
     "boundary_disconnected_profile",
     "boundary_zeta",
     "continue_curve",
+    "curve_endpoint_kind",
     "profile_from_zeta",
     "reflect",
     "dual_transform",
@@ -81,8 +83,6 @@ __all__ = [
     "sample_profile",
 ]
 
-_ROOT_CFG = RootConfig(rel_tol=4e-16, abs_tol=1e-15, max_iter=200)
-
 _CONTINUITY_TOL = 1e-10
 _MASS_TOL = 1e-10
 _STEADY_TOL = 1e-9
@@ -94,6 +94,12 @@ def _system_tol(p: FluidParams) -> float:
     # keep the absolute floor but stay a safe factor above float64 there
     scale = 9.0 * p.R_mu * (1.0 + p.R) * (1.0 + p.eta**2)
     return max(_SYSTEM_TOL, 5e-14 * scale)
+
+
+def _require_solved(rows: Sequence[float], p: FluidParams, what: str) -> None:
+    res = max_abs(rows)
+    if res > _system_tol(p):
+        raise RuntimeError(f"{what} residual {res:.3e}")
 
 
 class RegimeError(Exception):
@@ -293,81 +299,74 @@ class CurvePoint:
 
 
 # ----------------------------------------------------------------------
-# residual evaluation for the algebraic systems
+# the algebraic systems, each as the tuple of its rows
 # ----------------------------------------------------------------------
 
 
-def residuals_eq41_43(p: FluidParams, a: float, b: float, g: float) -> float:
+def residuals_eq41_43(p: FluidParams, a: float, b: float, g: float) -> tuple[float, ...]:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     s, q = Rmu - R, Rmu - R - 1.0
-    r1 = s * b**3 - R * q * a**3 / (1.0 + R) - 4.5 * e2 * Rmu
-    r2 = g**3 - s * b**3 + q * a**3 - 4.5 * Rmu
-    r3 = g**2 - s * b**2 + q * a**2
-    return max(abs(r1), abs(r2), abs(r3))
+    return (s * b**3 - R * q * a**3 / (1.0 + R) - 4.5 * e2 * Rmu,
+            g**3 - s * b**3 + q * a**3 - 4.5 * Rmu,
+            g**2 - s * b**2 + q * a**2)
 
 
-def residuals_eq51_53(p: FluidParams, a: float, b: float, g: float) -> float:
+def residuals_eq51_53(p: FluidParams, a: float, b: float, g: float) -> tuple[float, ...]:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-    r1 = (1.0 + R - Rmu) * b**3 - (R - Rmu) * a**3 - 4.5 * Rmu
-    r2 = Rmu * g**3 - R * (1.0 + R - Rmu) * b**3 + (1.0 + R) * (R - Rmu) * a**3 \
-        - 4.5 * Rmu * (1.0 + R) * e2
-    r3 = Rmu * g**2 - R * (1.0 + R - Rmu) * b**2 + (1.0 + R) * (R - Rmu) * a**2
-    return max(abs(r1), abs(r2), abs(r3))
+    return ((1.0 + R - Rmu) * b**3 - (R - Rmu) * a**3 - 4.5 * Rmu,
+            Rmu * g**3 - R * (1.0 + R - Rmu) * b**3 + (1.0 + R) * (R - Rmu) * a**3
+            - 4.5 * Rmu * (1.0 + R) * e2,
+            Rmu * g**2 - R * (1.0 + R - Rmu) * b**2 + (1.0 + R) * (R - Rmu) * a**2)
 
 
-def residuals_d1(p: FluidParams, b1: float, a: float, b: float, g: float) -> float:
+def residuals_d1(p: FluidParams, b1: float, a: float, b: float, g: float) -> tuple[float, ...]:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     s, q = Rmu - R, Rmu - R - 1.0
-    v1 = Rmu * b1**3 - (1.0 + R) * s * b**3 + R * q * a**3 + 9.0 * e2 * Rmu * (1.0 + R)
-    v2 = g**3 - s * b**3 + q * a**3 - 9.0 * Rmu
-    v3 = g**2 - s * b**2 + q * a**2
-    v4 = Rmu * b1**2 - (1.0 + R) * s * b**2 + R * q * a**2
-    return max(abs(v1), abs(v2), abs(v3), abs(v4))
+    return (Rmu * b1**3 - (1.0 + R) * s * b**3 + R * q * a**3 + 9.0 * e2 * Rmu * (1.0 + R),
+            g**3 - s * b**3 + q * a**3 - 9.0 * Rmu,
+            g**2 - s * b**2 + q * a**2,
+            Rmu * b1**2 - (1.0 + R) * s * b**2 + R * q * a**2)
 
 
-def residuals_d2(p: FluidParams, b1: float, a: float, b: float, g: float) -> float:
+def residuals_d2(p: FluidParams, b1: float, a: float, b: float, g: float) -> tuple[float, ...]:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-    v1 = Rmu * g**3 + (1.0 + R) * (R - Rmu) * a**3 - R * (1.0 + R - Rmu) * b**3 \
-        - 9.0 * e2 * Rmu * (1.0 + R)
-    v2 = -(b1**3) - (R - Rmu) * a**3 + (1.0 + R - Rmu) * b**3 - 9.0 * Rmu
-    v3 = Rmu * g**2 + (1.0 + R) * (R - Rmu) * a**2 - R * (1.0 + R - Rmu) * b**2
-    v4 = b1**2 + (R - Rmu) * a**2 - (1.0 + R - Rmu) * b**2
-    return max(abs(v1), abs(v2), abs(v3), abs(v4))
+    return (Rmu * g**3 + (1.0 + R) * (R - Rmu) * a**3 - R * (1.0 + R - Rmu) * b**3
+            - 9.0 * e2 * Rmu * (1.0 + R),
+            -(b1**3) - (R - Rmu) * a**3 + (1.0 + R - Rmu) * b**3 - 9.0 * Rmu,
+            Rmu * g**2 + (1.0 + R) * (R - Rmu) * a**2 - R * (1.0 + R - Rmu) * b**2,
+            b1**2 + (R - Rmu) * a**2 - (1.0 + R - Rmu) * b**2)
 
 
-def _R1_vector(p: FluidParams, zeta: Sequence[float]) -> np.ndarray:
+def residuals_R1(p: FluidParams, zeta: Sequence[float]) -> tuple[float, ...]:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     s, q = Rmu - R, Rmu - R - 1.0
     g1, b1, a1, a, b, g = zeta
-    return np.array([
-        g1**2 - s * b1**2 + q * a1**2,
-        g**2 - s * b**2 + q * a**2,
-        R * (g1**2 - g**2) + s * (b1**2 - b**2),
-        s * (b**3 - b1**3) - R * q * (a**3 - a1**3) / (1.0 + R) - 9.0 * e2 * Rmu,
-        (g**3 - g1**3) - s * (b**3 - b1**3) + q * (a**3 - a1**3) - 9.0 * Rmu,
-    ])
+    return (g1**2 - s * b1**2 + q * a1**2,
+            g**2 - s * b**2 + q * a**2,
+            R * (g1**2 - g**2) + s * (b1**2 - b**2),
+            s * (b**3 - b1**3) - R * q * (a**3 - a1**3) / (1.0 + R) - 9.0 * e2 * Rmu,
+            (g**3 - g1**3) - s * (b**3 - b1**3) + q * (a**3 - a1**3) - 9.0 * Rmu)
 
 
-def _R2_vector(p: FluidParams, zeta: Sequence[float]) -> np.ndarray:
+def residuals_R2(p: FluidParams, zeta: Sequence[float]) -> tuple[float, ...]:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     g1, b1, a1, a, b, g = zeta
     u, w = 1.0 + R - Rmu, R - Rmu
-    return np.array([
-        Rmu * g1**2 - R * u * b1**2 + (1.0 + R) * w * a1**2,
-        Rmu * g**2 - R * u * b**2 + (1.0 + R) * w * a**2,
-        Rmu * (g**2 - g1**2) + w * (a**2 - a1**2),
-        Rmu * (g**3 - g1**3) - R * u * (b**3 - b1**3) + (1.0 + R) * w * (a**3 - a1**3)
-        - 9.0 * e2 * Rmu * (1.0 + R),
-        u * (b**3 - b1**3) - w * (a**3 - a1**3) - 9.0 * Rmu,
-    ])
+    return (Rmu * g1**2 - R * u * b1**2 + (1.0 + R) * w * a1**2,
+            Rmu * g**2 - R * u * b**2 + (1.0 + R) * w * a**2,
+            Rmu * (g**2 - g1**2) + w * (a**2 - a1**2),
+            Rmu * (g**3 - g1**3) - R * u * (b**3 - b1**3) + (1.0 + R) * w * (a**3 - a1**3)
+            - 9.0 * e2 * Rmu * (1.0 + R),
+            u * (b**3 - b1**3) - w * (a**3 - a1**3) - 9.0 * Rmu)
 
 
-def residuals_R1(p: FluidParams, zeta: Sequence[float]) -> float:
-    return float(np.max(np.abs(_R1_vector(p, zeta))))
-
-
-def residuals_R2(p: FluidParams, zeta: Sequence[float]) -> float:
-    return float(np.max(np.abs(_R2_vector(p, zeta))))
+def _sextuplet_system(p: FluidParams):
+    """R1 (G split) for R_mu > R + 1, R2 (F split) for R_mu < R, else None."""
+    if p.R_mu > p.R + 1.0:
+        return residuals_R1
+    if p.R_mu < p.R:
+        return residuals_R2
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -474,9 +473,7 @@ def solve_even_case3(p: FluidParams) -> tuple[float, float, float]:
             raise RuntimeError("inner radius bound violated")
     if not (0.0 <= a < b < g):
         raise RuntimeError(f"radii out of order: {a}, {b}, {g}")
-    res = residuals_eq41_43(p, a, b, g)
-    if res > _system_tol(p):
-        raise RuntimeError(f"even case-3 system residual {res:.3e}")
+    _require_solved(residuals_eq41_43(p, a, b, g), p, "even case-3 system")
     return a, b, g
 
 
@@ -494,9 +491,7 @@ def solve_even_case4(p: FluidParams) -> tuple[float, float, float]:
 
 
 def _check_even_case4(p: FluidParams, a: float, b: float, g: float) -> None:
-    res = residuals_eq51_53(p, a, b, g)
-    if res > _system_tol(p):
-        raise RuntimeError(f"even case-4 system residual {res:.3e}")
+    _require_solved(residuals_eq51_53(p, a, b, g), p, "even case-4 system")
     if not (0.0 <= a < b < g):
         raise RuntimeError(f"radii out of order: {a}, {b}, {g}")
 
@@ -579,9 +574,7 @@ def connected_quadruple(p: FluidParams) -> tuple[float, float, float, float]:
     denom = Rmu * y**2 * (1.0 - y) + R * q * z**2 * (1.0 - z)
     b = (9.0 * e2 * Rmu * (1.0 + R) / denom) ** (1.0 / 3.0)
     quad = (y * b, z * b, b, x * b)
-    res = residuals_d1(p, *quad)
-    if res > _system_tol(p):
-        raise RuntimeError(f"connected-profile system residual {res:.3e}")
+    _require_solved(residuals_d1(p, *quad), p, "connected-profile system")
     return quad
 
 
@@ -603,9 +596,7 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
     elif (Rmu - th.r_m) / th.r_m <= 1e-12:
         p1, lam = dual_params(p)
         b1, a, b, g = (lam * v for v in connected_quadruple(p1))
-        res = residuals_d2(p, b1, a, b, g)
-        if res > _system_tol(p):
-            raise RuntimeError(f"dual connected-profile residual {res:.3e}")
+        _require_solved(residuals_d2(p, b1, a, b, g), p, "dual connected-profile")
         label = "connected-small"
     else:
         raise RegimeError(
@@ -655,9 +646,7 @@ def boundary_zeta(p: FluidParams) -> tuple[float, ...]:
     B = s * (1.0 - y**3) - s**1.5 * math.sqrt((1.0 + R) / (R * q)) * (y**2 - 1.0) ** 1.5
     b = (9.0 * e2 * Rmu / B) ** (1.0 / 3.0)
     zeta = (x * b, y * b, z * b, 0.0, b, t * b)
-    res = residuals_R1(p, zeta)
-    if res > _system_tol(p):
-        raise RuntimeError(f"boundary sextuplet residual {res:.3e}")
+    _require_solved(residuals_R1(p, zeta), p, "boundary sextuplet")
     if not (zeta[0] < zeta[1] < zeta[2] < 0.0 < zeta[4] < zeta[5]):
         raise RuntimeError(f"boundary sextuplet out of order: {zeta}")
     return zeta
@@ -735,10 +724,10 @@ def _zeta_pieces(p: FluidParams, zeta: Sequence[float]) -> tuple[list, list]:
 def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
     """Assemble the piecewise formulas attached to a disconnected sextuplet.
 
-    The sextuplet must satisfy the five-equation system for the parameter
-    regime (large R_mu: G split; small R_mu: F split) within 1e-8 and be
-    weakly ordered; degenerate entries (collapsed or zero-width intervals)
-    are allowed and produce the corresponding boundary profiles.
+    The sextuplet must be weakly ordered and satisfy the five-equation system
+    of its regime (large R_mu: G split; small R_mu: F split) to within
+    max(1e-8, 1e-12 * 9 R_mu (1 + R)(1 + eta^2)); degenerate entries (collapsed
+    or zero-width intervals) produce the corresponding boundary profiles.
     """
     zeta = tuple(float(z) for z in zeta)
     if len(zeta) != 6 or not all(math.isfinite(z) for z in zeta):
@@ -748,18 +737,14 @@ def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
     mono = all(zeta[i + 1] - zeta[i] >= -1e-12 * scale for i in range(5))
     if not (mono and a1 <= 1e-12 * scale and a >= -1e-12 * scale):
         raise InvalidZetaError(f"ordering violated: {zeta}")
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-
-    zeta_tol = max(1e-8, 1e-12 * 9.0 * Rmu * (1.0 + R) * (1.0 + e2))
-    if Rmu > R + 1.0:
-        res, label = residuals_R1(p, zeta), "zeta-large"
-    elif Rmu < R:
-        res, label = residuals_R2(p, zeta), "zeta-small"
-    else:
+    system = _sextuplet_system(p)
+    if system is None:
         raise InvalidZetaError(
             "disconnected-support sextuplets require R_mu > R + 1 or R_mu < R")
-    if res > zeta_tol:
+    res = max_abs(system(p, zeta))
+    if res > max(1e-8, 1e-12 * 9.0 * p.R_mu * (1.0 + p.R) * (1.0 + p.eta**2)):
         raise InvalidZetaError(f"system residual {res:.3e} too large")
+    label = "zeta-large" if system is residuals_R1 else "zeta-small"
     return _finish_pair(*_zeta_pieces(p, zeta), p, label, zeta=zeta)
 
 
@@ -786,9 +771,9 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
     zeta1 = None
     if pp.zeta is not None:
         cand = tuple(z / lam for z in pp.zeta)
-        ok = (p1.R_mu > p1.R + 1.0 and residuals_R1(p1, cand) < 1e-8) or \
-             (p1.R_mu < p1.R and residuals_R2(p1, cand) < 1e-8)
-        zeta1 = cand if ok else None
+        system = _sextuplet_system(p1)
+        if system is not None and max_abs(system(p1, cand)) < 1e-8:
+            zeta1 = cand
     new = ProfilePair(F=pp.G.scaled(lam), G=pp.F.scaled(lam), params=p1,
                       label=(pp.label + "|dual") if pp.label else "dual",
                       zeta=zeta1)
@@ -821,9 +806,10 @@ def _R1_reduced_funcs(p: FluidParams, a1: float):
     the other unknowns given by ``_R1_complete``; NaN where it has none.
     Returns (F, J, complete): ``complete(u)`` is ``_R1_complete`` at u,
     remembered for the last iterate, so F, J and the caller share one
-    completion per iterate.  F and J take alpha and beta from u itself, so a
-    hit on an iterate that differs only in the sign of a zero changes nothing."""
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    completion per iterate.  J takes alpha and beta from u itself and F reads
+    alpha only in alpha^3 - alpha1^3, so a hit on an iterate that differs only
+    in the sign of a zero changes nothing."""
+    R, Rmu = p.R, p.R_mu
     s, q = Rmu - R, Rmu - R - 1.0
     k = R * q / (1.0 + R)
     last = [None, None]  # (alpha, beta) and its completion
@@ -838,9 +824,7 @@ def _R1_reduced_funcs(p: FluidParams, a1: float):
         zeta = complete(u)
         if zeta is None:
             return math.nan, math.nan
-        (g1, b1, _, _, _, g), (a, b) = zeta, u
-        return (s * (b**3 - b1**3) - R * q * (a**3 - a1**3) / (1.0 + R) - 9.0 * e2 * Rmu,
-                (g**3 - g1**3) - s * (b**3 - b1**3) + q * (a**3 - a1**3) - 9.0 * Rmu)
+        return residuals_R1(p, zeta)[3:]
 
     def J(u):
         zeta = complete(u)

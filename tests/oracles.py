@@ -6,14 +6,13 @@ from typing import Sequence
 import numpy as np
 
 from muskat.functionals import _GAUSS_W, _GAUSS_X
-from muskat.numerics import find_root_bracketed
+from muskat.numerics import _ROOT_CFG, find_root_bracketed, max_abs
 from muskat.params import FluidParams, thresholds
 from muskat.profiles import (
     PiecewiseQuadratic,
     RegimeError,
-    _R1_vector,
-    _ROOT_CFG,
     _system_tol,
+    residuals_R1,
     residuals_eq51_53,
 )
 
@@ -59,7 +58,7 @@ def solve_even_case4_direct(p: FluidParams) -> tuple[float, float, float]:
         raise RuntimeError("no admissible root in the direct split-F solve")
     b = beta3(a) ** (1.0 / 3.0)
     g = gamma3(a) ** (1.0 / 3.0)
-    res = residuals_eq51_53(p, a, b, g)
+    res = max_abs(residuals_eq51_53(p, a, b, g))
     if res > _system_tol(p):
         raise RuntimeError(f"direct split-F residual {res:.3e}")
     return a, b, g
@@ -72,7 +71,7 @@ def _R1_newton_funcs(p: FluidParams, a1: float):
 
     def F(u):
         g1, b1, a, b, g = u
-        return _R1_vector(p, (g1, b1, a1, a, b, g))
+        return np.array(residuals_R1(p, (g1, b1, a1, a, b, g)))
 
     def J(u):
         g1, b1, a, b, g = u

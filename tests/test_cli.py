@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, manifest reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -190,6 +191,17 @@ def test_simulate_bad_config(tmp_path, capsys):
      "leaves the domain"),
     ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "n_cells": 100,
       "initial": {"kind": "bumps", "halfwidth_g": 0.0}}, "must be positive"),
+    # numbers of the wrong kind are usage errors, not tracebacks
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "n_cells": 400.0},
+     "n_cells must be an integer"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "n_cells": True},
+     "n_cells must be an integer"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "record_every": 2500.0},
+     "record_every must be an integer"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "dt": "2e-5"},
+     "dt must be a finite real"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": math.inf},
+     "t_end must be a finite real"),
 ])
 def test_simulate_config_errors_exit_2(tmp_path, capsys, cfg, says):
     cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 """Imports inside the package run one way, and only at module level."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import muskat
@@ -41,4 +42,19 @@ def test_imports_follow_layer_order():
             for t in _targets(node):
                 if ORDER.index(t) >= rank:
                     bad.append(f"{f.name}:{node.lineno} imports {t}")
+    assert not bad, bad
+
+
+def test_all_lists_every_public_function_and_class():
+    src = Path(muskat.__file__).parent
+    bad = []
+    for f in sorted(src.glob("*.py")):
+        mod = importlib.import_module(f"muskat.{f.stem}" if f.stem != "__init__" else "muskat")
+        if not hasattr(mod, "__all__"):
+            continue
+        tree = ast.parse(f.read_text())
+        public = [n.name for n in tree.body
+                  if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")]
+        bad += [f"{f.name}: {n} not in __all__" for n in public if n not in mod.__all__]
+        bad += [f"{f.name}: {n} listed but absent" for n in mod.__all__ if not hasattr(mod, n)]
     assert not bad, bad
