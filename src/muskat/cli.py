@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, functionals, fvm, profiles
+from .fvm import _require_number
 from .numerics import NumericsError
 from .params import ContinuumClass, FluidParams, classify_regime, thresholds
 from .profiles import InvalidZetaError, RegimeError
@@ -79,15 +80,21 @@ def _usage_error(msg: str) -> int:
     return EXIT_USAGE
 
 
+def _unimodal(ells, es: np.ndarray) -> bool:
+    """Whether E* along a curve sorted by ell changes direction at most once
+    and is least at ell = 0."""
+    d = np.diff(es)
+    return (int(np.sum(np.sign(d[:-1]) != np.sign(d[1:]))) <= 1
+            and abs(ells[int(np.argmin(es))]) <= 1e-12)
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
 
 def cmd_thresholds(args) -> int:
-    if args.R <= 0 or args.eta <= 0:
-        return _usage_error("--R and --eta must be positive")
-    p = FluidParams(R=args.R, R_mu=1.0, eta=args.eta)
+    p = _params_from_args(args)
     th = thresholds(p)
     payload = {
         "R": p.R,
@@ -157,11 +164,9 @@ def cmd_curve(args) -> int:
     reports = functionals.curve_reports(curve)
 
     es = np.array([rep.rescaled_energy for rep in reports])
-    d = np.diff(es)
-    sign_changes = int(np.sum(np.sign(d[:-1]) != np.sign(d[1:])))
-    i_min = int(np.argmin(es))
-    if sign_changes > 1 or abs(curve[i_min].ell) > 1e-12:
+    if not _unimodal([cp.ell for cp in curve], es):
         raise NumericsError("curve energy is not unimodal with minimum at ell = 0")
+    i_min = int(np.argmin(es))
 
     stem = f"curve_R{args.R:g}_Rmu{args.R_mu:g}_eta{args.eta:g}"
     csv_path = out / f"{stem}.csv"
@@ -204,6 +209,8 @@ def _bump(center: float, halfwidth: float):
 
 def _initial_from_config(cfg: dict, p: FluidParams, grid: fvm.Grid) -> fvm.SimState:
     spec = cfg.get("initial", {"kind": "even-profile"})
+    if not isinstance(spec, dict):
+        raise ValueError(f"initial must be a JSON object, got {spec!r}")
     kind = spec.get("kind", "even-profile")
     if kind == "even-profile":
         return fvm.init_state(profiles.even_profile(p), grid)
@@ -211,6 +218,8 @@ def _initial_from_config(cfg: dict, p: FluidParams, grid: fvm.Grid) -> fvm.SimSt
         bumps = []
         for name in ("f", "g"):
             c, a = spec.get(f"center_{name}", 0.0), spec.get(f"halfwidth_{name}", 2.0)
+            _require_number(f"center_{name}", c)
+            _require_number(f"halfwidth_{name}", a)
             if not a > 0.0:
                 raise ValueError(f"halfwidth_{name} must be positive, got {a}")
             # quadrature would clip a bump that leaves the grid, and
@@ -236,6 +245,11 @@ def cmd_simulate(args) -> int:
     missing = [k for k in ("R", "R_mu", "eta", "t_end") if k not in cfg]
     if missing:
         return _usage_error(f"config {cfg_path} lacks {', '.join(missing)}")
+    if "snapshot_every_records" in cfg:
+        snap = cfg["snapshot_every_records"]
+        _require_number("snapshot_every_records", snap, integer=True)
+        if snap < 1:
+            return _usage_error(f"snapshot_every_records must be at least 1, got {snap}")
     out = _out_dir(args)
 
     p = FluidParams(R=cfg["R"], R_mu=cfg["R_mu"], eta=cfg["eta"])
@@ -326,12 +340,8 @@ def cmd_verify(args) -> int:
     if regime.continuum is not ContinuumClass.UNIQUE_EVEN:
         def curve_checks():
             curve = profiles.continue_curve(p, n_points=21)
-            energies = functionals.energy_along_curve(curve)
-            es = np.array([e for _, e in energies])
-            d = np.diff(es)
-            ok_shape = int(np.sum(np.sign(d[:-1]) != np.sign(d[1:]))) <= 1
-            ok_min = abs(energies[int(np.argmin(es))][0]) < 1e-12
-            return ok_shape and ok_min
+            ells, es = zip(*functionals.energy_along_curve(curve))
+            return _unimodal(ells, np.array(es))
 
         check("curve-energy-unimodal", curve_checks)
         if regime.continuum is ContinuumClass.CONNECTED_ENDPOINTS:

@@ -70,25 +70,27 @@ def _entropy_piecewise(*fields, floor: float = 1e-300) -> list[float]:
     return totals
 
 
+def _report(p: FluidParams, iFF: float, iFG: float, iGG: float, m1: float, m2: float,
+            entropy: float, dissipation: float | None = None) -> FunctionalReport:
+    """Report from the L2 products of the fields, their moments and entropy."""
+    e2, R = p.eta**2, p.R
+    energy = 0.5 * e2 * (1.0 + R) * iFF + R * iFG + 0.5 * R / e2 * iGG
+    return FunctionalReport(energy=energy, rescaled_energy=energy + m2 / 6.0, m1=m1, m2=m2,
+                            entropy=entropy, dissipation=dissipation)
+
+
 def _fields_report(F, G, p: FluidParams) -> FunctionalReport:
     for q in (F, G):
         for l, r, c0, c2 in q.pieces:
             lo = min(c0 + c2 * l**2, c0 + c2 * r**2, c0 if l < 0.0 < r else np.inf)
             if lo < -1e-12:
                 raise NegativeInputError("fields must be non-negative")
-    e2 = p.eta**2
-    R = p.R
-    iFF = F.inner()
-    iGG = G.inner()
-    iFG = F.inner(G)
-    energy = 0.5 * e2 * (1.0 + R) * iFF + R * iFG + 0.5 * R / e2 * iGG
     theta = p.theta
-    m1 = F.moment(1) + theta * G.moment(1)
-    m2 = F.moment(2) + theta * G.moment(2)
     h_f, h_g = _entropy_piecewise(F, G)
-    entropy = h_f + theta * h_g
-    return FunctionalReport(energy=energy, rescaled_energy=energy + m2 / 6.0,
-                            m1=m1, m2=m2, entropy=entropy)
+    return _report(p, F.inner(), F.inner(G), G.inner(),
+                   m1=F.moment(1) + theta * G.moment(1),
+                   m2=F.moment(2) + theta * G.moment(2),
+                   entropy=h_f + theta * h_g)
 
 
 def _state_report(state, p: FluidParams) -> FunctionalReport:
@@ -97,21 +99,15 @@ def _state_report(state, p: FluidParams) -> FunctionalReport:
         raise NegativeInputError("fields must be non-negative")
     h = state.grid.h
     x = state.grid.centers
-    e2 = p.eta**2
-    R = p.R
-    iFF = h * float(np.sum(f * f))
-    iGG = h * float(np.sum(g * g))
-    iFG = h * float(np.sum(f * g))
-    energy = 0.5 * e2 * (1.0 + R) * iFF + R * iFG + 0.5 * R / e2 * iGG
     theta = p.theta
-    m1 = h * float(np.sum((f + theta * g) * x))
-    m2 = h * float(np.sum((f + theta * g) * x**2))
     hf = np.where(f > 1e-300, f * np.log(np.where(f > 1e-300, f, 1.0)), 0.0)
     hg = np.where(g > 1e-300, g * np.log(np.where(g > 1e-300, g, 1.0)), 0.0)
-    entropy = h * float(np.sum(hf) + theta * np.sum(hg))
-    return FunctionalReport(energy=energy, rescaled_energy=energy + m2 / 6.0,
-                            m1=m1, m2=m2, entropy=entropy,
-                            dissipation=dissipation(state, p))
+    return _report(p, h * float(np.sum(f * f)), h * float(np.sum(f * g)),
+                   h * float(np.sum(g * g)),
+                   m1=h * float(np.sum((f + theta * g) * x)),
+                   m2=h * float(np.sum((f + theta * g) * x**2)),
+                   entropy=h * float(np.sum(hf) + theta * np.sum(hg)),
+                   dissipation=dissipation(state, p))
 
 
 def evaluate(obj, p: FluidParams) -> FunctionalReport:

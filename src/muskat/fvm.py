@@ -26,7 +26,7 @@ import numbers
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "CflViolationError",
     "NegativeCellError",
     "SupportOutsideDomainError",
-    "NonpositiveTimeError",
     "init_state",
     "face_velocities",
     "step",
@@ -50,9 +49,6 @@ __all__ = [
     "support_components",
     "l2_distance",
     "cell_averages",
-    "self_similar_solution",
-    "to_self_similar",
-    "from_self_similar",
 ]
 
 
@@ -65,10 +61,6 @@ class NegativeCellError(Exception):
 
 
 class SupportOutsideDomainError(Exception):
-    pass
-
-
-class NonpositiveTimeError(Exception):
     pass
 
 
@@ -378,25 +370,15 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
 
     cols = ("mass_f", "mass_g", "M1", "M2", "E", "E_star", "H", "I",
             "n_components_f", "n_components_g", "l2_dist")
-    records: dict[str, list[float]] = {c: [] for c in cols}
-    times: list[float] = []
+    rows: list[tuple] = []  # (t, *cols) per record
     states: list[SimState] = []
 
     def record(s: SimState):
         rep = evaluate(s, p)
-        times.append(s.t)
-        records["mass_f"].append(h * float(np.sum(s.f)))
-        records["mass_g"].append(h * float(np.sum(s.g)))
-        records["M1"].append(rep.m1)
-        records["M2"].append(rep.m2)
-        records["E"].append(rep.energy)
-        records["E_star"].append(rep.rescaled_energy)
-        records["H"].append(rep.entropy)
-        records["I"].append(rep.dissipation)
-        records["n_components_f"].append(support_components(s.f))
-        records["n_components_g"].append(support_components(s.g))
-        records["l2_dist"].append(math.nan if cfg.reference is None
-                                  else l2_distance(s, cfg.reference))
+        rows.append((s.t, h * float(np.sum(s.f)), h * float(np.sum(s.g)), rep.m1, rep.m2,
+                     rep.energy, rep.rescaled_energy, rep.entropy, rep.dissipation,
+                     support_components(s.f), support_components(s.g),
+                     math.nan if cfg.reference is None else l2_distance(s, cfg.reference)))
         states.append(s.copy())
 
     record(state)
@@ -405,52 +387,8 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
             state = step(state, cfg)
         record(state)
 
+    times, *columns = zip(*rows)
     return TrajectoryReport(
         times=np.asarray(times),
-        data={c: np.asarray(v) for c, v in records.items()},
+        data={c: np.asarray(v) for c, v in zip(cols, columns)},
         states=states, final=state, grid=state.grid)
-
-
-# ----------------------------------------------------------------------
-# change of variables between the normalized and rescaled systems
-# ----------------------------------------------------------------------
-
-
-def self_similar_solution(pp: ProfilePair, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Spreading solution t^(-1/3) (F, G)(x t^(-1/3)) of the normalized system."""
-    if t <= 0.0:
-        raise NonpositiveTimeError("self-similar evaluation needs t > 0")
-    s = t ** (-1.0 / 3.0)
-    x = np.asarray(x, dtype=float)
-    return s * pp.F(s * x), s * pp.G(s * x)
-
-
-def to_self_similar(times: Sequence[float], states: Sequence) -> list:
-    """Map normalized-system states (s, y-grid, f, g) to rescaled variables.
-
-    Each state at normalized time s >= 0 lands at rescaled time
-    t = log(1 + s) on the compressed grid x = y exp(-t/3), with fields
-    multiplied by exp(t/3); masses are unchanged.
-    """
-    out = []
-    for s, (y, fv, gv) in zip(times, states):
-        if s < 0.0:
-            raise NonpositiveTimeError("normalized time must be >= 0")
-        t = math.log1p(s)
-        scale = math.exp(t / 3.0)
-        out.append((t, np.asarray(y) / scale, scale * np.asarray(fv),
-                    scale * np.asarray(gv)))
-    return out
-
-
-def from_self_similar(times: Sequence[float], states: Sequence) -> list:
-    """Inverse of to_self_similar: rescaled states back to normalized ones."""
-    out = []
-    for t, (x, fv, gv) in zip(times, states):
-        if t < 0.0:
-            raise NonpositiveTimeError("rescaled time must be >= 0")
-        s = math.expm1(t)
-        scale = math.exp(t / 3.0)
-        out.append((s, np.asarray(x) * scale, np.asarray(fv) / scale,
-                    np.asarray(gv) / scale))
-    return out

@@ -486,14 +486,10 @@ def solve_even_case4(p: FluidParams) -> tuple[float, float, float]:
     p1, lam = dual_params(p)
     a1, b1, g1 = solve_even_case3(p1)
     a, b, g = lam * a1, lam * b1, lam * g1
-    _check_even_case4(p, a, b, g)
-    return a, b, g
-
-
-def _check_even_case4(p: FluidParams, a: float, b: float, g: float) -> None:
     _require_solved(residuals_eq51_53(p, a, b, g), p, "even case-4 system")
     if not (0.0 <= a < b < g):
         raise RuntimeError(f"radii out of order: {a}, {b}, {g}")
+    return a, b, g
 
 
 def even_profile(p: FluidParams) -> ProfilePair:
@@ -667,24 +663,19 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
         raise ValueError("side must be 'left' or 'right'")
     th = thresholds(p)
     Rmu = p.R_mu
-    if th.r_plus * (1.0 + 1e-13) < Rmu < th.r_M * (1.0 - 1e-13):
-        work, lam, dual = p, 1.0, False
-    elif th.r_m * (1.0 + 1e-13) < Rmu < th.r_minus * (1.0 - 1e-13):
-        (work, lam), dual = dual_params(p), True
-    else:
+    if not (th.r_plus * (1.0 + 1e-13) < Rmu < th.r_M * (1.0 - 1e-13)
+            or th.r_m * (1.0 + 1e-13) < Rmu < th.r_minus * (1.0 - 1e-13)):
         raise RegimeError(
             "alpha = 0 endpoints exist only for R_mu in "
             f"({th.r_plus:.6g}, {th.r_M:.6g}) or ({th.r_m:.6g}, {th.r_minus:.6g}); "
             f"got {Rmu:.6g}")
+    work, lam, dual = _work_frame(p)
     zeta_work = boundary_zeta(work)
     a_even, _, _ = solve_even_case3(work)
     if side == "left":
-        # other end of the curve: reflected state, parameter a_even + alpha1
+        # other end of the curve: the reflected state
         zeta_work = _reflect_zeta(zeta_work)
-    ell = lam * (a_even + zeta_work[2])
-    zeta = tuple(-lam * z for z in reversed(zeta_work)) if dual else tuple(zeta_work)
-    pp = profile_from_zeta(p, zeta)
-    return CurvePoint(ell=ell, zeta=zeta, profile=pp)
+    return _curve_point(p, zeta_work, a_even, lam, dual)
 
 
 # ----------------------------------------------------------------------
@@ -786,6 +777,23 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
 # ----------------------------------------------------------------------
 # continuation curve
 # ----------------------------------------------------------------------
+
+
+def _work_frame(p: FluidParams) -> tuple[FluidParams, float, bool]:
+    """(work, lam, dual): the curve is traced in p above r_plus, else in the
+    dual parameters, whose states map back through the dilation lam."""
+    if p.R_mu > thresholds(p).r_plus:
+        return p, 1.0, False
+    return (*dual_params(p), True)
+
+
+def _curve_point(p: FluidParams, zw: Sequence[float], a_even: float, lam: float,
+                 dual: bool) -> CurvePoint:
+    """The state of p whose work-frame sextuplet is zw; its curve parameter is
+    lam (a_even + alpha1), zero at the even state."""
+    ell = lam * (a_even + zw[2])
+    zeta = tuple(-lam * z for z in reversed(zw)) if dual else tuple(zw)
+    return CurvePoint(ell=ell, zeta=zeta, profile=profile_from_zeta(p, zeta))
 
 
 def _R1_complete(p: FluidParams, a1: float, a: float, b: float):
@@ -892,14 +900,10 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
             f"only the even steady state exists for R_mu in [{th.r_minus:.6g}, "
             f"{th.r_plus:.6g}]; got {p.R_mu:.6g}")
 
-    if p.R_mu > th.r_plus:
-        work, lam, dual = p, 1.0, False
-    else:
-        work, lam = dual_params(p)
-        dual = True
+    work, lam, dual = _work_frame(p)
     thw = thresholds(work)
 
-    a_even, b_even, g_even = solve_even_case3(work)
+    a_even, b_even, _ = solve_even_case3(work)
     u_even = np.array([a_even, b_even])
 
     if (work.R_mu - thw.r_M) / thw.r_M >= -1e-12:
@@ -920,11 +924,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     newton_cfg = NewtonConfig(tol=max(1e-12, 1e-13 * 9.0 * work.R_mu
                                       * (1.0 + work.R) * (1.0 + work.eta**2)),
                               max_iter=60)
-    zetas: dict[int, tuple[float, ...]] = {
-        0: zeta_lo,
-        n_points - 1: zeta_hi,
-        i0: (-g_even, -b_even, -a_even, a_even, b_even, g_even),
-    }
+    zetas: dict[int, tuple[float, ...]] = {0: zeta_lo, n_points - 1: zeta_hi}
     for direction in (1, -1):
         u_cur = u_even.copy()
         a1_cur = -a_even
@@ -938,18 +938,11 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
 
     points = []
     for i in range(n_points):
-        zw = zetas[i]
-        ell = lam * (a_even + zw[2])
-        zeta = tuple(-lam * z for z in reversed(zw)) if dual else tuple(zw)
         if i == i0:
-            # the even state, as even_profile(p) assembles it
-            if dual:
-                _check_even_case4(p, *zeta[3:])
-            pp = _finish_pair(*_zeta_pieces(p, zeta), p,
-                              "even-case4" if dual else "even-case3", zeta=zeta)
+            even = even_profile(p)
+            points.append(CurvePoint(ell=0.0, zeta=even.zeta, profile=even))
         else:
-            pp = profile_from_zeta(p, zeta)
-        points.append(CurvePoint(ell=ell, zeta=zeta, profile=pp))
+            points.append(_curve_point(p, zetas[i], a_even, lam, dual))
     points.sort(key=lambda cp: cp.ell)
     return points
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from muskat.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_REGIME, EXIT_USAGE, main
+from muskat.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_REGIME, EXIT_USAGE, _unimodal, main
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +202,15 @@ def test_simulate_bad_config(tmp_path, capsys):
      "dt must be a finite real"),
     ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": math.inf},
      "t_end must be a finite real"),
+    # checked before the run, not after it has written trajectory.csv
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "snapshot_every_records": 2.0},
+     "snapshot_every_records must be an integer"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "snapshot_every_records": 0},
+     "snapshot_every_records must be at least 1"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "initial": "bumps"},
+     "initial must be a JSON object"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01,
+      "initial": {"kind": "bumps", "center_f": "1"}}, "center_f must be a finite real"),
 ])
 def test_simulate_config_errors_exit_2(tmp_path, capsys, cfg, says):
     cfg_path = tmp_path / "cfg.json"
@@ -211,6 +220,15 @@ def test_simulate_config_errors_exit_2(tmp_path, capsys, cfg, says):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and says in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_curve_and_verify_share_one_unimodality_guard():
+    es = np.array([2.0, 1.0, 2.0])
+    assert _unimodal([-1.0, 1e-12, 1.0], es)
+    assert not _unimodal([-1.0, 2e-12, 1.0], es)
+    # two changes of direction
+    assert not _unimodal([-2.0, -1.0, 0.0, 1.0], np.array([1.0, 2.0, 0.5, 1.0]))
 
 
 def test_verify_passes(capsys):

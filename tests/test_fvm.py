@@ -12,20 +12,16 @@ from muskat.fvm import (
     CflViolationError,
     Grid,
     NegativeCellError,
-    NonpositiveTimeError,
     SimConfig,
     SimState,
     SupportOutsideDomainError,
     cell_averages,
     face_velocities,
-    from_self_similar,
     init_state,
     l2_distance,
     run,
-    self_similar_solution,
     step,
     support_components,
-    to_self_similar,
 )
 from muskat.params import FluidParams
 from muskat.profiles import PiecewiseQuadratic, even_profile
@@ -423,59 +419,3 @@ def test_l2_distance_and_components():
     two[120:140] = 0.5
     assert support_components(two) == 2
     assert support_components(np.zeros(4)) == 0
-
-
-# ----------------------------------------------------------------------
-# self-similar change of variables
-# ----------------------------------------------------------------------
-
-
-def test_self_similar_rejects_nonpositive_time():
-    pp = even_profile(FluidParams(1.0, 2.0, 1.0))
-    with pytest.raises(NonpositiveTimeError):
-        self_similar_solution(pp, 0.0, np.linspace(-1, 1, 5))
-
-
-def test_self_similar_time_one_is_profile():
-    pp = even_profile(FluidParams(1.0, 2.0, 1.0))
-    x = np.linspace(-4, 4, 101)
-    fv, gv = self_similar_solution(pp, 1.0, x)
-    assert np.allclose(fv, pp.F(x), atol=1e-15)
-    assert np.allclose(gv, pp.G(x), atol=1e-15)
-
-
-def test_self_similar_mass_invariant():
-    pp = even_profile(FluidParams(1.0, 2.0, 1.0))
-    x = np.linspace(-20, 20, 40001)
-    for t in (0.5, 1.0, 7.3):
-        fv, _ = self_similar_solution(pp, t, x)
-        assert np.trapezoid(fv, x) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_round_trip_shifted_family_is_static():
-    # states of the time-shifted spreading family map to the static profile
-    pp = even_profile(FluidParams(1.0, 2.0, 1.0))
-    y = np.linspace(-5, 5, 501)
-    times = [0.0, 0.5, 2.0, 9.0]
-    states = []
-    for s in times:
-        fv, gv = self_similar_solution(pp, 1.0 + s, y)
-        states.append((y, fv, gv))
-    for (t, x, fv, gv), s in zip(to_self_similar(times, states), times):
-        assert t == pytest.approx(math.log1p(s), rel=1e-15)
-        assert np.max(np.abs(fv - pp.F(x))) < 1e-13
-        assert np.max(np.abs(gv - pp.G(x))) < 1e-13
-
-
-def test_transform_inverse_round_trip():
-    pp = even_profile(FluidParams(1.0, 2.0, 1.0))
-    y = np.linspace(-5, 5, 301)
-    times = [0.0, 1.0, 4.0]
-    states = [(y, pp.F(y) * (1 + 0.1 * k), pp.G(y)) for k, _ in enumerate(times)]
-    fwd = to_self_similar(times, states)
-    back = from_self_similar([t for t, *_ in fwd], [(x, f, g) for _, x, f, g in fwd])
-    for (s, yb, fb, gb), s_ref, (y_ref, f_ref, g_ref) in zip(back, times, states):
-        assert s == pytest.approx(s_ref, abs=1e-12)
-        assert np.max(np.abs(yb - y_ref)) < 1e-12
-        assert np.max(np.abs(fb - f_ref)) < 1e-13
-        assert np.max(np.abs(gb - g_ref)) < 1e-13

@@ -702,6 +702,11 @@ def test_boundary_sides_match_curve_ends():
         assert left.ell == pytest.approx(curve[-1].ell, abs=1e-12)
         assert np.max(np.abs(np.array(left.zeta) - np.array(curve[-1].zeta))) < 1e-12
         assert np.max(np.abs(np.array(right.zeta) - np.array(curve[0].zeta))) < 1e-12
+        # one map builds both, so they agree exactly
+        for end, cp in ((right, curve[0]), (left, curve[-1])):
+            assert end.ell == cp.ell and end.zeta == cp.zeta
+            assert end.profile.F.pieces == cp.profile.F.pieces
+            assert end.profile.G.pieces == cp.profile.G.pieces
 
 
 def test_curve_near_thresholds():
