@@ -2,13 +2,15 @@
 
 All numeric output is written with 17 significant digits so that re-running
 a command reproduces byte-identical files.  Exit codes: 0 success, 2 usage
-(including a simulate config that lacks a parameter, or whose profiles or
-bumps leave the grid), 3 regime error, 4 numerical failure.
+(including a simulate config that lacks a parameter, holds an unknown key,
+or whose profiles or bumps leave the grid), 3 regime error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -21,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, functionals, fvm, profiles
-from .fvm import _require_number
 from .numerics import NumericsError
-from .params import ContinuumClass, FluidParams, classify_regime, thresholds
+from .params import ContinuumClass, FluidParams, classify_regime, require_number, thresholds
 from .profiles import InvalidZetaError, RegimeError
 
 _FMT = "%.17g"
@@ -34,15 +35,11 @@ EXIT_REGIME = 3
 EXIT_NUMERICAL = 4
 
 
-def _fmt(v: float) -> str:
-    return _FMT % v
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_FMT % v for v in row) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -52,22 +49,22 @@ def _out_dir(args) -> Path:
     return d
 
 
-def _write_manifest(out: Path, command: str, argv: list[str], outputs: list[Path],
-                    t0: float, extra: dict | None = None) -> Path:
-    manifest = {
-        "command": command,
-        "argv": argv,
-        "version": __version__,
-        "outputs": [str(p) for p in outputs],
-        "wall_time_s": time.time() - t0,
-    }
-    if extra:
-        manifest.update(extra)
-    path = out / f"manifest_{command}.json"
+def _write_json(path: Path, obj, **kw) -> None:
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, **kw)
         fh.write("\n")
-    return path
+
+
+def _write_manifest(args, out: Path, outputs: list[Path], p: FluidParams, **extra) -> None:
+    _write_json(out / f"manifest_{args.command}.json", {
+        "command": args.command,
+        "argv": args.argv,
+        "version": __version__,
+        "outputs": [str(q) for q in outputs],
+        "wall_time_s": time.time() - args.t0,
+        "params": dataclasses.asdict(p),
+        **extra,
+    }, sort_keys=True)
 
 
 def _params_from_args(args) -> FluidParams:
@@ -115,7 +112,6 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    t0 = time.time()
     p = _params_from_args(args)
     out = _out_dir(args)
     if args.kind == "even":
@@ -129,15 +125,12 @@ def cmd_profile(args) -> int:
 
     stem = f"profile_{args.kind}_R{args.R:g}_Rmu{args.R_mu:g}_eta{args.eta:g}"
     json_path = out / f"{stem}.json"
-    with open(json_path, "w") as fh:
-        json.dump(profiles.profile_to_dict(pp), fh, indent=2)
-        fh.write("\n")
+    _write_json(json_path, profiles.profile_to_dict(pp))
     csv_path = out / f"{stem}.csv"
     _write_csv(csv_path, ["x", "F", "G", "eta2F_plus_G"],
                profiles.sample_profile(pp, n=args.n_samples))
 
     rep = functionals.evaluate(pp, p)
-    params_dict = {"R": p.R, "R_mu": p.R_mu, "eta": p.eta}
     print(json.dumps({
         "label": pp.label,
         "support_F": [list(iv) for iv in pp.support_F],
@@ -151,13 +144,11 @@ def cmd_profile(args) -> int:
         "entropy": rep.entropy,
         "steady_residual": profiles.steady_residual(pp),
     }, indent=2))
-    _write_manifest(out, "profile", args.argv, [json_path, csv_path], t0,
-                    extra={"params": params_dict})
+    _write_manifest(args, out, [json_path, csv_path], p)
     return EXIT_OK
 
 
 def cmd_curve(args) -> int:
-    t0 = time.time()
     p = _params_from_args(args)
     out = _out_dir(args)
     curve = profiles.continue_curve(p, n_points=args.n_points)
@@ -193,100 +184,106 @@ def cmd_curve(args) -> int:
         },
     }
     json_path = out / f"{stem}_endpoints.json"
-    with open(json_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(json_path, report)
     print(json.dumps(report, indent=2))
-    _write_manifest(out, "curve", args.argv, [csv_path, fn_path, json_path], t0,
-                    extra={"params": {"R": p.R, "R_mu": p.R_mu, "eta": p.eta}})
+    _write_manifest(args, out, [csv_path, fn_path, json_path], p)
     return EXIT_OK
 
 
-def _bump(center: float, halfwidth: float):
-    c, a = center, halfwidth
+def _bump(c: float, a: float):
     return lambda x: np.maximum(0.0, 0.75 / a * (1.0 - ((np.asarray(x) - c) / a) ** 2))
 
 
-def _initial_from_config(cfg: dict, p: FluidParams, grid: fvm.Grid) -> fvm.SimState:
+# every simulate config key; each number goes to the dataclass that checks it
+_PARAM_KEYS = ("R", "R_mu", "eta")
+_GRID_KEYS = ("n_cells", "x_left", "x_right")
+_RUN_KEYS = ("t_end", "dt", "record_every")
+_CONFIG_KEYS = {*_PARAM_KEYS, *_GRID_KEYS, *_RUN_KEYS,
+                "initial", "reference", "snapshot_every_records"}
+_INITIAL_KEYS = {"even-profile": {"kind"},
+                 "bumps": {"kind", "center_f", "halfwidth_f", "center_g", "halfwidth_g"}}
+
+
+def _reject_unknown(keys, known, where: str) -> None:
+    unknown = sorted(set(keys) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
+def _simulation_from_config(cfg) -> tuple[fvm.SimConfig, fvm.SimState, int | None]:
+    """The run, initial state and snapshot stride of a config, all checked first."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config is not a JSON object")
+    _reject_unknown(cfg, _CONFIG_KEYS, "config")
+    missing = [k for k in (*_PARAM_KEYS, "t_end") if k not in cfg]
+    if missing:
+        raise ValueError(f"config lacks {', '.join(missing)}")
     spec = cfg.get("initial", {"kind": "even-profile"})
     if not isinstance(spec, dict):
         raise ValueError(f"initial must be a JSON object, got {spec!r}")
     kind = spec.get("kind", "even-profile")
+    if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+        raise ValueError(f"unknown initial-condition kind {kind!r}")
+    _reject_unknown(spec, _INITIAL_KEYS[kind], f"initial {kind}")
+    reference = cfg.get("reference", "even-profile")
+    if reference not in ("even-profile", "none"):
+        raise ValueError(f'reference must be "even-profile" or "none", got {reference!r}')
+    snap_every = cfg.get("snapshot_every_records")
+    if "snapshot_every_records" in cfg:
+        require_number("snapshot_every_records", snap_every, integer=True)
+        if snap_every < 1:
+            raise ValueError(f"snapshot_every_records must be at least 1, got {snap_every}")
+
+    def given(keys):
+        return {k: cfg[k] for k in keys if k in cfg}
+
+    p = FluidParams(**given(_PARAM_KEYS))
+    grid = fvm.Grid(**{"n_cells": 400, **given(_GRID_KEYS)})
+    even = profiles.even_profile(p) if "even-profile" in (kind, reference) else None
+    sim_cfg = fvm.SimConfig(grid=grid, params=p, **given(_RUN_KEYS),
+                            reference=even if reference == "even-profile" else None)
     if kind == "even-profile":
-        return fvm.init_state(profiles.even_profile(p), grid)
-    if kind == "bumps":
-        bumps = []
-        for name in ("f", "g"):
-            c, a = spec.get(f"center_{name}", 0.0), spec.get(f"halfwidth_{name}", 2.0)
-            _require_number(f"center_{name}", c)
-            _require_number(f"halfwidth_{name}", a)
-            if not a > 0.0:
-                raise ValueError(f"halfwidth_{name} must be positive, got {a}")
-            # quadrature would clip a bump that leaves the grid, and
-            # renormalizing would hide the lost mass
-            if c - a < grid.x_left or c + a > grid.x_right:
-                raise fvm.SupportOutsideDomainError(
-                    f"bump {name} on [{c - a:.4g}, {c + a:.4g}] leaves the domain "
-                    f"[{grid.x_left}, {grid.x_right}]")
-            bumps.append(_bump(c, a))
-        return fvm.init_state(tuple(bumps), grid, renormalize=True)
-    raise ValueError(f"unknown initial-condition kind {kind!r}")
+        return sim_cfg, fvm.init_state(even, grid), snap_every
+    bumps = []
+    for name in ("f", "g"):
+        c, a = spec.get(f"center_{name}", 0.0), spec.get(f"halfwidth_{name}", 2.0)
+        require_number(f"center_{name}", c)
+        require_number(f"halfwidth_{name}", a)
+        if not a > 0.0:
+            raise ValueError(f"halfwidth_{name} must be positive, got {a}")
+        # quadrature would clip a bump that leaves the grid, and
+        # renormalizing would hide the lost mass
+        if c - a < grid.x_left or c + a > grid.x_right:
+            raise fvm.SupportOutsideDomainError(
+                f"bump {name} on [{c - a:.4g}, {c + a:.4g}] leaves the domain "
+                f"[{grid.x_left}, {grid.x_right}]")
+        bumps.append(_bump(c, a))
+    return sim_cfg, fvm.init_state(tuple(bumps), grid, renormalize=True), snap_every
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.time()
-    cfg_path = Path(args.config)
     try:
-        cfg = json.loads(cfg_path.read_text())
+        raw = Path(args.config).read_bytes()
+        cfg = json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
-        return _usage_error(f"cannot read config {cfg_path}: {exc}")
-    if not isinstance(cfg, dict):
-        return _usage_error(f"config {cfg_path} is not a JSON object")
-    missing = [k for k in ("R", "R_mu", "eta", "t_end") if k not in cfg]
-    if missing:
-        return _usage_error(f"config {cfg_path} lacks {', '.join(missing)}")
-    if "snapshot_every_records" in cfg:
-        snap = cfg["snapshot_every_records"]
-        _require_number("snapshot_every_records", snap, integer=True)
-        if snap < 1:
-            return _usage_error(f"snapshot_every_records must be at least 1, got {snap}")
+        return _usage_error(f"cannot read config {args.config}: {exc}")
+    sim_cfg, state, snap_every = _simulation_from_config(cfg)
     out = _out_dir(args)
-
-    p = FluidParams(R=cfg["R"], R_mu=cfg["R_mu"], eta=cfg["eta"])
-    grid = fvm.Grid(n_cells=cfg.get("n_cells", 400),
-                    x_left=cfg.get("x_left", -5.0),
-                    x_right=cfg.get("x_right", 5.0))
-    reference = None
-    if cfg.get("reference", "even-profile") == "even-profile":
-        reference = profiles.even_profile(p)
-    sim_cfg = fvm.SimConfig(grid=grid, params=p,
-                            t_end=cfg["t_end"], dt=cfg.get("dt", 1e-5),
-                            cfl_check=cfg.get("cfl_check", True),
-                            record_every=cfg.get("record_every", 1000),
-                            reference=reference)
-    state = _initial_from_config(cfg, p, grid)
     rep = fvm.run(sim_cfg, state)
 
-    outputs = []
-    traj_path = out / "trajectory.csv"
-    rows = np.column_stack([rep.times, *rep.data.values()])
-    _write_csv(traj_path, ["t", *rep.data], rows)
-    outputs.append(traj_path)
+    outputs = [out / "trajectory.csv"]
+    _write_csv(outputs[0], ["t", *rep.data], np.column_stack([rep.times, *rep.data.values()]))
 
-    snap_every = cfg.get("snapshot_every_records", max(1, len(rep.states) // 8))
-    x = grid.centers
-    e2 = p.eta**2
-    for idx in range(0, len(rep.states), snap_every):
-        s = rep.states[idx]
+    snap_every = snap_every or max(1, len(rep.states) // 8)
+    e2 = sim_cfg.params.eta**2
+    for s in rep.states[::snap_every]:
         path = out / f"snapshot_t{s.t:.6f}.csv"
         _write_csv(path, ["x_i", "f_i", "g_i", "eta2f_plus_g"],
-                   np.column_stack([x, s.f, s.g, e2 * s.f + s.g]))
+                   np.column_stack([sim_cfg.grid.centers, s.f, s.g, e2 * s.f + s.g]))
         outputs.append(path)
 
-    digest = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
-    _write_manifest(out, "simulate", args.argv, outputs, t0,
-                    extra={"config_sha256": digest, "config": cfg,
-                           "params": {"R": p.R, "R_mu": p.R_mu, "eta": p.eta}})
+    _write_manifest(args, out, outputs, sim_cfg.params, config=cfg,
+                    config_sha256=hashlib.sha256(raw).hexdigest())
     ncf = rep.data["n_components_f"]
     summary = {
         "t_end": rep.times[-1],
@@ -355,7 +352,7 @@ def cmd_verify(args) -> int:
     ok = all(checks.values())
     for name, passed in checks.items():
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
-    print(json.dumps({"params": {"R": p.R, "R_mu": p.R_mu, "eta": p.eta},
+    print(json.dumps({"params": dataclasses.asdict(p),
                       "regime": {"even_case": regime.even_case.name,
                                  "continuum": regime.continuum.value},
                       "all_passed": ok}, indent=2))
@@ -430,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse uses 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    args.argv = argv  # recorded in the manifests
+    args.argv, args.t0 = argv, time.time()  # recorded in the manifests
     try:
         return args.func(args)
     except (RegimeError, InvalidZetaError) as exc:

@@ -3,9 +3,9 @@
 Both equations are advection laws with velocities built from the pressure
 gradients; the fluxes take the donor cell according to the face velocity
 sign, and the boundary fluxes vanish, so both discrete masses are conserved
-by telescoping.  The time step is plain forward Euler with an optional CFL
-and positivity guard.  Both fields live in one (2, n) array, so every array
-operation of a step runs once for the pair.
+by telescoping.  The time step is forward Euler, and it raises if
+dt·max|velocity|/h exceeds 1 or a cell turns negative.  Both fields live in
+one (2, n) array, so every array operation of a step runs once for the pair.
 
 A step reads that array as one flat lane of 2n cells, f then g, with flat
 face k between flat cells k and k + 1.  The seam face between the last f
@@ -22,7 +22,6 @@ sign of zero, which changes no cell unless that cell holds -0.0.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .functionals import evaluate
-from .params import FluidParams
+from .params import FluidParams, require_number
 from .profiles import PiecewiseQuadratic, ProfilePair
 
 __all__ = [
@@ -51,6 +50,9 @@ __all__ = [
     "cell_averages",
 ]
 
+# cells above this fraction of the peak count as support
+_SUPPORT_REL_THRESHOLD = 1e-9
+
 
 class CflViolationError(Exception):
     pass
@@ -64,13 +66,6 @@ class SupportOutsideDomainError(Exception):
     pass
 
 
-def _require_number(name: str, v, integer: bool = False) -> None:
-    """ValueError unless v is an integer (or a finite real); bools are neither."""
-    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite real")
-    if isinstance(v, bool) or not isinstance(v, kind) or not (integer or math.isfinite(v)):
-        raise ValueError(f"{name} must be {what}, got {v!r}")
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform mesh of n_cells control volumes on [x_left, x_right]."""
@@ -80,9 +75,9 @@ class Grid:
     x_right: float = 5.0
 
     def __post_init__(self):
-        _require_number("n_cells", self.n_cells, integer=True)
-        _require_number("x_left", self.x_left)
-        _require_number("x_right", self.x_right)
+        require_number("n_cells", self.n_cells, integer=True)
+        require_number("x_left", self.x_left)
+        require_number("x_right", self.x_right)
         if self.n_cells < 3:
             raise ValueError("need at least 3 cells")
         if not self.x_right > self.x_left:
@@ -148,15 +143,14 @@ class SimConfig:
     params: FluidParams
     t_end: float
     dt: float = 1e-5
-    cfl_check: bool = True
     record_every: int = 1000
     reference: ProfilePair | None = None
     _kernel: _Kernel | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _require_number("dt", self.dt)
-        _require_number("t_end", self.t_end)
-        _require_number("record_every", self.record_every, integer=True)
+        require_number("dt", self.dt)
+        require_number("t_end", self.t_end)
+        require_number("record_every", self.record_every, integer=True)
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.record_every < 1:
@@ -327,29 +321,28 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     uf = u.reshape(-1)
     lo, hi = uf[:-1], uf[1:]
     v = k.velocities(lo, hi)
-    if cfg.cfl_check:
-        vmax = float(np.maximum.reduce(np.absolute(v, out=k.vabs), axis=None))
-        if k.dt * vmax / k.h > 1.0:
-            raise CflViolationError(
-                f"dt * max|velocity| / h = {k.dt * vmax / k.h:.3g} > 1; reduce dt")
+    vmax = float(np.maximum.reduce(np.absolute(v, out=k.vabs), axis=None))
+    if k.dt * vmax / k.h > 1.0:
+        raise CflViolationError(
+            f"dt * max|velocity| / h = {k.dt * vmax / k.h:.3g} > 1; reduce dt")
     # donor-cell fluxes at the interior flat faces
     np.greater(k.v_head, 0.0, out=k.mask)
     np.multiply(np.where(k.mask, lo, hi), k.v_head, out=k.flux_interior)
     dflux = np.subtract(k.flux_tail, k.flux_head, out=k.dflux)
     np.multiply(dflux, k.dt_h, out=dflux)
     u_new = np.subtract(u, k.dflux_rows)
-    if cfg.cfl_check and np.minimum.reduce(u_new, axis=None) < 0.0:
+    if np.minimum.reduce(u_new, axis=None) < 0.0:
         raise NegativeCellError(
             f"negative cell after step at t = {state.t:.6g}; reduce dt")
     return SimState._of(u_new, state.t + k.dt, grid, state.step_count + 1)
 
 
-def support_components(u: np.ndarray, rel_threshold: float = 1e-9) -> int:
-    """Number of contiguous runs of cells above rel_threshold * max."""
+def support_components(u: np.ndarray) -> int:
+    """Number of contiguous runs of cells above _SUPPORT_REL_THRESHOLD * max."""
     peak = float(np.max(u)) if u.size else 0.0
     if peak <= 0.0:
         return 0
-    mask = u > rel_threshold * peak
+    mask = u > _SUPPORT_REL_THRESHOLD * peak
     return int(np.sum(mask[1:] & ~mask[:-1]) + (1 if mask[0] else 0))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +37,15 @@ __all__ = [
     "xi2",
     "threshold_residual_large",
     "threshold_residual_small",
+    "require_number",
 ]
+
+
+def require_number(name: str, v, integer: bool = False) -> None:
+    """ValueError unless v is an integer (or a finite real); bools are neither."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a finite real")
+    if isinstance(v, bool) or not isinstance(v, kind) or not (integer or math.isfinite(v)):
+        raise ValueError(f"{name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +59,9 @@ class FluidParams:
     def __post_init__(self):
         for name in ("R", "R_mu", "eta"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+            require_number(name, v)
+            if not v > 0:
+                raise ValueError(f"{name} must be positive, got {v!r}")
 
     @property
     def theta(self) -> float:

@@ -211,6 +211,19 @@ def test_simulate_bad_config(tmp_path, capsys):
      "initial must be a JSON object"),
     ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01,
       "initial": {"kind": "bumps", "center_f": "1"}}, "center_f must be a finite real"),
+    # misspelt or unknown keys and values are refused, not ignored
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "reference": "even_profile"},
+     "reference must be"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "dtt": 1e-4},
+     "unknown config key(s): dtt"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01,
+      "initial": {"kind": "bumps", "centre_f": 3.0}}, "unknown initial bumps key(s): centre_f"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01,
+      "initial": {"kind": "even-profile", "center_f": 1.0}},
+     "unknown initial even-profile key(s): center_f"),
+    ({"R": True, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01}, "R must be a finite real"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "cfl_check": False},
+     "unknown config key(s): cfl_check"),
 ])
 def test_simulate_config_errors_exit_2(tmp_path, capsys, cfg, says):
     cfg_path = tmp_path / "cfg.json"
@@ -221,6 +234,22 @@ def test_simulate_config_errors_exit_2(tmp_path, capsys, cfg, says):
     assert err.startswith("error: ") and says in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_simulate_without_reference(tmp_path, capsys):
+    # the even profile at R_mu = 21 leaves [-5, 5], so it can be no reference
+    cfg = {"R": 1.0, "R_mu": 21.0, "eta": 1.0, "t_end": 0.01, "n_cells": 60,
+           "record_every": 250, "reference": "none", "initial": {"kind": "bumps"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    assert math.isnan(json.loads(out)["final_l2_dist"])
+    body = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    i_l2 = body[0].split(",").index("l2_dist")
+    assert len(body) == 6
+    assert all(math.isnan(float(row.split(",")[i_l2])) for row in body[1:])
 
 
 def test_curve_and_verify_share_one_unimodality_guard():

@@ -56,6 +56,12 @@ def test_fluid_params_validation():
         FluidParams(R=-1.0, R_mu=1.0, eta=1.0)
     with pytest.raises(ValueError):
         FluidParams(R=1.0, R_mu=0.0, eta=1.0)
+    # a bool is no number, though Python counts True as 1
+    for bad in ({"R": True}, {"R_mu": True}, {"eta": True}, {"R": "1"}, {"eta": math.nan}):
+        with pytest.raises(ValueError):
+            FluidParams(**{"R": 1.0, "R_mu": 2.0, "eta": 1.0, **bad})
+    # numpy scalars are numbers
+    assert FluidParams(np.int64(1), np.float64(2.0), 1).theta == pytest.approx(0.5)
     p = FluidParams(1.0, 2.0, 1.0)
     assert p.theta == pytest.approx(0.5)
 
