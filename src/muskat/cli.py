@@ -277,7 +277,8 @@ def cmd_simulate(args) -> int:
     snap_every = snap_every or max(1, len(rep.states) // 8)
     e2 = sim_cfg.params.eta**2
     for s in rep.states[::snap_every]:
-        path = out / f"snapshot_t{s.t:.6f}.csv"
+        # the step count keeps records closer than the printed t apart
+        path = out / f"snapshot_t{s.t:.6f}_step{s.step_count}.csv"
         _write_csv(path, ["x_i", "f_i", "g_i", "eta2f_plus_g"],
                    np.column_stack([sim_cfg.grid.centers, s.f, s.g, e2 * s.f + s.g]))
         outputs.append(path)

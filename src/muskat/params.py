@@ -48,6 +48,15 @@ def require_number(name: str, v, integer: bool = False) -> None:
         raise ValueError(f"{name} must be {what}, got {v!r}")
 
 
+def _require_positive(obj, names) -> None:
+    """ValueError unless each named field of obj is a positive finite real."""
+    for name in names:
+        v = getattr(obj, name)
+        require_number(name, v)
+        if not v > 0:
+            raise ValueError(f"{name} must be positive, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FluidParams:
     """Dimensionless parameter triple (R, R_mu, eta), all positive."""
@@ -57,11 +66,7 @@ class FluidParams:
     eta: float
 
     def __post_init__(self):
-        for name in ("R", "R_mu", "eta"):
-            v = getattr(self, name)
-            require_number(name, v)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v!r}")
+        _require_positive(self, ("R", "R_mu", "eta"))
 
     @property
     def theta(self) -> float:
@@ -84,10 +89,8 @@ class PhysicalFluids:
     g0_mass: float
 
     def __post_init__(self):
-        for name in ("rho_minus", "rho_plus", "mu_minus", "mu_plus", "f0_mass", "g0_mass"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        _require_positive(self, ("rho_minus", "rho_plus", "mu_minus", "mu_plus",
+                                 "f0_mass", "g0_mass"))
         if self.rho_minus <= self.rho_plus:
             raise ValueError(
                 "model requires the denser fluid beneath: rho_minus > rho_plus "

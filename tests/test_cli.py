@@ -252,6 +252,21 @@ def test_simulate_without_reference(tmp_path, capsys):
     assert all(math.isnan(float(row.split(",")[i_l2])) for row in body[1:])
 
 
+def test_simulate_snapshots_closer_than_printed_t_keep_their_files(tmp_path, capsys):
+    # eleven records 1e-7 apart, each one a snapshot; t prints with 6 decimals
+    cfg = {"R": 1.0, "R_mu": 2.0, "eta": 1.0, "n_cells": 60, "dt": 1e-7, "t_end": 1e-6,
+           "record_every": 1, "snapshot_every_records": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg_path), "--out-dir", str(out))
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest_simulate.json").read_text())
+    listed = [p for p in manifest["outputs"] if "snapshot_t" in p]
+    assert len(listed) == len(set(listed)) == 11
+    assert sorted(str(p) for p in out.glob("snapshot_t*.csv")) == sorted(listed)
+
+
 def test_curve_and_verify_share_one_unimodality_guard():
     es = np.array([2.0, 1.0, 2.0])
     assert _unimodal([-1.0, 1e-12, 1.0], es)

@@ -358,6 +358,68 @@ def test_guards_on_readme_rupture_config(dt, error, message, at_step):
 # ----------------------------------------------------------------------
 
 
+def _even_bump(halfwidth: float) -> PiecewiseQuadratic:
+    a = halfwidth
+    return PiecewiseQuadratic.from_pieces([(-a, a, 0.75 / a, -0.75 / a**3)])
+
+
+def _index_mirrored(grid: Grid) -> SimState:
+    """Even bump averages of the symmetric grid of as many cells, placed on ``grid``."""
+    st = init_state((_even_bump(2.0), _even_bump(1.3)), Grid(n_cells=grid.n_cells))
+    return SimState(f=st.f, g=st.g, t=0.0, grid=grid)
+
+
+@pytest.mark.parametrize("start, p, dt, t_end, record_every, lane", [
+    # mirror-even data on a symmetric grid with even n: the half lane
+    pytest.param(lambda: init_state((_even_bump(2.0), _even_bump(1.3)), Grid(n_cells=400)),
+                 FluidParams(1.0, 0.05, 1.0), 2e-5, 0.01, 100, 200, id="even-400"),
+    pytest.param(lambda: init_state(_skewed_bumps(), Grid(n_cells=200), renormalize=True),
+                 FluidParams(4.0, 2.0, 1.3), 2e-5, 0.01, 100, 200, id="skewed"),
+    pytest.param(lambda: init_state((_even_bump(2.0), _even_bump(1.3)), Grid(n_cells=401)),
+                 FluidParams(1.0, 2.0, 1.0), 2e-5, 0.01, 100, 401, id="even-odd-n"),
+    # index-mirrored cells whose grid is not symmetric about 0: the drift
+    # is not mirror-odd, so the state does not stay mirrored
+    pytest.param(lambda: _index_mirrored(Grid(n_cells=200, x_left=-4.0, x_right=6.0)),
+                 FluidParams(1.0, 2.0, 1.0), 2e-5, 0.01, 100, 200, id="asymmetric-domain"),
+    pytest.param(lambda: init_state((_even_bump(2.0), _even_bump(1.3)), Grid(n_cells=200)),
+                 FluidParams(1.0, 2.0, 1.0), 2e-5, 0.005, 60, 100, id="uneven-records"),
+])
+def test_run_matches_step_loop_bitwise(start, p, dt, t_end, record_every, lane):
+    st = start()
+    cfg = SimConfig(grid=st.grid, params=p, t_end=t_end, dt=dt, record_every=record_every)
+    rep = run(cfg, st)
+    assert set(cfg._kernels) == {lane}  # the lane that run marched
+    n_steps = int(round(t_end / dt))
+    expect = [st]
+    ref_cfg = SimConfig(grid=st.grid, params=p, t_end=t_end, dt=dt)
+    for i in range(1, n_steps + 1):
+        st = step(st, ref_cfg)
+        if i % record_every == 0 or i == n_steps:
+            expect.append(st)
+    assert len(rep.states) == len(expect) == len(rep.times)
+    for got, want in zip(rep.states, expect):
+        assert got.t == want.t and got.step_count == want.step_count
+        assert np.array_equal(got.u, want.u)
+    assert np.array_equal(rep.times, [s.t for s in expect])
+    assert rep.final.step_count == n_steps and np.array_equal(rep.final.u, expect[-1].u)
+    assert not np.array_equal(rep.final.u, rep.states[0].u)  # the march moved the state
+
+
+@pytest.mark.parametrize("dt, error, message", [
+    (4e-4, NegativeCellError, "t = 3.8208;"),
+    (0.5, CflViolationError, "= 33.2 > 1;"),
+])
+def test_run_guards_on_readme_rupture_config(dt, error, message):
+    # the start of test_guards_on_readme_rupture_config, marched by run on the half lane
+    g = Grid(n_cells=400)
+    st = init_state((_even_bump(2.0), _even_bump(2.0)), g)
+    cfg = SimConfig(grid=g, params=FluidParams(1.0, 0.05, 1.0), t_end=8.0, dt=dt,
+                    record_every=1000)
+    with pytest.raises(error, match=message.replace(".", r"\.")):
+        run(cfg, st)
+    assert set(cfg._kernels) == {200}
+
+
 def test_even_data_stays_even():
     p = FluidParams(1.0, 2.0, 1.0)
     g = Grid(n_cells=100)

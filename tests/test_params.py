@@ -51,6 +51,19 @@ def test_from_physical_rejects_wrong_stratification():
                        f0_mass=1.0, g0_mass=1.0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"rho_minus": True}, "rho_minus must be a finite real, got True"),
+    ({"mu_plus": "1"}, "mu_plus must be a finite real, got '1'"),
+    ({"f0_mass": math.inf}, "f0_mass must be a finite real"),
+    ({"g0_mass": 0.0}, "g0_mass must be positive, got 0.0"),
+])
+def test_physical_fluids_validation(bad, message):
+    good = {"rho_minus": 2.0, "rho_plus": 1.0, "mu_minus": 1.0, "mu_plus": 1.0,
+            "f0_mass": 1.0, "g0_mass": 1.0}
+    with pytest.raises(ValueError, match=message):
+        PhysicalFluids(**{**good, **bad})
+
+
 def test_fluid_params_validation():
     with pytest.raises(ValueError):
         FluidParams(R=-1.0, R_mu=1.0, eta=1.0)
