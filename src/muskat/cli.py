@@ -4,7 +4,8 @@ All numeric output is written with 17 significant digits so that re-running
 a command reproduces byte-identical files.  Exit codes: 0 success, 2 usage
 (including a simulate config that lacks a parameter, holds an unknown key,
 or whose profiles or bumps leave the grid), 3 regime error, 4 numerical
-failure.
+failure.  A simulation stopped by a step guard still writes the records it
+finished, with a manifest whose "error" names the guard, and exits 4.
 """
 
 from __future__ import annotations
@@ -269,7 +270,11 @@ def cmd_simulate(args) -> int:
         return _usage_error(f"cannot read config {args.config}: {exc}")
     sim_cfg, state, snap_every = _simulation_from_config(cfg)
     out = _out_dir(args)
-    rep = fvm.run(sim_cfg, state)
+    try:
+        rep, error = fvm.run(sim_cfg, state), None
+    except (fvm.CflViolationError, fvm.NegativeCellError) as exc:
+        # write the records finished before the guard fired, then exit 4
+        rep, error = exc.report, exc
 
     outputs = [out / "trajectory.csv"]
     _write_csv(outputs[0], ["t", *rep.data], np.column_stack([rep.times, *rep.data.values()]))
@@ -284,7 +289,10 @@ def cmd_simulate(args) -> int:
         outputs.append(path)
 
     _write_manifest(args, out, outputs, sim_cfg.params, config=cfg,
-                    config_sha256=hashlib.sha256(raw).hexdigest())
+                    config_sha256=hashlib.sha256(raw).hexdigest(),
+                    **({} if error is None else {"error": str(error)}))
+    if error is not None:
+        raise error
     ncf = rep.data["n_components_f"]
     summary = {
         "t_end": rep.times[-1],

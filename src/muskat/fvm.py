@@ -3,9 +3,10 @@
 Both equations are advection laws with velocities built from the pressure
 gradients; the fluxes take the donor cell according to the face velocity
 sign, and the boundary fluxes vanish, so both discrete masses are conserved
-by telescoping.  The time step is forward Euler, and it raises if
-dt·max|velocity|/h exceeds 1 or a cell turns negative.  Both fields live in
-one (2, n) array, so every array operation of a step runs once for the pair.
+by telescoping.  The time step is forward Euler, and a march raises if a
+step's dt·max|velocity|/h exceeds 1 or its new state has a negative cell.
+Both fields live in one (2, n) array, so every array operation of a step
+runs once for the pair.
 
 The scheme reads that array as one flat lane of 2n cells, f then g, with
 flat face k between flat cells k and k + 1.  The seam face between the last
@@ -13,9 +14,14 @@ f cell and the first g cell has zero drift and zero velocity coefficients, so
 its velocity and flux are exactly zero, as at the two ends of the lane.  A
 private kernel, built once per (grid, params, dt, lane size) and thread and
 kept on the SimConfig, holds the coefficients, the drift and every scratch
-array.  It marches a whole record interval in one call, alternating between
-two preallocated (2, n) buffers, so a step allocates only its donor-cell
-values; ``step`` is a march of one step into a fresh array.
+array.  It marches a whole record interval in one call, in chunks of up to
+16 steps: each step writes its velocities and its new state into the next
+row of two preallocated chunk buffers, so it makes ten numpy calls and
+allocates only its donor-cell values.  The two guards are checked once per
+chunk, by reductions over all its rows; when one fails, the chunk's steps
+are checked one by one, so the error, its message and the step that raises
+it are those of a check after every step.  ``step`` is a march of one step,
+copied into a fresh array.
 
 Mirror-even data on a grid symmetric about 0 stays mirror-even to the last
 bit, and the centre face then carries only a zero flux.  For such data with
@@ -60,6 +66,8 @@ __all__ = [
 
 # cells above this fraction of the peak count as support
 _SUPPORT_REL_THRESHOLD = 1e-9
+# steps per guard check of the march: both guards read a whole chunk at once
+_CHUNK = 16
 
 
 class CflViolationError(Exception):
@@ -233,7 +241,7 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
     ``source`` is a ProfilePair, a pair of PiecewiseQuadratic, or a pair of
     callables; profile/piecewise sources integrate exactly, callables use
     5-point Gauss quadrature per cell.  Raises when the support leaves the
-    domain or a component has no mass.
+    domain, or a component is not finite, has no mass or is negative.
     """
     if isinstance(source, ProfilePair):
         comps = (source.F, source.G)
@@ -249,6 +257,9 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
         else:
             row[:] = _gauss_cell_averages(comp, grid)
     for name, row in zip("fg", u):
+        # NaN passes both comparisons below, and no step guard catches it
+        if not np.isfinite(row).all():
+            raise ValueError(f"initial {name} is not finite")
         if float(np.sum(row)) * grid.h <= 0.0:
             raise ValueError(f"initial {name} has no mass")
         if np.min(row) < -1e-12:
@@ -274,11 +285,15 @@ class _Kernel:
     both with zero drift and coefficients.  The flux array behind the
     ``flux_*`` views has one entry per flat face plus the two ends of the
     lane, which stay zero.
+
+    Step j of a chunk reads row j of ``states`` and writes its velocities
+    into row j of ``velocity_rows`` and its new state into row j + 1 of
+    ``states``.
     """
 
     __slots__ = ("grid", "params", "dt", "thread", "h", "dt_h", "coef", "du", "du_head",
-                 "du_cols", "stack", "terms", "v", "v_head", "vabs", "mask", "flux_head",
-                 "flux_tail", "flux_interior", "dflux", "dflux_rows")
+                 "du_cols", "stack", "terms", "states", "velocity_rows", "rows", "mask",
+                 "flux_head", "flux_tail", "flux_interior", "dflux", "dflux_rows")
 
     def __init__(self, grid: Grid, p: FluidParams, dt: float, cells: int):
         n = cells
@@ -296,55 +311,81 @@ class _Kernel:
         self.terms = self.stack[1:]
         self.du = np.zeros(2 * n)  # gradients at the flat faces; the last entry stays 0
         self.du_head, self.du_cols = self.du[:-1], self.du.reshape(2, 1, n)
-        self.v = np.empty((2, n))
-        self.v_head = self.v.reshape(-1)[:-1]
-        self.vabs = np.empty((2, n))
+        self.states = np.empty((_CHUNK + 1, 2, n))
+        self.velocity_rows = np.empty((_CHUNK, 2, n))
+        # per step j: state j, its flat left and right cells, state j + 1,
+        # velocities j and their interior flat faces
+        flat = self.states.reshape(_CHUNK + 1, -1)
+        self.rows = [(self.states[j], flat[j, :-1], flat[j, 1:], self.states[j + 1], v,
+                      v.reshape(-1)[:-1]) for j, v in enumerate(self.velocity_rows)]
         self.mask = np.empty(2 * n - 1, dtype=bool)
         flux = np.zeros(2 * n + 1)
         self.flux_head, self.flux_tail, self.flux_interior = flux[:-1], flux[1:], flux[1:-1]
         self.dflux = np.empty(2 * n)
         self.dflux_rows = self.dflux.reshape(2, n)
 
-    def velocities(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Velocities (2, cells) at the flat faces between cells ``lo`` and ``hi``."""
+    def velocities(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Velocities (2, cells) at the flat faces between cells ``lo`` and ``hi``, into ``out``."""
         # ufunc outputs go by position throughout: the out keyword costs about
-        # 0.1 us a call, and a step makes thirteen calls of 1-3 us each
+        # 0.1 us a call, and a step makes ten calls of 1-3 us each
         np.subtract(hi, lo, self.du_head)
         np.divide(self.du, self.h, self.du)
         np.multiply(self.coef, self.du_cols, self.terms)
-        return np.subtract.reduce(self.stack, 0, None, self.v)
+        return np.subtract.reduce(self.stack, 0, None, out)
 
-    def march(self, a: np.ndarray, b: np.ndarray, steps: int, t: float):
-        """Take ``steps`` steps from the C-contiguous (2, cells) array ``a`` at time ``t``.
+    def march(self, start: np.ndarray, steps: int, t: float):
+        """Take ``steps`` steps from the (2, cells) array ``start`` at time ``t``.
 
-        Each step writes its result into the other of ``a`` and ``b``, so a
-        one-step march leaves ``a`` as it was.  Returns the array holding
-        the last state, the other one, and the time.
+        ``start`` is left as it was.  Returns the last state, a row of the
+        kernel's own buffer that the next march overwrites, and its time.
+        A guard that fails raises at the step where a step-by-step check
+        would, with the same message.
         """
-        dt, h, dt_h, velocities = self.dt, self.h, self.dt_h, self.velocities
-        v_head, vabs, mask, dflux, dflux_rows = (self.v_head, self.vabs, self.mask,
-                                                 self.dflux, self.dflux_rows)
+        dt, dt_h, velocities = self.dt, self.dt_h, self.velocities
+        mask, dflux, dflux_rows = self.mask, self.dflux, self.dflux_rows
         flux_head, flux_tail, flux_interior = self.flux_head, self.flux_tail, self.flux_interior
-        fa, fb = a.reshape(-1), b.reshape(-1)
-        cur, nxt = (a, fa[:-1], fa[1:]), (b, fb[:-1], fb[1:])
-        for _ in range(steps):
-            u, lo, hi = cur
-            new = nxt[0]
-            v = velocities(lo, hi)
-            vmax = float(np.maximum.reduce(np.absolute(v, vabs), None))
+        states, vrows = self.states, self.velocity_rows
+        states[0] = start
+        last = 0
+        # steps computed past a failing one may overflow; they are discarded
+        with np.errstate(all="ignore"):
+            while steps:
+                if last:
+                    states[0] = states[last]
+                last = min(steps, _CHUNK)
+                for u, lo, hi, new, v, v_head in self.rows[:last]:
+                    velocities(lo, hi, v)
+                    # donor-cell fluxes at the interior flat faces
+                    np.greater(v_head, 0.0, mask)
+                    np.multiply(np.where(mask, lo, hi), v_head, flux_interior)
+                    np.subtract(flux_tail, flux_head, dflux)
+                    np.multiply(dflux, dt_h, dflux)
+                    np.subtract(u, dflux_rows, new)
+                # written to catch NaN too: it fails every comparison
+                vmax = max(float(np.maximum.reduce(vrows[:last], None)),
+                           -float(np.minimum.reduce(vrows[:last], None)))
+                if not (dt * vmax / self.h <= 1.0
+                        and np.minimum.reduce(states[1:last + 1], None) >= 0.0):
+                    self._raise_first_failure(last, t)
+                for _ in range(last):
+                    t += dt
+                steps -= last
+        return states[last], t
+
+    def _raise_first_failure(self, last: int, t: float) -> None:
+        """Check the chunk's steps one by one, in step order, and raise at the first failure.
+
+        A chunk failed only by NaN passes, as each of its steps passes both checks.
+        """
+        dt, h = self.dt, self.h
+        for j in range(last):
+            vmax = float(np.maximum.reduce(np.absolute(self.velocity_rows[j]), None))
             if dt * vmax / h > 1.0:
                 raise CflViolationError(
                     f"dt * max|velocity| / h = {dt * vmax / h:.3g} > 1; reduce dt")
-            # donor-cell fluxes at the interior flat faces
-            np.greater(v_head, 0.0, mask)
-            np.multiply(np.where(mask, lo, hi), v_head, flux_interior)
-            np.subtract(flux_tail, flux_head, dflux)
-            np.multiply(dflux, dt_h, dflux)
-            np.subtract(u, dflux_rows, new)
-            if np.minimum.reduce(new, None) < 0.0:
+            if np.minimum.reduce(self.states[j + 1], None) < 0.0:
                 raise NegativeCellError(f"negative cell after step at t = {t:.6g}; reduce dt")
-            cur, nxt, t = nxt, cur, t + dt
-        return cur[0], nxt[0], t
+            t += dt
 
 
 def _kernel(cfg: SimConfig, grid: Grid, cells: int) -> _Kernel:
@@ -361,15 +402,14 @@ def face_velocities(state: SimState, p: FluidParams) -> np.ndarray:
     """Velocities (A, B) of f and g at the interior faces, shape (2, n_cells - 1)."""
     uf = state.u.reshape(-1)
     k = _Kernel(state.grid, p, 1.0, state.grid.n_cells)  # dt does not enter the velocities
-    return k.velocities(uf[:-1], uf[1:])[:, :-1].copy()
+    return k.velocities(uf[:-1], uf[1:], np.empty_like(state.u))[:, :-1]
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """One explicit Euler step of the upwind scheme with no-flux boundaries."""
     grid = state.grid
-    u_new, _, t = _kernel(cfg, grid, grid.n_cells).march(
-        state.u, np.empty_like(state.u), 1, state.t)
-    return SimState._of(u_new, t, grid, state.step_count + 1)
+    u_new, t = _kernel(cfg, grid, grid.n_cells).march(state.u, 1, state.t)
+    return SimState._of(u_new.copy(), t, grid, state.step_count + 1)
 
 
 def support_components(u: np.ndarray) -> int:
@@ -395,7 +435,8 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
 
     Mirror-even data on a symmetric grid with an even cell count stays
     mirror-even, so only the left half of each field is marched: its lane
-    ends where the centre face, which carries no flux, stands.
+    ends where the centre face, which carries no flux, stands.  When a guard
+    raises, the error carries the records finished so far as ``report``.
     """
     p, grid = cfg.params, initial.grid
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -404,8 +445,7 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
             and np.array_equal(initial.u, initial.u[:, ::-1]))
     cells = n // 2 if half else n
     k = _kernel(cfg, grid, cells)
-    a = np.array(initial.u[:, :cells], dtype=float)
-    b = np.empty_like(a)
+    a = initial.u[:, :cells]
 
     cols = ("mass_f", "mass_g", "M1", "M2", "E", "E_star", "H", "I",
             "n_components_f", "n_components_g", "l2_dist")
@@ -420,19 +460,25 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
                      math.nan if cfg.reference is None else l2_distance(s, cfg.reference)))
         states.append(s.copy())
 
+    def report() -> TrajectoryReport:
+        times, *columns = zip(*rows)
+        return TrajectoryReport(
+            times=np.asarray(times),
+            data={c: np.asarray(v) for c, v in zip(cols, columns)},
+            states=states, final=state, grid=grid)
+
     state = initial.copy()
     record(state)
     t, count = initial.t, initial.step_count
-    for done in range(0, n_steps, cfg.record_every):
-        steps = min(cfg.record_every, n_steps - done)
-        a, b, t = k.march(a, b, steps, t)
-        count += steps
-        u = np.concatenate((a, a[:, ::-1]), axis=1) if half else a.copy()
-        state = SimState._of(u, t, grid, count)
-        record(state)
-
-    times, *columns = zip(*rows)
-    return TrajectoryReport(
-        times=np.asarray(times),
-        data={c: np.asarray(v) for c, v in zip(cols, columns)},
-        states=states, final=state, grid=grid)
+    try:
+        for done in range(0, n_steps, cfg.record_every):
+            steps = min(cfg.record_every, n_steps - done)
+            a, t = k.march(a, steps, t)
+            count += steps
+            u = np.concatenate((a, a[:, ::-1]), axis=1) if half else a.copy()
+            state = SimState._of(u, t, grid, count)
+            record(state)
+    except (CflViolationError, NegativeCellError) as exc:
+        exc.report = report()
+        raise
+    return report()

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +169,30 @@ def test_simulate_rupture_logged(tmp_path, capsys):
     i_l2 = cols.index("l2_dist")
     l2 = [float(row.split(",")[i_l2]) for row in body[1:]]
     assert l2[-1] < 0.1 * l2[1]
+
+
+def test_simulate_guard_failure_writes_finished_records(tmp_path, capsys):
+    # the README's simulate config at 20x its dt: the CFL guard fires near t = 3.82
+    cfg = {
+        "R": 1.0, "R_mu": 0.05, "eta": 1.0,
+        "n_cells": 400, "dt": 4e-4, "t_end": 8.0, "record_every": 1000,
+        "initial": {"kind": "bumps", "center_f": 0.0, "halfwidth_f": 2.0,
+                    "center_g": 0.0, "halfwidth_g": 2.0},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                                "--out-dir", str(out))
+    assert code == EXIT_NUMERICAL and stdout == ""
+    assert err.startswith("numerical failure: dt * max|velocity| / h = 1.03 > 1;")
+    body = (out / "trajectory.csv").read_text().splitlines()
+    t = [float(row.split(",")[0]) for row in body[1:]]
+    assert np.allclose(t, 0.4 * np.arange(10), rtol=0.0, atol=1e-12)
+    manifest = json.loads((out / "manifest_simulate.json").read_text())
+    assert manifest["error"] == err[len("numerical failure: "):].strip()
+    assert manifest["outputs"][0] == str(out / "trajectory.csv")
+    assert all(Path(p).exists() for p in manifest["outputs"])
 
 
 def test_simulate_bad_config(tmp_path, capsys):

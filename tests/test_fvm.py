@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -71,6 +72,16 @@ def test_init_rejects_zero_mass():
     u = PiecewiseQuadratic.from_pieces([(-1.0, 1.0, 0.5, 0.0)])
     with pytest.raises(ValueError):
         init_state((u, z), Grid(n_cells=10))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_init_rejects_non_finite_values(bad):
+    # NaN fails the mass and sign comparisons, so only a finiteness check stops it
+    spoilt = lambda x: np.where(np.abs(x) < 0.1, bad, bump(0.0, 1.0)(x))
+    with pytest.raises(ValueError, match="initial g is not finite"):
+        init_state((bump(0.0, 1.0), spoilt), Grid(n_cells=50))
+    with pytest.raises(ValueError, match="initial f is not finite"):
+        init_state((spoilt, bump(0.0, 1.0)), Grid(n_cells=50), renormalize=True)
 
 
 def test_init_rejects_support_outside_domain():
@@ -405,19 +416,36 @@ def test_run_matches_step_loop_bitwise(start, p, dt, t_end, record_every, lane):
     assert not np.array_equal(rep.final.u, rep.states[0].u)  # the march moved the state
 
 
-@pytest.mark.parametrize("dt, error, message", [
-    (4e-4, NegativeCellError, "t = 3.8208;"),
-    (0.5, CflViolationError, "= 33.2 > 1;"),
+@pytest.mark.parametrize("dt, error, message, record_every", [
+    pytest.param(4e-4, NegativeCellError, "t = 3.8208;", 1000,
+                 id="0.0004-NegativeCellError-t = 3.8208;"),
+    pytest.param(0.5, CflViolationError, "= 33.2 > 1;", 1000,
+                 id="0.5-CflViolationError-= 33.2 > 1;"),
+    # the failing step is 9553: the first step of a record interval of 16,
+    # the last of a guard chunk within an interval of 17, and a middle one
+    *[pytest.param(4e-4, NegativeCellError, "t = 3.8208;", every, id=f"0.0004-every-{every}")
+      for every in (1, 15, 16, 17)],
 ])
-def test_run_guards_on_readme_rupture_config(dt, error, message):
+def test_run_guards_on_readme_rupture_config(dt, error, message, record_every):
     # the start of test_guards_on_readme_rupture_config, marched by run on the half lane
     g = Grid(n_cells=400)
     st = init_state((_even_bump(2.0), _even_bump(2.0)), g)
     cfg = SimConfig(grid=g, params=FluidParams(1.0, 0.05, 1.0), t_end=8.0, dt=dt,
-                    record_every=1000)
-    with pytest.raises(error, match=message.replace(".", r"\.")):
-        run(cfg, st)
+                    record_every=record_every)
+    # the steps marched past a failing one must not warn either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message.replace(".", r"\.")) as caught:
+            run(cfg, st)
     assert set(cfg._kernels) == {200}
+    # the records finished before the guard fired come back with the error
+    rep = caught.value.report
+    good = 9552 if error is NegativeCellError else 0
+    records = 1 + good // record_every
+    assert len(rep.states) == len(rep.times) == len(rep.data["E"]) == records
+    assert rep.final.step_count == rep.states[-1].step_count == good - good % record_every
+    assert np.array_equal(rep.final.u, rep.states[-1].u)
+    assert np.allclose(rep.times, dt * record_every * np.arange(records), rtol=0.0, atol=1e-12)
 
 
 def test_even_data_stays_even():
