@@ -16,8 +16,12 @@ private kernel, built once per (grid, params, dt, lane size) and thread and
 kept on the SimConfig, holds the coefficients, the drift and every scratch
 array.  It marches a whole record interval in one call, in chunks of up to
 16 steps: each step writes its velocities and its new state into the next
-row of two preallocated chunk buffers, so it makes ten numpy calls and
-allocates only its donor-cell values.  The two guards are checked once per
+row of two preallocated chunk buffers, so it makes eleven numpy calls and
+allocates only its donor-cell values.  Those calls cost mostly dispatch,
+which a Python-float operand or a reduce raises, so every operand is an
+array of the call's own shape (the kernel keeps constant lanes of h, dt/h
+and zeros), except in the one coefficient product that broadcasts the
+gradients over both velocity rows.  The two guards are checked once per
 chunk, by reductions over all its rows; when one fails, the chunk's steps
 are checked one by one, so the error, its message and the step that raises
 it are those of a check after every step.  ``step`` is a march of one step,
@@ -291,24 +295,31 @@ class _Kernel:
     ``states``.
     """
 
-    __slots__ = ("grid", "params", "dt", "thread", "h", "dt_h", "coef", "du", "du_head",
-                 "du_cols", "stack", "terms", "states", "velocity_rows", "rows", "mask",
-                 "flux_head", "flux_tail", "flux_interior", "dflux", "dflux_rows")
+    __slots__ = ("grid", "params", "dt", "thread", "h", "h_lane", "dt_h_lane", "zeros",
+                 "coef", "du", "du_head", "du_cols", "drift", "terms", "term_f", "term_g",
+                 "states", "velocity_rows", "rows", "mask", "flux_head", "flux_tail",
+                 "flux_interior", "dflux", "dflux_rows")
 
     def __init__(self, grid: Grid, p: FluidParams, dt: float, cells: int):
         n = cells
         self.grid, self.params, self.dt = grid, p, dt
         self.thread = threading.get_ident()
         self.h = grid.h
-        self.dt_h = dt / self.h
+        # constant operands of the step's ufuncs, as arrays of each call's shape
+        self.h_lane = np.full(2 * n, self.h)
+        self.dt_h_lane = np.full(2 * n, dt / self.h)
+        self.zeros = np.zeros(2 * n - 1)
+        for lane in (self.h_lane, self.dt_h_lane, self.zeros):
+            lane.flags.writeable = False
         e2 = p.eta**2
         # coef[c, r]: coefficient of the gradient of field c in the velocity of field r
         self.coef = np.zeros((2, 2, n))
         self.coef[:, :, :-1] = [[[(1.0 + p.R) * e2], [e2 * p.R_mu]], [[p.R], [p.R_mu]]]
-        # the drift, then the gradient terms of f and g: v = drift - term_f - term_g
-        self.stack = np.zeros((3, 2, n))
-        self.stack[0, :, :-1] = grid.face_drift[:n - 1]
-        self.terms = self.stack[1:]
+        self.drift = np.zeros((2, n))
+        self.drift[:, :-1] = grid.face_drift[:n - 1]
+        # the gradient terms of f and g: v = (drift - term_f) - term_g
+        self.terms = np.empty((2, 2, n))
+        self.term_f, self.term_g = self.terms
         self.du = np.zeros(2 * n)  # gradients at the flat faces; the last entry stays 0
         self.du_head, self.du_cols = self.du[:-1], self.du.reshape(2, 1, n)
         self.states = np.empty((_CHUNK + 1, 2, n))
@@ -326,12 +337,14 @@ class _Kernel:
 
     def velocities(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Velocities (2, cells) at the flat faces between cells ``lo`` and ``hi``, into ``out``."""
-        # ufunc outputs go by position throughout: the out keyword costs about
-        # 0.1 us a call, and a step makes ten calls of 1-3 us each
+        # a step's eleven calls cost mostly dispatch, so outputs go by position
+        # (the out keyword costs about 0.1 us a call) and every operand but the
+        # broadcast gradients is an array of the call's own shape
         np.subtract(hi, lo, self.du_head)
-        np.divide(self.du, self.h, self.du)
+        np.divide(self.du, self.h_lane, self.du)
         np.multiply(self.coef, self.du_cols, self.terms)
-        return np.subtract.reduce(self.stack, 0, None, out)
+        np.subtract(self.drift, self.term_f, out)
+        return np.subtract(out, self.term_g, out)
 
     def march(self, start: np.ndarray, steps: int, t: float):
         """Take ``steps`` steps from the (2, cells) array ``start`` at time ``t``.
@@ -341,7 +354,8 @@ class _Kernel:
         A guard that fails raises at the step where a step-by-step check
         would, with the same message.
         """
-        dt, dt_h, velocities = self.dt, self.dt_h, self.velocities
+        dt, dt_h, zeros, velocities = self.dt, self.dt_h_lane, self.zeros, self.velocities
+        greater, where, multiply, subtract = np.greater, np.where, np.multiply, np.subtract
         mask, dflux, dflux_rows = self.mask, self.dflux, self.dflux_rows
         flux_head, flux_tail, flux_interior = self.flux_head, self.flux_tail, self.flux_interior
         states, vrows = self.states, self.velocity_rows
@@ -356,11 +370,11 @@ class _Kernel:
                 for u, lo, hi, new, v, v_head in self.rows[:last]:
                     velocities(lo, hi, v)
                     # donor-cell fluxes at the interior flat faces
-                    np.greater(v_head, 0.0, mask)
-                    np.multiply(np.where(mask, lo, hi), v_head, flux_interior)
-                    np.subtract(flux_tail, flux_head, dflux)
-                    np.multiply(dflux, dt_h, dflux)
-                    np.subtract(u, dflux_rows, new)
+                    greater(v_head, zeros, mask)
+                    multiply(where(mask, lo, hi), v_head, flux_interior)
+                    subtract(flux_tail, flux_head, dflux)
+                    multiply(dflux, dt_h, dflux)
+                    subtract(u, dflux_rows, new)
                 # written to catch NaN too: it fails every comparison
                 vmax = max(float(np.maximum.reduce(vrows[:last], None)),
                            -float(np.minimum.reduce(vrows[:last], None)))
@@ -458,7 +472,7 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
                      rep.energy, rep.rescaled_energy, rep.entropy, rep.dissipation,
                      support_components(s.f), support_components(s.g),
                      math.nan if cfg.reference is None else l2_distance(s, cfg.reference)))
-        states.append(s.copy())
+        states.append(s)  # a fresh array that no later step writes, so kept uncopied
 
     def report() -> TrajectoryReport:
         times, *columns = zip(*rows)

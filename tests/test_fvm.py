@@ -448,6 +448,72 @@ def test_run_guards_on_readme_rupture_config(dt, error, message, record_every):
     assert np.allclose(rep.times, dt * record_every * np.arange(records), rtol=0.0, atol=1e-12)
 
 
+def _drift_balanced(grid: Grid) -> SimState:
+    """Quadratic f and g of (R, R_mu, eta) = (1, 0.05, 1) whose gradient terms cancel
+    the drift at every face, so the velocities are rounding errors: about 1e-12."""
+    x = grid.centers
+    return SimState(f=1.0 + 19.0 / 6.0 * x**2, g=200.0 - 6.5 * x**2, t=0.0, grid=grid)
+
+
+def test_kernel_reused_after_failed_march_steps_like_a_fresh_one():
+    # the README rupture config at dt = 0.5: run's first chunk fails the
+    # advective guard at step 0, and the chunk's discarded steps overflow
+    g = Grid(n_cells=400)
+    p = FluidParams(1.0, 0.05, 1.0)
+    cfg = SimConfig(grid=g, params=p, t_end=8.0, dt=0.5)
+    start = init_state((_even_bump(2.0), _even_bump(2.0)), g)
+    with pytest.raises(CflViolationError, match=r"= 33\.2 > 1;"):
+        run(cfg, start)
+    with pytest.raises(CflViolationError, match=r"= 33\.2 > 1;"):
+        step(start, cfg)
+    half, full = cfg._kernels[200], cfg._kernels[400]
+    assert not np.isfinite(half.states).all()
+    for k in (half, full):
+        for lane in (k.h_lane, k.dt_h_lane, k.zeros):
+            assert not lane.flags.writeable
+
+    # the same config marches another start on the same kernels; at dt = 0.5
+    # the balance holds for two steps and the third fails the guard
+    cfg.t_end, cfg.record_every = 1.5, 1
+    fresh = SimConfig(grid=g, params=p, t_end=1.5, dt=0.5, record_every=1)
+    st = _drift_balanced(g)
+    reports = []
+    for c in (cfg, fresh):
+        with pytest.raises(CflViolationError, match=r"= 3\.27 > 1;") as caught:
+            run(c, st)
+        reports.append(caught.value.report)
+    assert cfg._kernels[200] is half  # run marched the half lane of the failed run
+    assert len(reports[0].states) == len(reports[1].states) == 3
+    for a, b in zip(*(r.states for r in reports)):
+        assert a.t == b.t and np.array_equal(a.u, b.u)
+    assert not np.array_equal(reports[0].final.u, st.u)  # the two steps moved the state
+    a, b = st, st
+    for _ in range(2):
+        a, b = step(a, cfg), step(b, fresh)
+        assert np.array_equal(a.u, b.u)
+    assert cfg._kernels[400] is full
+
+
+@pytest.mark.parametrize("start, lane", [
+    pytest.param(lambda: init_state((_even_bump(2.0), _even_bump(1.3)), Grid(n_cells=200)),
+                 100, id="half-lane"),
+    pytest.param(lambda: init_state(_skewed_bumps(), Grid(n_cells=200), renormalize=True),
+                 200, id="full-lane"),
+])
+def test_run_records_share_no_memory(start, lane):
+    st = start()
+    cfg = SimConfig(grid=st.grid, params=FluidParams(1.0, 2.0, 1.0), t_end=0.01, dt=2e-5,
+                    record_every=100)
+    rep = run(cfg, st)
+    k = cfg._kernels[lane]
+    assert len(rep.states) == 6
+    for i, s in enumerate(rep.states):
+        assert not np.shares_memory(s.u, st.u)
+        assert not np.shares_memory(s.u, k.states)
+        for earlier in rep.states[:i]:
+            assert not np.shares_memory(s.u, earlier.u)
+
+
 def test_even_data_stays_even():
     p = FluidParams(1.0, 2.0, 1.0)
     g = Grid(n_cells=100)

@@ -17,8 +17,9 @@ at the root of the repository holding this script.
 The label is the checkout's short commit.  When the checkout's ``src/``
 differs from that commit, the label adds the first 8 hex digits of
 ``src_sha256``, a hash of the sources that the file also records.  With two
-checkouts the script prints, per workload, both medians of ``pass_s``, the
-ratio and how many seed pairs the second checkout won.
+checkouts the script prints one line per workload and end-to-end metric:
+both medians, their ratio, the first checkout's interquartile range and how
+many seed pairs the second checkout won.
 """
 
 from __future__ import annotations
@@ -77,6 +78,20 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
+def pair_summary(pairs: list[tuple[float, float]]) -> dict:
+    """Compare (first, second) values of one metric over seed pairs; lower is better.
+
+    Gives both medians, the second's median over the first's, the first's
+    interquartile range and how many pairs the second won, ties counting for
+    neither.
+    """
+    first = summarize([a for a, _ in pairs])
+    second = summarize([b for _, b in pairs])
+    return {"first": first["median"], "second": second["median"],
+            "ratio": second["median"] / first["median"], "first_iqr": first["iqr"],
+            "wins": sum(b < a for a, b in pairs), "pairs": len(pairs)}
+
+
 def workload_entry(runs: list[dict], traced: dict) -> dict:
     metrics = {}
     for name in END_TO_END:
@@ -124,14 +139,15 @@ def main(argv=None) -> int:
             traced = run_once(checkout, workload, 1, 1)
             files[i]["workloads"][workload] = workload_entry(runs[i], traced)
         if len(checkouts) == 2:
-            pairs = [(a["metrics"]["pass_s"]["value"], b["metrics"]["pass_s"]["value"])
-                     for a, b in zip(*runs) if "pass_s" in a["metrics"] and "pass_s" in b["metrics"]]
-            if pairs:
-                base = statistics.median(a for a, _ in pairs)
-                new = statistics.median(b for _, b in pairs)
-                wins = sum(b < a for a, b in pairs)
-                print(f"{workload}: pass_s median {base:.4g} -> {new:.4g} s "
-                      f"({new / base:.3f}x), second won {wins} of {len(pairs)} pairs", flush=True)
+            for name in END_TO_END:
+                pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
+                         for a, b in zip(*runs) if name in a["metrics"] and name in b["metrics"]]
+                if pairs:
+                    unit = files[0]["workloads"][workload]["metrics"][name]["unit"]
+                    s = pair_summary(pairs)
+                    print(f"{workload}: {name} median {s['first']:.4g} -> {s['second']:.4g} "
+                          f"{unit} ({s['ratio']:.3f}x), first IQR {s['first_iqr']:.3g} {unit}, "
+                          f"second won {s['wins']} of {s['pairs']} pairs", flush=True)
     for f in files:
         path = ROOT / f"BENCH_{f['label']}.json"
         path.write_text(json.dumps(f, indent=1, sort_keys=True) + "\n")
