@@ -27,6 +27,23 @@ are checked one by one, so the error, its message and the step that raises
 it are those of a check after every step.  ``step`` is a march of one step,
 copied into a fresh array.
 
+The data have compact support, and a donor-cell flux carries no mass past a
+zero cell in one step: a cell turns nonzero only next to a nonzero one.  In
+a chunk of J steps the occupied columns therefore spread by at most J cells
+on each side, and a march steps only a window of columns [a, b), the same in
+both rows: the occupied columns widened by one chunk on each side, rounded
+outwards to a multiple of 8 and clipped to the lane.  The window is read as
+a flat lane of its own, f then g, whose seam and ends carry zero flux; it
+uses contiguous prefixes of the kernel's full-lane buffers.  Outside it every
+cell is zero for the whole chunk, so every face there carries a zero flux and
+no cell changes.  After each chunk, mass in the window's outer 16 columns on
+a side that is not a lane end widens the window before the next chunk, and
+each march fits its window afresh to its start.  At a face outside the
+window both cells are zero, so the gradient terms are exactly zero and the
+velocity is the pure drift -x/3: the advective guard takes the largest
+|drift| of those faces with the window's own velocities, and reads, as the
+positivity guard does, what a guard over the whole lane would.
+
 Mirror-even data on a grid symmetric about 0 stays mirror-even to the last
 bit, and the centre face then carries only a zero flux.  For such data with
 an even cell count, ``run`` marches just the left half of both fields, a
@@ -34,7 +51,9 @@ lane of n cells whose right end stands in for the centre face, and mirrors
 it back at each record.  The states, the errors and the step that raises
 them are bitwise those of a per-field two-array step on finite data: a zero
 flux may carry the other sign of zero, which changes no cell unless that
-cell holds -0.0.
+cell holds -0.0.  For the same reason a -0.0 cell at or beyond a window's
+edge stays -0.0, where a step of the whole lane could turn it into +0.0;
+the initial data muskat builds hold no -0.0.
 """
 
 from __future__ import annotations
@@ -72,6 +91,8 @@ __all__ = [
 _SUPPORT_REL_THRESHOLD = 1e-9
 # steps per guard check of the march: both guards read a whole chunk at once
 _CHUNK = 16
+# the march's window edges are multiples of this many columns
+_QUANTUM = 8
 
 
 class CflViolationError(Exception):
@@ -282,27 +303,22 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
 class _Kernel:
     """Constants and scratch of the upwind march on a lane of 2 x ``cells`` cells.
 
-    The lane is a (2, cells) array read flat, f then g, with flat face k
-    between flat cells k and k + 1; its faces are the first ``cells - 1``
-    interior faces of the grid in each row.  Velocities are (2, cells): column
-    cells - 1 holds the seam face in row f and the lane's right end in row g,
-    both with zero drift and coefficients.  The flux array behind the
-    ``flux_*`` views has one entry per flat face plus the two ends of the
-    lane, which stay zero.
+    The lane is a (2, cells) array whose faces are the first ``cells - 1``
+    interior faces of the grid in each row; its two ends carry no flux.  A
+    march steps only a window of columns, the same in both rows (``_fit``),
+    through a ``_Window`` of prefix views of the kernel's full-lane buffers.
 
-    Step j of a chunk reads row j of ``states`` and writes its velocities
-    into row j of ``velocity_rows`` and its new state into row j + 1 of
-    ``states``.
+    Step j of a chunk reads row j of the window's ``states`` and writes its
+    velocities into row j of its ``velocity_rows`` and its new state into
+    row j + 1 of its ``states``.
     """
 
-    __slots__ = ("grid", "params", "dt", "thread", "h", "h_lane", "dt_h_lane", "zeros",
-                 "coef", "du", "du_head", "du_cols", "drift", "terms", "term_f", "term_g",
-                 "states", "velocity_rows", "rows", "mask", "flux_head", "flux_tail",
-                 "flux_interior", "dflux", "dflux_rows")
+    __slots__ = ("grid", "params", "dt", "thread", "cells", "h", "h_lane", "dt_h_lane",
+                 "zeros", "coef", "drift_abs", "lane", "states", "velocity_rows", "window")
 
     def __init__(self, grid: Grid, p: FluidParams, dt: float, cells: int):
         n = cells
-        self.grid, self.params, self.dt = grid, p, dt
+        self.grid, self.params, self.dt, self.cells = grid, p, dt, n
         self.thread = threading.get_ident()
         self.h = grid.h
         # constant operands of the step's ufuncs, as arrays of each call's shape
@@ -313,61 +329,59 @@ class _Kernel:
             lane.flags.writeable = False
         e2 = p.eta**2
         # coef[c, r]: coefficient of the gradient of field c in the velocity of field r
-        self.coef = np.zeros((2, 2, n))
-        self.coef[:, :, :-1] = [[[(1.0 + p.R) * e2], [e2 * p.R_mu]], [[p.R], [p.R_mu]]]
-        self.drift = np.zeros((2, n))
-        self.drift[:, :-1] = grid.face_drift[:n - 1]
-        # the gradient terms of f and g: v = (drift - term_f) - term_g
-        self.terms = np.empty((2, 2, n))
-        self.term_f, self.term_g = self.terms
-        self.du = np.zeros(2 * n)  # gradients at the flat faces; the last entry stays 0
-        self.du_head, self.du_cols = self.du[:-1], self.du.reshape(2, 1, n)
+        self.coef = np.array([[[(1.0 + p.R) * e2], [e2 * p.R_mu]], [[p.R], [p.R_mu]]])
+        self.drift_abs = np.absolute(grid.face_drift[:n - 1])
+        self.lane = np.empty((2, n))
         self.states = np.empty((_CHUNK + 1, 2, n))
         self.velocity_rows = np.empty((_CHUNK, 2, n))
-        # per step j: state j, its flat left and right cells, state j + 1,
-        # velocities j and their interior flat faces
-        flat = self.states.reshape(_CHUNK + 1, -1)
-        self.rows = [(self.states[j], flat[j, :-1], flat[j, 1:], self.states[j + 1], v,
-                      v.reshape(-1)[:-1]) for j, v in enumerate(self.velocity_rows)]
-        self.mask = np.empty(2 * n - 1, dtype=bool)
-        flux = np.zeros(2 * n + 1)
-        self.flux_head, self.flux_tail, self.flux_interior = flux[:-1], flux[1:], flux[1:-1]
-        self.dflux = np.empty(2 * n)
-        self.dflux_rows = self.dflux.reshape(2, n)
+        self.window = _Window(self, 0, n)
 
-    def velocities(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Velocities (2, cells) at the flat faces between cells ``lo`` and ``hi``, into ``out``."""
-        # a step's eleven calls cost mostly dispatch, so outputs go by position
-        # (the out keyword costs about 0.1 us a call) and every operand but the
-        # broadcast gradients is an array of the call's own shape
-        np.subtract(hi, lo, self.du_head)
-        np.divide(self.du, self.h_lane, self.du)
-        np.multiply(self.coef, self.du_cols, self.terms)
-        np.subtract(self.drift, self.term_f, out)
-        return np.subtract(out, self.term_g, out)
+    def _fit(self, lane: np.ndarray) -> "_Window":
+        """The window of ``lane`` for the next chunk, with ``lane``'s cells in its state row 0.
+
+        It holds the occupied columns widened by _CHUNK on each side, rounded
+        outwards to _QUANTUM and clipped to the lane.
+        """
+        cols = np.flatnonzero(lane.any(axis=0))
+        lo, hi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        a = max(0, (lo - _CHUNK) // _QUANTUM * _QUANTUM)
+        b = min(self.cells, -((-hi - _CHUNK) // _QUANTUM) * _QUANTUM)
+        w = self.window
+        if w.a != a or w.b != b:
+            w = self.window = _Window(self, a, b)
+        w.states[0] = lane[:, a:b]
+        return w
 
     def march(self, start: np.ndarray, steps: int, t: float):
         """Take ``steps`` steps from the (2, cells) array ``start`` at time ``t``.
 
-        ``start`` is left as it was.  Returns the last state, a row of the
-        kernel's own buffer that the next march overwrites, and its time.
-        A guard that fails raises at the step where a step-by-step check
-        would, with the same message.
+        ``start`` is left as it was.  Returns the last state, the kernel's
+        own lane that the next march overwrites, and its time.  A guard
+        that fails raises at the step where a step-by-step check of the whole
+        lane would, with the same message.
         """
-        dt, dt_h, zeros, velocities = self.dt, self.dt_h_lane, self.zeros, self.velocities
+        dt, h, lane = self.dt, self.h, self.lane
         greater, where, multiply, subtract = np.greater, np.where, np.multiply, np.subtract
-        mask, dflux, dflux_rows = self.mask, self.dflux, self.dflux_rows
-        flux_head, flux_tail, flux_interior = self.flux_head, self.flux_tail, self.flux_interior
-        states, vrows = self.states, self.velocity_rows
-        states[0] = start
+        count_nonzero = np.count_nonzero
+        lane[...] = start
+        w = self._fit(lane)
         last = 0
         # steps computed past a failing one may overflow; they are discarded
         with np.errstate(all="ignore"):
             while steps:
                 if last:
                     states[0] = states[last]
+                    # mass in a band may leave the window within the next chunk
+                    for band in w.bands:
+                        if count_nonzero(band):
+                            lane[:, w.a:w.b] = states[0]
+                            w = self._fit(lane)
+                            break
+                states, vrows, velocities, dt_h = w.states, w.velocity_rows, w.velocities, w.dt_h
+                zeros, mask, dflux, dflux_rows = w.zeros, w.mask, w.dflux, w.dflux_rows
+                flux_head, flux_tail, flux_interior = w.flux_head, w.flux_tail, w.flux_interior
                 last = min(steps, _CHUNK)
-                for u, lo, hi, new, v, v_head in self.rows[:last]:
+                for u, lo, hi, new, v, v_head in w.rows[:last]:
                     velocities(lo, hi, v)
                     # donor-cell fluxes at the interior flat faces
                     greater(v_head, zeros, mask)
@@ -377,29 +391,106 @@ class _Kernel:
                     subtract(u, dflux_rows, new)
                 # written to catch NaN too: it fails every comparison
                 vmax = max(float(np.maximum.reduce(vrows[:last], None)),
-                           -float(np.minimum.reduce(vrows[:last], None)))
-                if not (dt * vmax / self.h <= 1.0
+                           -float(np.minimum.reduce(vrows[:last], None)), w.outside)
+                if not (dt * vmax / h <= 1.0
                         and np.minimum.reduce(states[1:last + 1], None) >= 0.0):
-                    self._raise_first_failure(last, t)
+                    self._raise_first_failure(w, last, t)
                 for _ in range(last):
                     t += dt
                 steps -= last
-        return states[last], t
+        lane[:, w.a:w.b] = w.states[last]
+        return lane, t
 
-    def _raise_first_failure(self, last: int, t: float) -> None:
+    def _raise_first_failure(self, w: "_Window", last: int, t: float) -> None:
         """Check the chunk's steps one by one, in step order, and raise at the first failure.
 
         A chunk failed only by NaN passes, as each of its steps passes both checks.
         """
         dt, h = self.dt, self.h
         for j in range(last):
-            vmax = float(np.maximum.reduce(np.absolute(self.velocity_rows[j]), None))
+            vmax = max(float(np.maximum.reduce(np.absolute(w.velocity_rows[j]), None)),
+                       w.outside)
             if dt * vmax / h > 1.0:
                 raise CflViolationError(
                     f"dt * max|velocity| / h = {dt * vmax / h:.3g} > 1; reduce dt")
-            if np.minimum.reduce(self.states[j + 1], None) < 0.0:
+            if np.minimum.reduce(w.states[j + 1], None) < 0.0:
                 raise NegativeCellError(f"negative cell after step at t = {t:.6g}; reduce dt")
             t += dt
+
+
+class _Window:
+    """The step's operands on the columns [a, b) of a kernel's lane.
+
+    Both rows of the window are read flat as a lane of 2 x m cells, m = b - a,
+    f then g, with flat face k between flat cells k and k + 1.  Velocities
+    are (2, m): column m - 1 holds the seam face in row f and the window's
+    right end in row g, both with zero drift and coefficients.  The flux
+    array behind the ``flux_*`` views has one entry per flat face plus the
+    two ends of the window, which stay zero.  The chunk buffers and constant
+    lanes are contiguous prefixes of the kernel's full-lane ones.
+
+    A lane face outside the window joins two zero cells, so its gradient
+    terms are exactly zero and its velocity is the pure drift; ``outside``
+    is the largest |drift| of those faces, which the advective guard takes
+    with the window's own velocities.  ``bands`` are flat slices of state
+    row 0 covering the outer _CHUNK columns of each side that is not a lane
+    end: a nonzero cell there may spread out of the window in the next chunk.
+    """
+
+    __slots__ = ("a", "b", "h", "coef", "drift", "terms", "term_f", "term_g", "du",
+                 "du_head", "du_cols", "states", "velocity_rows", "rows", "dt_h", "zeros",
+                 "mask", "flux_head", "flux_tail", "flux_interior", "dflux", "dflux_rows",
+                 "outside", "bands")
+
+    def __init__(self, k: _Kernel, a: int, b: int):
+        m, n, c = b - a, k.cells, _CHUNK
+        self.a, self.b = a, b
+        self.h, self.dt_h, self.zeros = k.h_lane[:2 * m], k.dt_h_lane[:2 * m], k.zeros[:2 * m - 1]
+        self.coef = np.zeros((2, 2, m))
+        self.coef[:, :, :-1] = k.coef
+        self.drift = np.zeros((2, m))
+        self.drift[:, :-1] = k.grid.face_drift[a:b - 1]
+        # the gradient terms of f and g: v = (drift - term_f) - term_g
+        self.terms = np.empty((2, 2, m))
+        self.term_f, self.term_g = self.terms
+        self.du = np.zeros(2 * m)  # gradients at the flat faces; the last entry stays 0
+        self.du_head, self.du_cols = self.du[:-1], self.du.reshape(2, 1, m)
+        self.states = k.states.reshape(-1)[:(_CHUNK + 1) * 2 * m].reshape(_CHUNK + 1, 2, m)
+        self.velocity_rows = k.velocity_rows.reshape(-1)[:_CHUNK * 2 * m].reshape(_CHUNK, 2, m)
+        # per step j: state j, its flat left and right cells, state j + 1,
+        # velocities j and their interior flat faces
+        flat = self.states.reshape(_CHUNK + 1, -1)
+        self.rows = [(self.states[j], flat[j, :-1], flat[j, 1:], self.states[j + 1], v,
+                      v.reshape(-1)[:-1]) for j, v in enumerate(self.velocity_rows)]
+        self.mask = np.empty(2 * m - 1, dtype=bool)
+        flux = np.zeros(2 * m + 1)
+        self.flux_head, self.flux_tail, self.flux_interior = flux[:-1], flux[1:], flux[1:-1]
+        self.dflux = np.empty(2 * m)
+        self.dflux_rows = self.dflux.reshape(2, m)
+        d = k.drift_abs
+        self.outside = max(float(np.max(d[:a], initial=0.0)),
+                           float(np.max(d[b - 1:], initial=0.0)))
+        # f's right band and g's left band are one slice
+        if a and b < n:
+            cuts = ((0, c), (m - c, m + c), (2 * m - c, 2 * m))
+        elif a:
+            cuts = ((0, c), (m, m + c))
+        elif b < n:
+            cuts = ((m - c, m), (2 * m - c, 2 * m))
+        else:
+            cuts = ()
+        self.bands = [flat[0, lo:hi] for lo, hi in cuts]
+
+    def velocities(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Velocities (2, m) at the flat faces between cells ``lo`` and ``hi``, into ``out``."""
+        # a step's eleven calls cost mostly dispatch, so outputs go by position
+        # (the out keyword costs about 0.1 us a call) and every operand but the
+        # broadcast gradients is an array of the call's own shape
+        np.subtract(hi, lo, self.du_head)
+        np.divide(self.du, self.h, self.du)
+        np.multiply(self.coef, self.du_cols, self.terms)
+        np.subtract(self.drift, self.term_f, out)
+        return np.subtract(out, self.term_g, out)
 
 
 def _kernel(cfg: SimConfig, grid: Grid, cells: int) -> _Kernel:
@@ -416,7 +507,7 @@ def face_velocities(state: SimState, p: FluidParams) -> np.ndarray:
     """Velocities (A, B) of f and g at the interior faces, shape (2, n_cells - 1)."""
     uf = state.u.reshape(-1)
     k = _Kernel(state.grid, p, 1.0, state.grid.n_cells)  # dt does not enter the velocities
-    return k.velocities(uf[:-1], uf[1:], np.empty_like(state.u))[:, :-1]
+    return k.window.velocities(uf[:-1], uf[1:], np.empty_like(state.u))[:, :-1]
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:

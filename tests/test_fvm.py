@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from muskat import fvm
 from muskat.fvm import (
     CflViolationError,
     Grid,
@@ -446,6 +447,110 @@ def test_run_guards_on_readme_rupture_config(dt, error, message, record_every):
     assert rep.final.step_count == rep.states[-1].step_count == good - good % record_every
     assert np.array_equal(rep.final.u, rep.states[-1].u)
     assert np.allclose(rep.times, dt * record_every * np.arange(records), rtol=0.0, atol=1e-12)
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """(a, b, cells) of every window a march fits: one per march, one per widening."""
+    seen = []
+    fit = fvm._Kernel._fit
+
+    def recording(kernel, lane):
+        w = fit(kernel, lane)
+        seen.append((w.a, w.b, kernel.cells))
+        return w
+
+    monkeypatch.setattr(fvm._Kernel, "_fit", recording)
+    return seen
+
+
+def _run_against_two_array_oracle(st: SimState, p: FluidParams, dt: float) -> None:
+    """Run 4 record intervals of 500 steps; every record must be the oracle's, byte for byte."""
+    cfg = SimConfig(grid=st.grid, params=p, t_end=2000 * dt, dt=dt, record_every=500)
+    rep = run(cfg, st)
+    assert len(rep.states) == 5
+    ref = st
+    for got in rep.states[1:]:
+        for _ in range(500):
+            ref = _two_array_step(ref, cfg)
+        assert got.t == ref.t and got.u.tobytes() == ref.u.tobytes()
+    assert not np.array_equal(rep.final.u, st.u)
+
+
+def test_half_lane_window_widens_within_a_record_interval(windows):
+    st = init_state((_even_bump(0.4), _even_bump(0.3)), Grid(n_cells=400))
+    _run_against_two_array_oracle(st, FluidParams(1.0, 0.05, 1.0), 2e-5)
+    assert all(0 < a and b == cells == 200 for a, b, cells in windows)
+    assert len(windows) > 4  # some of the 4 marches widened its window before its last chunk
+    assert windows[-1][0] < windows[0][0]
+
+
+def test_full_lane_window_follows_both_edges_of_skewed_bumps(windows):
+    st = init_state((bump(0.5, 0.4), bump(-0.4, 0.5)), Grid(n_cells=200), renormalize=True)
+    _run_against_two_array_oracle(st, FluidParams(4.0, 2.0, 1.3), 1e-5)
+    assert all(0 < a and b < cells == 200 for a, b, cells in windows)
+    assert windows[-1][0] < windows[0][0] and windows[-1][1] > windows[0][1]
+
+
+def test_window_reaching_lane_ends(windows):
+    p = FluidParams(4.0, 2.0, 1.3)
+    # f in the first cell and g in the last: the window is the whole lane
+    st = init_state((bump(-4.2, 0.8), bump(4.3, 0.7)), Grid(n_cells=200), renormalize=True)
+    assert st.f[0] > 0.0 and st.g[-1] > 0.0
+    _run_against_two_array_oracle(st, p, 1e-5)
+    assert set(windows) == {(0, 200, 200)}
+    # both in the left end cells: the window grows rightwards from the lane's left end
+    windows.clear()
+    st = init_state((bump(-4.2, 0.8), bump(-3.9, 0.7)), Grid(n_cells=200), renormalize=True)
+    _run_against_two_array_oracle(st, p, 1e-5)
+    assert all(a == 0 and b < cells == 200 for a, b, cells in windows)
+    assert windows[-1][1] > windows[0][1]
+
+
+def test_advective_guard_reads_the_drift_outside_the_window(windows):
+    # weak coupling: the gradient terms stay below the drift |x|/3 at the domain
+    # ends, so the largest |velocity| is the pure drift at an end face, outside
+    # the window of the narrow bumps
+    p = FluidParams(0.1, 0.1, 0.1)
+    g = Grid(n_cells=200)
+    st = init_state((bump(0.2, 0.5), bump(-0.1, 0.5)), g, renormalize=True)
+    v = face_velocities(st, p)
+    dt = 0.04
+    number = dt * float(np.max(np.abs(v))) / g.h
+    cfg = SimConfig(grid=g, params=p, t_end=1.0, dt=dt, record_every=10)
+    with pytest.raises(CflViolationError) as caught:
+        run(cfg, st)
+    assert str(caught.value) == f"dt * max|velocity| / h = {number:.3g} > 1; reduce dt"
+    # a full-lane check fails before the first step, and so did this march
+    assert caught.value.report.final.step_count == 0
+    [(a, b, _)] = windows
+    assert 0 < a and b < 200
+    assert dt * float(np.max(np.abs(v[:, a:b - 1]))) / g.h <= 1.0 < number
+    with pytest.raises(CflViolationError, match=f"= {number:.3g} > 1;"):
+        step(st, cfg)
+
+
+def test_kernel_fits_a_new_window_for_every_start(windows):
+    # a narrow start, a start filling the lane, then the narrow start again, on
+    # one config's kernel: each run must match a run on a fresh config
+    p = FluidParams(4.0, 2.0, 1.3)
+    g = Grid(n_cells=200)
+    narrow = init_state((bump(0.5, 0.4), bump(-0.4, 0.5)), g, renormalize=True)
+    wide = init_state(_skewed_bumps(0.05), g, renormalize=True)
+    cfg = SimConfig(grid=g, params=p, t_end=0.005, dt=1e-5, record_every=100)
+    fitted, kernels = [], []
+    for st in (narrow, wide, narrow):
+        windows.clear()
+        rep = run(cfg, st)
+        fitted.append(list(windows))
+        kernels.append(cfg._kernels[200])
+        fresh = run(SimConfig(grid=g, params=p, t_end=0.005, dt=1e-5, record_every=100), st)
+        assert len(rep.states) == len(fresh.states) == 6
+        for a, b in zip(rep.states, fresh.states):
+            assert a.u.tobytes() == b.u.tobytes()
+    assert kernels[0] is kernels[1] is kernels[2]
+    assert fitted[0] == fitted[2] and fitted[0][0][1] - fitted[0][0][0] < 200
+    assert set(fitted[1]) == {(0, 200, 200)}
 
 
 def _drift_balanced(grid: Grid) -> SimState:
