@@ -494,7 +494,10 @@ class _Window:
 
 
 def _kernel(cfg: SimConfig, grid: Grid, cells: int) -> _Kernel:
-    """The config's kernel for lanes of 2 x ``cells`` cells on ``grid``, rebuilt when stale."""
+    """The config's kernel for lanes of 2 x ``cells`` cells on ``grid``, rebuilt when stale;
+    ValueError when ``grid``, the state's, is not the config's."""
+    if grid != cfg.grid:
+        raise ValueError(f"state grid {grid} differs from config grid {cfg.grid}")
     k = cfg._kernels.get(cells)
     if (k is None or k.grid is not grid or k.params is not cfg.params
             or k.dt != cfg.dt or k.thread != threading.get_ident()):

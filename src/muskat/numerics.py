@@ -71,7 +71,7 @@ class RootConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-# the tolerances of every threshold and profile root in this package
+# the default tolerances, used by every threshold and profile root in this package
 _ROOT_CFG = RootConfig(rel_tol=4e-16, abs_tol=1e-15, max_iter=200)
 
 
@@ -88,7 +88,7 @@ class NewtonConfig:
 
 
 def find_root_bracketed(f: Callable[[float], float], a: float, b: float,
-                        cfg: RootConfig = RootConfig()) -> float:
+                        cfg: RootConfig = _ROOT_CFG) -> float:
     """Root of ``f`` inside the sign-change bracket [a, b] (Brent's method).
 
     Raises NoBracketError when f(a) and f(b) have the same strict sign,

@@ -21,7 +21,9 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numerics import _ROOT_CFG, find_root_bracketed
+from .numerics import find_root_bracketed
+
+_BAND = 1e-13  # R_mu within this relative distance of a threshold counts as on it
 
 __all__ = [
     "FluidParams",
@@ -162,7 +164,7 @@ def _t_M(R: float, eta: float) -> float:
     if fa >= 0.0:
         # cannot happen for valid parameters (xi2(1+) = -2); defensive only
         raise RuntimeError("unexpected sign of xi2 at the left bracket end")
-    return find_root_bracketed(lambda t: xi2(t, R, eta), a, b, _ROOT_CFG)
+    return find_root_bracketed(lambda t: xi2(t, R, eta), a, b)
 
 
 def threshold_residual_large(r_M: float, R: float, eta: float) -> float:
@@ -205,10 +207,11 @@ def _thresholds(R: float, eta: float) -> RegimeThresholds:
 def classify_regime(p: FluidParams) -> Regime:
     """Even-profile case and continuum class for the given parameters.
 
-    Threshold equalities are classified to the closed-interval side: R_mu
-    equal to r_plus (resp. r_minus) falls in CASE3 (resp. CASE4) with a
-    degenerate inner contact point, and R_mu equal to r_M (resp. r_m) gives
-    connected endpoint profiles.
+    The continuum class alone decides which non-even states exist.  R_mu
+    within the relative band _BAND of r_m, r_minus, r_plus or r_M is on that
+    threshold, which belongs to the closed-interval side: only the even state
+    on r_minus and r_plus, connected endpoints on r_m and r_M.  The even case
+    compares exactly; R_mu equal to r_plus (r_minus) is CASE3 (CASE4).
     """
     th = thresholds(p)
     R_mu = p.R_mu
@@ -223,9 +226,9 @@ def classify_regime(p: FluidParams) -> Regime:
     else:
         even = EvenCase.CASE5
 
-    if th.r_minus <= R_mu <= th.r_plus:
+    if th.r_minus * (1.0 - _BAND) <= R_mu <= th.r_plus * (1.0 + _BAND):
         cont = ContinuumClass.UNIQUE_EVEN
-    elif R_mu <= th.r_m or R_mu >= th.r_M:
+    elif R_mu <= th.r_m * (1.0 + _BAND) or R_mu >= th.r_M * (1.0 - _BAND):
         cont = ContinuumClass.CONNECTED_ENDPOINTS
     else:
         cont = ContinuumClass.DISCONNECTED_ENDPOINTS

@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numerics import (
-    _ROOT_CFG,
     NewtonConfig,
     NumericsError,
     find_root_bracketed,
@@ -40,6 +39,7 @@ from .numerics import (
     newton_solve,
 )
 from .params import (
+    _BAND,
     ContinuumClass,
     EvenCase,
     FluidParams,
@@ -446,10 +446,10 @@ def solve_even_case3(p: FluidParams) -> tuple[float, float, float]:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     th = thresholds(p)
     rel = (Rmu - th.r_plus) / th.r_plus
-    if rel < -1e-13:
+    if rel < -_BAND:
         raise RegimeError(
             f"even profile with split G needs R_mu >= {th.r_plus:.6g}, got {Rmu:.6g}")
-    if rel <= 1e-13:
+    if rel <= _BAND:
         a = 0.0
         b = (4.5 * Rmu * e2**3 / (1.0 + e2) ** 2) ** (1.0 / 3.0)
         g = (4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
@@ -465,7 +465,7 @@ def solve_even_case3(p: FluidParams) -> tuple[float, float, float]:
             hi *= 2.0
             if hi > 1e250:
                 raise RuntimeError("failed to bracket the even-profile equation")
-        Y = find_root_bracketed(lambda y: _xi_even(y, A1, B1, A2, B2, q), y2, hi, _ROOT_CFG)
+        Y = find_root_bracketed(lambda y: _xi_even(y, A1, B1, A2, B2, q), y2, hi)
         a = Y ** (-1.0 / 3.0)
         b = (R * q * a**3 / ((1.0 + R) * s) + 4.5 * Rmu * e2 / s) ** (1.0 / 3.0)
         g = (-q * a**3 / (1.0 + R) + 4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
@@ -480,7 +480,7 @@ def solve_even_case3(p: FluidParams) -> tuple[float, float, float]:
 def solve_even_case4(p: FluidParams) -> tuple[float, float, float]:
     """Support radii of the even profile with F split, via the duality map."""
     th = thresholds(p)
-    if (p.R_mu - th.r_minus) / th.r_minus > 1e-13:
+    if (p.R_mu - th.r_minus) / th.r_minus > _BAND:
         raise RegimeError(
             f"even profile with split F needs R_mu <= {th.r_minus:.6g}, got {p.R_mu:.6g}")
     p1, lam = dual_params(p)
@@ -554,16 +554,14 @@ def connected_quadruple(p: FluidParams) -> tuple[float, float, float, float]:
     R, Rmu, eta = p.R, p.R_mu, p.eta
     e2 = eta**2
     th = thresholds(p)
-    rel = (Rmu - th.r_M) / th.r_M
-    if rel < -1e-12:
+    if not (Rmu > th.r0 and classify_regime(p).continuum is ContinuumClass.CONNECTED_ENDPOINTS):
         raise RegimeError(
             f"connected non-symmetric profile needs R_mu >= {th.r_M:.6g} "
             f"(or <= {th.r_m:.6g} on the dual side), got {Rmu:.6g}")
-    if rel <= 1e-12:
+    if (Rmu - th.r_M) / th.r_M <= _BAND:
         z = 0.0
     else:
-        z = find_root_bracketed(lambda zz: xi0(Rmu, zz, R, eta), 0.0, 1.0 - 1e-12,
-                                _ROOT_CFG)
+        z = find_root_bracketed(lambda zz: xi0(Rmu, zz, R, eta), 0.0, 1.0 - 1e-12)
     s, q = Rmu - R, Rmu - R - 1.0
     x = math.sqrt(s - q * z**2)
     y = -math.sqrt(((1.0 + R) * s - R * q * z**2) / Rmu)
@@ -583,21 +581,19 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    Rmu = p.R_mu
     th = thresholds(p)
-
-    if (Rmu - th.r_M) / th.r_M >= -1e-12:
+    if classify_regime(p).continuum is not ContinuumClass.CONNECTED_ENDPOINTS:
+        raise RegimeError(
+            "connected non-symmetric profiles exist only for "
+            f"R_mu >= {th.r_M:.6g} or R_mu <= {th.r_m:.6g}; got {p.R_mu:.6g}")
+    if p.R_mu > th.r0:
         b1, a, b, g = connected_quadruple(p)
         label = "connected-large"
-    elif (Rmu - th.r_m) / th.r_m <= 1e-12:
+    else:
         p1, lam = dual_params(p)
         b1, a, b, g = (lam * v for v in connected_quadruple(p1))
         _require_solved(residuals_d2(p, b1, a, b, g), p, "dual connected-profile")
         label = "connected-small"
-    else:
-        raise RegimeError(
-            "connected non-symmetric profiles exist only for "
-            f"R_mu >= {th.r_M:.6g} or R_mu <= {th.r_m:.6g}; got {Rmu:.6g}")
     # the sextuplet with its split support collapsed onto beta1
     pp = _finish_pair(*_zeta_pieces(p, (b1, b1, b1, a, b, g)), p, label)
     return reflect(pp) if side == "left" else pp
@@ -629,13 +625,13 @@ def boundary_zeta(p: FluidParams) -> tuple[float, ...]:
     R, Rmu, eta = p.R, p.R_mu, p.eta
     e2 = eta**2
     th = thresholds(p)
-    if not (Rmu > th.r_plus * (1.0 + 1e-13) and Rmu < th.r_M * (1.0 - 1e-13)):
+    if not (Rmu > th.r0 and classify_regime(p).continuum is ContinuumClass.DISCONNECTED_ENDPOINTS):
         raise RegimeError(
             f"alpha = 0 disconnected profile needs R_mu in ({th.r_plus:.6g}, "
             f"{th.r_M:.6g}), got {Rmu:.6g}")
     s, q = Rmu - R, Rmu - R - 1.0
     y0 = -math.sqrt((1.0 + R) * s / Rmu)
-    y = find_root_bracketed(lambda yy: xi3(Rmu, yy, R, eta), y0, -1.0, _ROOT_CFG)
+    y = find_root_bracketed(lambda yy: xi3(Rmu, yy, R, eta), y0, -1.0)
     t = math.sqrt(s)
     x = -math.sqrt(s / R) * math.sqrt((1.0 + R) - y**2)
     z = -math.sqrt((1.0 + R) * s / (R * q)) * math.sqrt(y**2 - 1.0)
@@ -662,13 +658,11 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     th = thresholds(p)
-    Rmu = p.R_mu
-    if not (th.r_plus * (1.0 + 1e-13) < Rmu < th.r_M * (1.0 - 1e-13)
-            or th.r_m * (1.0 + 1e-13) < Rmu < th.r_minus * (1.0 - 1e-13)):
+    if classify_regime(p).continuum is not ContinuumClass.DISCONNECTED_ENDPOINTS:
         raise RegimeError(
             "alpha = 0 endpoints exist only for R_mu in "
             f"({th.r_plus:.6g}, {th.r_M:.6g}) or ({th.r_m:.6g}, {th.r_minus:.6g}); "
-            f"got {Rmu:.6g}")
+            f"got {p.R_mu:.6g}")
     work, lam, dual = _work_frame(p)
     zeta_work = boundary_zeta(work)
     a_even, _, _ = solve_even_case3(work)
@@ -895,18 +889,18 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     if n_points < 5:
         raise ValueError("n_points must be at least 5")
     th = thresholds(p)
-    if th.r_minus <= p.R_mu <= th.r_plus:
+    cont = classify_regime(p).continuum
+    if cont is ContinuumClass.UNIQUE_EVEN:
         raise RegimeError(
             f"only the even steady state exists for R_mu in [{th.r_minus:.6g}, "
             f"{th.r_plus:.6g}]; got {p.R_mu:.6g}")
 
     work, lam, dual = _work_frame(p)
-    thw = thresholds(work)
 
     a_even, b_even, _ = solve_even_case3(work)
     u_even = np.array([a_even, b_even])
 
-    if (work.R_mu - thw.r_M) / thw.r_M >= -1e-12:
+    if cont is ContinuumClass.CONNECTED_ENDPOINTS:
         b1e, ae, be, ge = connected_quadruple(work)
         zeta_lo = (b1e, b1e, b1e, ae, be, ge)
         a1_lo, a1_hi = b1e, -ae
@@ -949,12 +943,10 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
 
 def curve_endpoint_kind(p: FluidParams) -> str:
     """'connected-support' or 'alpha-zero', per the continuum class."""
-    regime = classify_regime(p)
-    if regime.continuum is ContinuumClass.UNIQUE_EVEN:
+    cont = classify_regime(p).continuum
+    if cont is ContinuumClass.UNIQUE_EVEN:
         raise RegimeError("no curve endpoints in the unique-even regime")
-    return ("connected-support"
-            if regime.continuum is ContinuumClass.CONNECTED_ENDPOINTS
-            else "alpha-zero")
+    return "connected-support" if cont is ContinuumClass.CONNECTED_ENDPOINTS else "alpha-zero"
 
 
 # ----------------------------------------------------------------------

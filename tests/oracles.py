@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 
 from muskat.functionals import _GAUSS_W, _GAUSS_X
-from muskat.numerics import _ROOT_CFG, find_root_bracketed, max_abs
+from muskat.numerics import find_root_bracketed, max_abs
 from muskat.params import FluidParams, thresholds
 from muskat.profiles import (
     PiecewiseQuadratic,
@@ -52,7 +52,7 @@ def solve_even_case4_direct(p: FluidParams) -> tuple[float, float, float]:
     else:
         for i in range(len(grid) - 1):
             if vals[i] * vals[i + 1] <= 0.0:
-                a = find_root_bracketed(phi, grid[i], grid[i + 1], _ROOT_CFG)
+                a = find_root_bracketed(phi, grid[i], grid[i + 1])
                 break
     if a is None:
         raise RuntimeError("no admissible root in the direct split-F solve")

@@ -319,6 +319,45 @@ def test_verify_curve_regime(capsys):
     assert "curve-energy-unimodal" in out
 
 
+# R_mu within the 1e-13 relative band of a threshold counts as on it, in every command
+def test_verify_just_above_r_plus_is_unique_even(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--R", "1", "--R-mu", "5.00000000000025",
+                           "--eta", "1")
+    assert code == EXIT_OK
+    assert out.count("PASS") == 3 and "FAIL" not in out
+    assert '"continuum": "unique-even"' in out
+
+
+def test_curve_just_below_r_M_has_alpha_zero_endpoints(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "curve", "--R", "1", "--R-mu", "12.258047468784872",
+                           "--eta", "1", "-n", "11", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK and json.loads(out)["endpoint_kind"] == "alpha-zero"
+    first = (tmp_path / "curve_R1_Rmu12.258_eta1.csv").read_text().splitlines()[1]
+    g1, b1, a1, a = (float(v) for v in first.split(",")[1:5])
+    assert a == 0.0 and g1 < b1 < a1 < 0.0
+
+
+def test_curve_just_below_r_minus_names_the_callers_window(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "curve", "--R", "1", "--R-mu", "0.19999999999999002",
+                           "--eta", "1", "--out-dir", str(tmp_path))
+    assert code == EXIT_REGIME
+    assert "only the even steady state exists for R_mu in [0.2, 5]; got 0.2" in err
+
+
+@pytest.mark.parametrize("argv, exit_code, says", [
+    (["profile", "--kind", "connected"], EXIT_REGIME,
+     "connected non-symmetric profiles exist only for"),
+    (["curve", "-n", "11"], EXIT_OK, '"endpoint_kind": "alpha-zero"'),
+    (["verify"], EXIT_OK, "PASS  boundary-profile"),
+])
+def test_just_above_r_m_is_disconnected(tmp_path, capsys, argv, exit_code, says):
+    extra = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv, "--R", "0.5", "--R-mu", "0.003777706334895534",
+                             "--eta", "1.4", *extra)
+    assert code == exit_code
+    assert says in out + err and "FAIL" not in out
+
+
 def test_env_var_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MUSKAT_OUT_DIR", str(tmp_path / "envout"))
     code, _, _ = run_cli(capsys, "profile", "--R", "1", "--R-mu", "2", "--eta", "1",

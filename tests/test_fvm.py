@@ -210,6 +210,17 @@ def test_step_conserves_mass_exactly_stepwise():
     assert st.g.sum() == pytest.approx(m0g, rel=1e-13)
 
 
+def test_step_and_run_reject_a_state_on_another_grid():
+    st = init_state((bump(0.5, 1.5), bump(-0.4, 1.0)), Grid(n_cells=400), renormalize=True)
+    cfg = SimConfig(grid=Grid(n_cells=200), params=P11, t_end=1e-3, dt=1e-4)
+    with pytest.raises(ValueError, match="differs from config grid"):
+        step(st, cfg)
+    with pytest.raises(ValueError, match="differs from config grid"):
+        run(cfg, st)
+    # an equal grid built apart is the same grid
+    assert step(st, SimConfig(grid=Grid(n_cells=400), params=P11, t_end=1e-3)).t > 0.0
+
+
 def test_step_zero_state_fixed_point():
     g = Grid(n_cells=8)
     st = SimState(f=np.zeros(8), g=np.zeros(8), t=0.0, grid=g)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from muskat.numerics import newton_solve, NewtonConfig, max_abs
+from muskat import profiles
+from muskat.numerics import NewtonConfig, NumericsError, max_abs, newton_solve
 from muskat.params import ContinuumClass, FluidParams, classify_regime, dual_params, thresholds
 from muskat.profiles import (
     ContinuationStallError,
@@ -18,6 +19,7 @@ from muskat.profiles import (
     connected_profile,
     connected_quadruple,
     continue_curve,
+    curve_endpoint_kind,
     curve_energy_closed_form,
     dual_transform,
     even_profile,
@@ -728,6 +730,70 @@ def test_curve_regime_guard():
         continue_curve(FluidParams(1.0, 1.0, 1.0))
     with pytest.raises(RegimeError):
         continue_curve(FluidParams(1.0, 5.0, 1.0))
+
+
+def _outcome(fn):
+    """True when fn returns, False when it raises RegimeError."""
+    try:
+        fn()
+    except RegimeError:
+        return False
+    return True
+
+
+def test_constructions_exist_exactly_where_classify_regime_says():
+    # R_mu = r (1 + delta) around every threshold, inside, at and outside the band
+    deltas = (0.0, 5e-14, -5e-14, 5e-13, -5e-13, 5e-12, -5e-12, 1e-6, -1e-6)
+    for R, eta in ((1.0, 1.0), (2.0, 0.8), (0.5, 1.4)):
+        th = thresholds(FluidParams(R, 1.0, eta))
+        for r in (th.r_m, th.r_minus, th.r_plus, th.r_M):
+            for d in deltas:
+                p = FluidParams(R, r * (1.0 + d), eta)
+                cont = classify_regime(p).continuum
+                even_profile(p)
+                assert _outcome(lambda: continue_curve(p, 5)) is (
+                    cont is not ContinuumClass.UNIQUE_EVEN), (p, cont)
+                assert _outcome(lambda: connected_profile(p)) is (
+                    cont is ContinuumClass.CONNECTED_ENDPOINTS), (p, cont)
+                assert _outcome(lambda: boundary_disconnected_profile(p)) is (
+                    cont is ContinuumClass.DISCONNECTED_ENDPOINTS), (p, cont)
+                if cont is ContinuumClass.UNIQUE_EVEN:
+                    continue
+                # connected endpoints repeat one end of the sextuplet three times
+                connected = curve_endpoint_kind(p) == "connected-support"
+                curve = continue_curve(p, 5)
+                for z in (curve[0].zeta, curve[-1].zeta):
+                    assert bool(z[0] == z[1] == z[2] or z[3] == z[4] == z[5]) is connected, (p, z)
+
+
+def test_curve_recovers_from_one_newton_failure(monkeypatch):
+    p = FluidParams(1.0, 10.0, 1.0)
+    ref = continue_curve(p, 11)
+    calls = []
+
+    def flaky(*args):
+        # the first solve, next to the even state, fails once; the continuation
+        # then halves its step, solves the midpoint and clamps the step to the target
+        calls.append(None)
+        if len(calls) == 1:
+            raise NumericsError("injected failure")
+        return newton_solve(*args)
+
+    monkeypatch.setattr(profiles, "newton_solve", flaky)
+    curve = continue_curve(p, 11)
+    assert len(calls) >= 10  # the failed solve and the midpoint on top of 8 interior solves
+    assert [cp.ell for cp in curve] == pytest.approx([cp.ell for cp in ref], abs=1e-10)
+    for cp, rp in zip(curve, ref):
+        assert max_abs(np.subtract(cp.zeta, rp.zeta)) < 1e-10
+
+
+def test_curve_stalls_when_newton_always_fails(monkeypatch):
+    def broken(*args):
+        raise NumericsError("injected failure")
+
+    monkeypatch.setattr(profiles, "newton_solve", broken)
+    with pytest.raises(ContinuationStallError, match="stalled near alpha1"):
+        continue_curve(FluidParams(1.0, 10.0, 1.0), 11)
 
 
 def test_curve_reflection_symmetry_interior():
