@@ -94,20 +94,26 @@ def _fields_report(F, G, p: FluidParams) -> FunctionalReport:
 
 
 def _state_report(state, p: FluidParams) -> FunctionalReport:
-    f, g = state.f, state.g
-    if np.min(f) < -1e-12 or np.min(g) < -1e-12:
+    """Report of a grid state, each sum a pairwise sum over one row of a
+    (7, n) array of products: f², fg, g², the two moment integrands and
+    the entropy density of f and of g."""
+    u, grid = state.u, state.grid
+    f, g = u
+    lo_f, lo_g = np.minimum.reduce(u, axis=1)
+    if lo_f < -1e-12 or lo_g < -1e-12:
         raise NegativeInputError("fields must be non-negative")
-    h = state.grid.h
-    x = state.grid.centers
-    theta = p.theta
-    hf = np.where(f > 1e-300, f * np.log(np.where(f > 1e-300, f, 1.0)), 0.0)
-    hg = np.where(g > 1e-300, g * np.log(np.where(g > 1e-300, g, 1.0)), 0.0)
-    return _report(p, h * float(np.sum(f * f)), h * float(np.sum(f * g)),
-                   h * float(np.sum(g * g)),
-                   m1=h * float(np.sum((f + theta * g) * x)),
-                   m2=h * float(np.sum((f + theta * g) * x**2)),
-                   entropy=h * float(np.sum(hf) + theta * np.sum(hg)),
-                   dissipation=dissipation(state, p))
+    h, x, theta = grid.h, grid.centers, p.theta
+    q = np.empty((7, u.shape[1]))
+    np.multiply(f, u, q[:2])
+    np.multiply(g, g, q[2])
+    w = f + theta * g
+    np.multiply(w, x, q[3])
+    np.multiply(w, x**2, q[4])
+    pos = u > 1e-300
+    q[5:] = np.where(pos, u * np.log(np.where(pos, u, 1.0)), 0.0)
+    s_ff, s_fg, s_gg, s_m1, s_m2, s_hf, s_hg = np.add.reduce(q, axis=1).tolist()
+    return _report(p, h * s_ff, h * s_fg, h * s_gg, m1=h * s_m1, m2=h * s_m2,
+                   entropy=h * (s_hf + theta * s_hg), dissipation=dissipation(state, p))
 
 
 def evaluate(obj, p: FluidParams) -> FunctionalReport:
@@ -131,26 +137,27 @@ def dissipation(state, p: FluidParams) -> float:
     Cell-centered derivatives use central differences in the interior and
     one-sided differences in the first and last cell.
     """
-    f, g = state.f, state.g
-    n = f.size
+    u = state.u
+    n = u.shape[1]
     if n < 3:
         raise ValueError("dissipation needs at least 3 cells")
     h = state.grid.h
     x = state.grid.centers
     e2 = p.eta**2
     R, Rmu = p.R, p.R_mu
-
-    def cell_derivative(u):
-        d = np.empty_like(u)
-        d[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-        d[0] = (u[1] - u[0]) / h
-        d[-1] = (u[-1] - u[-2]) / h
-        return d
-
-    df, dg = cell_derivative(f), cell_derivative(g)
-    vf = e2 * (1.0 + R) * df + R * dg + x / 3.0
-    vg = e2 * Rmu * df + Rmu * dg + x / 3.0
-    return 0.5 * h * float(np.sum(f * vf**2) + p.theta * np.sum(g * vg**2))
+    d = np.empty_like(u)
+    d[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * h)
+    d[:, 0] = (u[:, 1] - u[:, 0]) / h
+    d[:, -1] = (u[:, -1] - u[:, -2]) / h
+    df, dg = d
+    # rows: the velocities of f and g, then u times their squares
+    v = np.array([[e2 * (1.0 + R)], [e2 * Rmu]]) * df
+    v += np.array([[R], [Rmu]]) * dg
+    v += x / 3.0
+    np.square(v, v)
+    v *= u
+    s_f, s_g = np.add.reduce(v, axis=1).tolist()
+    return 0.5 * h * (s_f + p.theta * s_g)
 
 
 def curve_reports(curve: list[CurvePoint], tol: float = 1e-9) -> list[FunctionalReport]:

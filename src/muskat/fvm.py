@@ -16,16 +16,16 @@ private kernel, built once per (grid, params, dt, lane size) and thread and
 kept on the SimConfig, holds the coefficients, the drift and every scratch
 array.  It marches a whole record interval in one call, in chunks of up to
 16 steps: each step writes its velocities and its new state into the next
-row of two preallocated chunk buffers, so it makes eleven numpy calls and
-allocates only its donor-cell values.  Those calls cost mostly dispatch,
-which a Python-float operand or a reduce raises, so every operand is an
-array of the call's own shape (the kernel keeps constant lanes of h, dt/h
-and zeros), except in the one coefficient product that broadcasts the
-gradients over both velocity rows.  The two guards are checked once per
-chunk, by reductions over all its rows; when one fails, the chunk's steps
-are checked one by one, so the error, its message and the step that raises
-it are those of a check after every step.  ``step`` is a march of one step,
-copied into a fresh array.
+row of two preallocated chunk buffers, and picks its donor cells into a
+preallocated buffer, so it makes twelve numpy calls and allocates nothing.
+Those calls cost mostly dispatch, which a Python-float operand or a reduce
+raises, so every operand is an array of the call's own shape (the kernel
+keeps constant lanes of h, dt/h and zeros), except in the one coefficient
+product that broadcasts the gradients over both velocity rows.  The two
+guards are checked once per chunk, by reductions over all its rows; when
+one fails, the chunk's steps are checked one by one, so the error, its
+message and the step that raises it are those of a check after every step.
+``step`` is a march of one step, copied into a fresh array.
 
 The data have compact support, and a donor-cell flux carries no mass past a
 zero cell in one step: a cell turns nonzero only next to a nonzero one.  In
@@ -93,6 +93,8 @@ _SUPPORT_REL_THRESHOLD = 1e-9
 _CHUNK = 16
 # the march's window edges are multiples of this many columns
 _QUANTUM = 8
+# the step's ufuncs, looked up once
+_divide, _greater, _multiply, _subtract = np.divide, np.greater, np.multiply, np.subtract
 
 
 class CflViolationError(Exception):
@@ -361,8 +363,8 @@ class _Kernel:
         lane would, with the same message.
         """
         dt, h, lane = self.dt, self.h, self.lane
-        greater, where, multiply, subtract = np.greater, np.where, np.multiply, np.subtract
-        count_nonzero = np.count_nonzero
+        greater, multiply, subtract = _greater, _multiply, _subtract
+        copyto, putmask, count_nonzero = np.copyto, np.putmask, np.count_nonzero
         lane[...] = start
         w = self._fit(lane)
         last = 0
@@ -378,14 +380,18 @@ class _Kernel:
                             w = self._fit(lane)
                             break
                 states, vrows, velocities, dt_h = w.states, w.velocity_rows, w.velocities, w.dt_h
-                zeros, mask, dflux, dflux_rows = w.zeros, w.mask, w.dflux, w.dflux_rows
+                zeros, mask, donor, dflux = w.zeros, w.mask, w.donor, w.dflux
+                dflux_rows = w.dflux_rows
                 flux_head, flux_tail, flux_interior = w.flux_head, w.flux_tail, w.flux_interior
                 last = min(steps, _CHUNK)
                 for u, lo, hi, new, v, v_head in w.rows[:last]:
                     velocities(lo, hi, v)
-                    # donor-cell fluxes at the interior flat faces
+                    # donor-cell fluxes at the interior flat faces: the left
+                    # cell where the velocity is positive, else the right one
                     greater(v_head, zeros, mask)
-                    multiply(where(mask, lo, hi), v_head, flux_interior)
+                    copyto(donor, hi)
+                    putmask(donor, mask, lo)
+                    multiply(donor, v_head, flux_interior)
                     subtract(flux_tail, flux_head, dflux)
                     multiply(dflux, dt_h, dflux)
                     subtract(u, dflux_rows, new)
@@ -437,24 +443,24 @@ class _Window:
     end: a nonzero cell there may spread out of the window in the next chunk.
     """
 
-    __slots__ = ("a", "b", "h", "coef", "drift", "terms", "term_f", "term_g", "du",
-                 "du_head", "du_cols", "states", "velocity_rows", "rows", "dt_h", "zeros",
-                 "mask", "flux_head", "flux_tail", "flux_interior", "dflux", "dflux_rows",
-                 "outside", "bands")
+    __slots__ = ("a", "b", "operands", "states", "velocity_rows", "rows", "dt_h", "zeros",
+                 "mask", "donor", "flux_head", "flux_tail", "flux_interior", "dflux",
+                 "dflux_rows", "outside", "bands")
 
     def __init__(self, k: _Kernel, a: int, b: int):
         m, n, c = b - a, k.cells, _CHUNK
         self.a, self.b = a, b
-        self.h, self.dt_h, self.zeros = k.h_lane[:2 * m], k.dt_h_lane[:2 * m], k.zeros[:2 * m - 1]
-        self.coef = np.zeros((2, 2, m))
-        self.coef[:, :, :-1] = k.coef
-        self.drift = np.zeros((2, m))
-        self.drift[:, :-1] = k.grid.face_drift[a:b - 1]
+        self.dt_h, self.zeros = k.dt_h_lane[:2 * m], k.zeros[:2 * m - 1]
+        coef = np.zeros((2, 2, m))
+        coef[:, :, :-1] = k.coef
+        drift = np.zeros((2, m))
+        drift[:, :-1] = k.grid.face_drift[a:b - 1]
         # the gradient terms of f and g: v = (drift - term_f) - term_g
-        self.terms = np.empty((2, 2, m))
-        self.term_f, self.term_g = self.terms
-        self.du = np.zeros(2 * m)  # gradients at the flat faces; the last entry stays 0
-        self.du_head, self.du_cols = self.du[:-1], self.du.reshape(2, 1, m)
+        terms = np.empty((2, 2, m))
+        du = np.zeros(2 * m)  # gradients at the flat faces; the last entry stays 0
+        # in the order of their first use in ``velocities``
+        self.operands = (du[:-1], du, k.h_lane[:2 * m], coef, du.reshape(2, 1, m), terms,
+                         drift, *terms)
         self.states = k.states.reshape(-1)[:(_CHUNK + 1) * 2 * m].reshape(_CHUNK + 1, 2, m)
         self.velocity_rows = k.velocity_rows.reshape(-1)[:_CHUNK * 2 * m].reshape(_CHUNK, 2, m)
         # per step j: state j, its flat left and right cells, state j + 1,
@@ -463,6 +469,7 @@ class _Window:
         self.rows = [(self.states[j], flat[j, :-1], flat[j, 1:], self.states[j + 1], v,
                       v.reshape(-1)[:-1]) for j, v in enumerate(self.velocity_rows)]
         self.mask = np.empty(2 * m - 1, dtype=bool)
+        self.donor = np.empty(2 * m - 1)
         flux = np.zeros(2 * m + 1)
         self.flux_head, self.flux_tail, self.flux_interior = flux[:-1], flux[1:], flux[1:-1]
         self.dflux = np.empty(2 * m)
@@ -483,14 +490,16 @@ class _Window:
 
     def velocities(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Velocities (2, m) at the flat faces between cells ``lo`` and ``hi``, into ``out``."""
-        # a step's eleven calls cost mostly dispatch, so outputs go by position
-        # (the out keyword costs about 0.1 us a call) and every operand but the
-        # broadcast gradients is an array of the call's own shape
-        np.subtract(hi, lo, self.du_head)
-        np.divide(self.du, self.h, self.du)
-        np.multiply(self.coef, self.du_cols, self.terms)
-        np.subtract(self.drift, self.term_f, out)
-        return np.subtract(out, self.term_g, out)
+        # a step's twelve calls cost mostly dispatch, so outputs go by position
+        # (the out keyword costs about 0.1 us a call), every operand but the
+        # broadcast gradients is an array of the call's own shape, and the
+        # nine operands come in one attribute load
+        du_head, du, h, coef, du_cols, terms, drift, term_f, term_g = self.operands
+        _subtract(hi, lo, du_head)
+        _divide(du, h, du)
+        _multiply(coef, du_cols, terms)
+        _subtract(drift, term_f, out)
+        return _subtract(out, term_g, out)
 
 
 def _kernel(cfg: SimConfig, grid: Grid, cells: int) -> _Kernel:
@@ -531,11 +540,12 @@ def support_components(u: np.ndarray) -> int:
 
 def l2_distance(state: SimState, reference: ProfilePair) -> float:
     """L2 distance of cell averages to the exact averages of a profile."""
-    d = np.empty_like(state.u)
-    np.subtract(state.u[0], cell_averages(reference.F, state.grid), d[0])
-    np.subtract(state.u[1], cell_averages(reference.G, state.grid), d[1])
-    np.square(d, d)
-    return math.sqrt(state.grid.h * float(np.add.reduce(np.add(d[0], d[1], d[0]))))
+    (f, g), grid = state.u, state.grid
+    df = np.subtract(f, cell_averages(reference.F, grid))
+    dg = np.subtract(g, cell_averages(reference.G, grid))
+    np.square(df, df)
+    np.square(dg, dg)
+    return math.sqrt(grid.h * float(np.add.reduce(np.add(df, dg, df))))
 
 
 def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
@@ -562,7 +572,8 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
 
     def record(s: SimState):
         rep = evaluate(s, p)
-        rows.append((s.t, h * float(np.sum(s.f)), h * float(np.sum(s.g)), rep.m1, rep.m2,
+        mass_f, mass_g = np.add.reduce(s.u, axis=1).tolist()
+        rows.append((s.t, h * mass_f, h * mass_g, rep.m1, rep.m2,
                      rep.energy, rep.rescaled_energy, rep.entropy, rep.dissipation,
                      support_components(s.f), support_components(s.g),
                      math.nan if cfg.reference is None else l2_distance(s, cfg.reference)))

@@ -5,11 +5,13 @@ from typing import Sequence
 
 import numpy as np
 
-from muskat.functionals import _GAUSS_W, _GAUSS_X
+from muskat.functionals import _GAUSS_W, _GAUSS_X, FunctionalReport, NegativeInputError, _report
+from muskat.fvm import cell_averages
 from muskat.numerics import find_root_bracketed, max_abs
 from muskat.params import FluidParams, thresholds
 from muskat.profiles import (
     PiecewiseQuadratic,
+    ProfilePair,
     RegimeError,
     _system_tol,
     residuals_R1,
@@ -134,3 +136,52 @@ def curve_jacobian_det(p: FluidParams, zeta: Sequence[float]) -> float:
     g1, b1, a1, a, b, g = zeta
     return (72.0 * (Rmu - R - 1.0) * (Rmu - R) ** 2 * a * b * b1 * g * g1
             * ((b - b1) * (g - a) + R * (g - g1) * (b - a)))
+
+
+def state_report_by_field(state, p: FluidParams) -> FunctionalReport:
+    """Functional report of a grid state, one field at a time (the per-field
+    form of ``functionals._state_report``)."""
+    f, g = state.f, state.g
+    if np.min(f) < -1e-12 or np.min(g) < -1e-12:
+        raise NegativeInputError("fields must be non-negative")
+    h = state.grid.h
+    x = state.grid.centers
+    theta = p.theta
+    hf = np.where(f > 1e-300, f * np.log(np.where(f > 1e-300, f, 1.0)), 0.0)
+    hg = np.where(g > 1e-300, g * np.log(np.where(g > 1e-300, g, 1.0)), 0.0)
+    return _report(p, h * float(np.sum(f * f)), h * float(np.sum(f * g)),
+                   h * float(np.sum(g * g)),
+                   m1=h * float(np.sum((f + theta * g) * x)),
+                   m2=h * float(np.sum((f + theta * g) * x**2)),
+                   entropy=h * float(np.sum(hf) + theta * np.sum(hg)),
+                   dissipation=dissipation_by_field(state, p))
+
+
+def dissipation_by_field(state, p: FluidParams) -> float:
+    """Discrete entropy dissipation, one field at a time (the per-field form
+    of ``functionals.dissipation``)."""
+    f, g = state.f, state.g
+    h = state.grid.h
+    x = state.grid.centers
+    e2 = p.eta**2
+    R, Rmu = p.R, p.R_mu
+
+    def cell_derivative(u):
+        d = np.empty_like(u)
+        d[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+        d[0] = (u[1] - u[0]) / h
+        d[-1] = (u[-1] - u[-2]) / h
+        return d
+
+    df, dg = cell_derivative(f), cell_derivative(g)
+    vf = e2 * (1.0 + R) * df + R * dg + x / 3.0
+    vg = e2 * Rmu * df + Rmu * dg + x / 3.0
+    return 0.5 * h * float(np.sum(f * vf**2) + p.theta * np.sum(g * vg**2))
+
+
+def l2_distance_by_field(state, reference: ProfilePair) -> float:
+    """L2 distance of a grid state to a profile's cell averages, summed as
+    (f - F)² + (g - G)² per cell (the form of ``fvm.l2_distance``)."""
+    fr = cell_averages(reference.F, state.grid)
+    gr = cell_averages(reference.G, state.grid)
+    return math.sqrt(state.grid.h * float(np.sum((state.f - fr) ** 2 + (state.g - gr) ** 2)))

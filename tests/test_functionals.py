@@ -1,5 +1,6 @@
 """Energy / moment / entropy functionals and the curve energy profile."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from muskat.functionals import (
     energy_along_curve,
     evaluate,
 )
-from muskat.fvm import Grid, SimState, init_state
+from muskat.fvm import Grid, SimState, init_state, l2_distance
 from muskat.params import FluidParams
 from muskat.profiles import (
     PiecewiseQuadratic,
@@ -21,7 +22,12 @@ from muskat.profiles import (
     continue_curve,
     even_profile,
 )
-from oracles import entropy_piecewise_by_loop
+from oracles import (
+    dissipation_by_field,
+    entropy_piecewise_by_loop,
+    l2_distance_by_field,
+    state_report_by_field,
+)
 
 
 def test_indicator_pair_hand_values():
@@ -161,3 +167,32 @@ def test_entropy_one_array_bitwise_equals_per_piece_loop():
         loop = [entropy_piecewise_by_loop(pp.F), entropy_piecewise_by_loop(pp.G)]
         assert np.array(whole).tobytes() == np.array(loop).tobytes()
     assert _entropy_piecewise(PiecewiseQuadratic(())) == [0.0]
+
+
+def _bump(center: float, halfwidth: float, background: float = 0.0):
+    c, a = center, halfwidth
+    return lambda x: background + np.maximum(0.0, 1.0 - ((np.asarray(x) - c) / a) ** 2)
+
+
+@pytest.mark.parametrize("n", [3, 200, 401, 20000])
+@pytest.mark.parametrize("kind", ["skewed", "mirror-even", "background", "g-zero"])
+def test_grid_state_report_and_distance_bitwise_equal_per_field_forms(n, kind):
+    g = Grid(n_cells=n)
+    if kind == "skewed":
+        st = init_state((_bump(0.7, 2.0), _bump(-0.4, 1.6)), g, renormalize=True)
+    elif kind == "mirror-even":
+        st = init_state((_bump(0.0, 2.0), _bump(0.0, 1.2)), g, renormalize=True)
+    elif kind == "background":
+        # every cell nonzero, the last f cell and the first g cell included
+        st = init_state((_bump(0.7, 2.0, 1e-3), _bump(-0.4, 1.6, 1e-3)), g, renormalize=True)
+    else:
+        f = init_state((_bump(0.3, 1.7), _bump(0.3, 1.7)), g, renormalize=True).f
+        st = SimState(f=f, g=np.zeros(n), t=0.0, grid=g)
+    for p in (FluidParams(1.0, 0.05, 1.0), FluidParams(4.0, 2.0, 0.7)):
+        rep, expect = evaluate(st, p), state_report_by_field(st, p)
+        for name, value in dataclasses.asdict(rep).items():
+            assert np.float64(value).tobytes() == np.float64(getattr(expect, name)).tobytes(), name
+        assert dissipation(st, p) == dissipation_by_field(st, p)
+    for p in (FluidParams(4.0, 2.0, 1.0), FluidParams(1.0, 0.1, 1.0)):
+        ref = even_profile(p)
+        assert l2_distance(st, ref) == l2_distance_by_field(st, ref)
