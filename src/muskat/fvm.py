@@ -4,28 +4,28 @@ Both equations are advection laws with velocities built from the pressure
 gradients; the fluxes take the donor cell according to the face velocity
 sign, and the boundary fluxes vanish, so both discrete masses are conserved
 by telescoping.  The time step is forward Euler, and a march raises if a
-step's dt·max|velocity|/h exceeds 1 or its new state has a negative cell.
-Both fields live in one (2, n) array, so every array operation of a step
-runs once for the pair.
+step's dt·max|velocity|/h exceeds 1 or its new state has a negative cell,
+and also when either is NaN.  Both fields live in one (2, n) array, so
+every array operation of a step runs once for the pair.
 
 The scheme reads that array as one flat lane of 2n cells, f then g, with
 flat face k between flat cells k and k + 1.  The seam face between the last
 f cell and the first g cell has zero drift and zero velocity coefficients, so
 its velocity and flux are exactly zero, as at the two ends of the lane.  A
 private kernel, built once per (grid, params, dt, lane size) and thread and
-kept on the SimConfig, holds the coefficients, the drift and every scratch
-array.  It marches a whole record interval in one call, in chunks of up to
-16 steps: each step writes its velocities and its new state into the next
-row of two preallocated chunk buffers, and picks its donor cells into a
-preallocated buffer, so it makes twelve numpy calls and allocates nothing.
-Those calls cost mostly dispatch, which a Python-float operand or a reduce
-raises, so every operand is an array of the call's own shape (the kernel
-keeps constant lanes of h, dt/h and zeros), except in the one coefficient
-product that broadcasts the gradients over both velocity rows.  The two
-guards are checked once per chunk, by reductions over all its rows; when
-one fails, the chunk's steps are checked one by one, so the error, its
-message and the step that raises it are those of a check after every step.
-``step`` is a march of one step, copied into a fresh array.
+kept on the SimConfig, holds the coefficients and the drift.  It marches a
+whole record interval in one call, in chunks of up to 16 steps: each step
+writes its velocities and its new state into the next row of two chunk
+buffers, and picks its donor cells into a scratch buffer, so it makes
+twelve numpy calls and allocates nothing.  Those calls cost mostly
+dispatch, which a Python-float operand or a reduce raises, so every operand
+is an array of the call's own shape (constant lanes of h, dt/h and zeros),
+except in the one coefficient product that broadcasts the gradients over
+both velocity rows.  The two guards are checked once per chunk, by
+reductions over all its rows; a chunk that fails is marched again from its
+start one step per chunk, so the same check raises at its first failing
+step, with the message of a check after every step.  ``step`` is a march of
+one step, copied into a fresh array.
 
 The data have compact support, and a donor-cell flux carries no mass past a
 zero cell in one step: a cell turns nonzero only next to a nonzero one.  In
@@ -34,15 +34,16 @@ on each side, and a march steps only a window of columns [a, b), the same in
 both rows: the occupied columns widened by one chunk on each side, rounded
 outwards to a multiple of 8 and clipped to the lane.  The window is read as
 a flat lane of its own, f then g, whose seam and ends carry zero flux; it
-uses contiguous prefixes of the kernel's full-lane buffers.  Outside it every
-cell is zero for the whole chunk, so every face there carries a zero flux and
-no cell changes.  After each chunk, mass in the window's outer 16 columns on
-a side that is not a lane end widens the window before the next chunk, and
-each march fits its window afresh to its start.  At a face outside the
-window both cells are zero, so the gradient terms are exactly zero and the
-velocity is the pure drift -x/3: the advective guard takes the largest
-|drift| of those faces with the window's own velocities, and reads, as the
-positivity guard does, what a guard over the whole lane would.
+owns the chunk buffers, the constant lanes and the step's scratch.  Outside
+it every cell is zero for the whole chunk, so every face there carries a
+zero flux and no cell changes.  After each chunk, mass in the window's
+outer 16 columns on a side that is not a lane end widens the window before
+the next chunk, and each march fits its window afresh to its start.  At a
+face outside the window both cells are zero, so the gradient terms are
+exactly zero and the velocity is the pure drift -x/3: the advective guard
+takes the largest |drift| of those faces with the window's own velocities,
+and reads, as the positivity guard does, what a guard over the whole lane
+would.
 
 Mirror-even data on a grid symmetric about 0 stays mirror-even to the last
 bit, and the centre face then carries only a zero flux.  For such data with
@@ -284,7 +285,7 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
         else:
             row[:] = _gauss_cell_averages(comp, grid)
     for name, row in zip("fg", u):
-        # NaN passes both comparisons below, and no step guard catches it
+        # NaN passes both comparisons below
         if not np.isfinite(row).all():
             raise ValueError(f"initial {name} is not finite")
         if float(np.sum(row)) * grid.h <= 0.0:
@@ -303,40 +304,27 @@ def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:
 
 
 class _Kernel:
-    """Constants and scratch of the upwind march on a lane of 2 x ``cells`` cells.
+    """Constants of the upwind march on a lane of 2 x ``cells`` cells.
 
     The lane is a (2, cells) array whose faces are the first ``cells - 1``
     interior faces of the grid in each row; its two ends carry no flux.  A
-    march steps only a window of columns, the same in both rows (``_fit``),
-    through a ``_Window`` of prefix views of the kernel's full-lane buffers.
-
-    Step j of a chunk reads row j of the window's ``states`` and writes its
-    velocities into row j of its ``velocity_rows`` and its new state into
-    row j + 1 of its ``states``.
+    march steps only a window of columns, the same in both rows, through the
+    ``_Window`` that ``_fit`` builds and keeps until the columns change.
     """
 
-    __slots__ = ("grid", "params", "dt", "thread", "cells", "h", "h_lane", "dt_h_lane",
-                 "zeros", "coef", "drift_abs", "lane", "states", "velocity_rows", "window")
+    __slots__ = ("grid", "params", "dt", "thread", "cells", "h", "coef", "drift_abs", "lane",
+                 "window")
 
     def __init__(self, grid: Grid, p: FluidParams, dt: float, cells: int):
-        n = cells
-        self.grid, self.params, self.dt, self.cells = grid, p, dt, n
+        self.grid, self.params, self.dt, self.cells = grid, p, dt, cells
         self.thread = threading.get_ident()
         self.h = grid.h
-        # constant operands of the step's ufuncs, as arrays of each call's shape
-        self.h_lane = np.full(2 * n, self.h)
-        self.dt_h_lane = np.full(2 * n, dt / self.h)
-        self.zeros = np.zeros(2 * n - 1)
-        for lane in (self.h_lane, self.dt_h_lane, self.zeros):
-            lane.flags.writeable = False
         e2 = p.eta**2
         # coef[c, r]: coefficient of the gradient of field c in the velocity of field r
         self.coef = np.array([[[(1.0 + p.R) * e2], [e2 * p.R_mu]], [[p.R], [p.R_mu]]])
-        self.drift_abs = np.absolute(grid.face_drift[:n - 1])
-        self.lane = np.empty((2, n))
-        self.states = np.empty((_CHUNK + 1, 2, n))
-        self.velocity_rows = np.empty((_CHUNK, 2, n))
-        self.window = _Window(self, 0, n)
+        self.drift_abs = np.absolute(grid.face_drift[:cells - 1])
+        self.lane = np.empty((2, cells))
+        self.window = None
 
     def _fit(self, lane: np.ndarray) -> "_Window":
         """The window of ``lane`` for the next chunk, with ``lane``'s cells in its state row 0.
@@ -349,7 +337,7 @@ class _Kernel:
         a = max(0, (lo - _CHUNK) // _QUANTUM * _QUANTUM)
         b = min(self.cells, -((-hi - _CHUNK) // _QUANTUM) * _QUANTUM)
         w = self.window
-        if w.a != a or w.b != b:
+        if w is None or w.a != a or w.b != b:
             w = self.window = _Window(self, a, b)
         w.states[0] = lane[:, a:b]
         return w
@@ -358,16 +346,16 @@ class _Kernel:
         """Take ``steps`` steps from the (2, cells) array ``start`` at time ``t``.
 
         ``start`` is left as it was.  Returns the last state, the kernel's
-        own lane that the next march overwrites, and its time.  A guard
-        that fails raises at the step where a step-by-step check of the whole
-        lane would, with the same message.
+        own lane that the next march overwrites, and its time.  Both guards
+        are checked once per chunk; a chunk that fails is marched again one
+        step per chunk, so the check raises at its first failing step.
         """
         dt, h, lane = self.dt, self.h, self.lane
         greater, multiply, subtract = _greater, _multiply, _subtract
         copyto, putmask, count_nonzero = np.copyto, np.putmask, np.count_nonzero
         lane[...] = start
         w = self._fit(lane)
-        last = 0
+        chunk, last = _CHUNK, 0
         # steps computed past a failing one may overflow; they are discarded
         with np.errstate(all="ignore"):
             while steps:
@@ -383,7 +371,7 @@ class _Kernel:
                 zeros, mask, donor, dflux = w.zeros, w.mask, w.donor, w.dflux
                 dflux_rows = w.dflux_rows
                 flux_head, flux_tail, flux_interior = w.flux_head, w.flux_tail, w.flux_interior
-                last = min(steps, _CHUNK)
+                last = min(steps, chunk)
                 for u, lo, hi, new, v, v_head in w.rows[:last]:
                     velocities(lo, hi, v)
                     # donor-cell fluxes at the interior flat faces: the left
@@ -395,45 +383,39 @@ class _Kernel:
                     subtract(flux_tail, flux_head, dflux)
                     multiply(dflux, dt_h, dflux)
                     subtract(u, dflux_rows, new)
-                # written to catch NaN too: it fails every comparison
-                vmax = max(float(np.maximum.reduce(vrows[:last], None)),
-                           -float(np.minimum.reduce(vrows[:last], None)), w.outside)
-                if not (dt * vmax / h <= 1.0
-                        and np.minimum.reduce(states[1:last + 1], None) >= 0.0):
-                    self._raise_first_failure(w, last, t)
+                # the guards, written so that NaN fails both comparisons
+                cfl = dt * max(float(np.maximum.reduce(vrows[:last], None)),
+                               -float(np.minimum.reduce(vrows[:last], None)), w.outside) / h
+                low = np.minimum.reduce(states[1:last + 1], None)
+                if not (cfl <= 1.0 and low >= 0.0):
+                    if last > 1:
+                        chunk, last = 1, 0  # march the chunk again from its state row 0
+                        continue
+                    if not cfl <= 1.0:
+                        raise CflViolationError(
+                            f"dt * max|velocity| / h = {cfl:.3g} > 1; reduce dt" if cfl > 1.0
+                            else f"NaN velocity in step at t = {t:.6g}; the state is not finite")
+                    raise NegativeCellError(f"{'negative' if low < 0.0 else 'NaN'} cell after "
+                                            f"step at t = {t:.6g}; reduce dt")
                 for _ in range(last):
                     t += dt
                 steps -= last
         lane[:, w.a:w.b] = w.states[last]
         return lane, t
 
-    def _raise_first_failure(self, w: "_Window", last: int, t: float) -> None:
-        """Check the chunk's steps one by one, in step order, and raise at the first failure.
-
-        A chunk failed only by NaN passes, as each of its steps passes both checks.
-        """
-        dt, h = self.dt, self.h
-        for j in range(last):
-            vmax = max(float(np.maximum.reduce(np.absolute(w.velocity_rows[j]), None)),
-                       w.outside)
-            if dt * vmax / h > 1.0:
-                raise CflViolationError(
-                    f"dt * max|velocity| / h = {dt * vmax / h:.3g} > 1; reduce dt")
-            if np.minimum.reduce(w.states[j + 1], None) < 0.0:
-                raise NegativeCellError(f"negative cell after step at t = {t:.6g}; reduce dt")
-            t += dt
-
 
 class _Window:
-    """The step's operands on the columns [a, b) of a kernel's lane.
+    """The step's operands and scratch on the columns [a, b) of a kernel's lane.
 
     Both rows of the window are read flat as a lane of 2 x m cells, m = b - a,
     f then g, with flat face k between flat cells k and k + 1.  Velocities
     are (2, m): column m - 1 holds the seam face in row f and the window's
     right end in row g, both with zero drift and coefficients.  The flux
     array behind the ``flux_*`` views has one entry per flat face plus the
-    two ends of the window, which stay zero.  The chunk buffers and constant
-    lanes are contiguous prefixes of the kernel's full-lane ones.
+    two ends of the window, which stay zero.  Step j of a chunk reads row j
+    of ``states`` and writes its velocities into row j of ``velocity_rows``
+    and its new state into row j + 1 of ``states``; ``h_lane``, ``dt_h``
+    and ``zeros`` are read-only constant lanes of h, dt/h and 0.
 
     A lane face outside the window joins two zero cells, so its gradient
     terms are exactly zero and its velocity is the pure drift; ``outside``
@@ -443,14 +425,17 @@ class _Window:
     end: a nonzero cell there may spread out of the window in the next chunk.
     """
 
-    __slots__ = ("a", "b", "operands", "states", "velocity_rows", "rows", "dt_h", "zeros",
-                 "mask", "donor", "flux_head", "flux_tail", "flux_interior", "dflux",
+    __slots__ = ("a", "b", "operands", "states", "velocity_rows", "rows", "h_lane", "dt_h",
+                 "zeros", "mask", "donor", "flux_head", "flux_tail", "flux_interior", "dflux",
                  "dflux_rows", "outside", "bands")
 
     def __init__(self, k: _Kernel, a: int, b: int):
         m, n, c = b - a, k.cells, _CHUNK
         self.a, self.b = a, b
-        self.dt_h, self.zeros = k.dt_h_lane[:2 * m], k.zeros[:2 * m - 1]
+        self.h_lane, self.dt_h = np.full(2 * m, k.h), np.full(2 * m, k.dt / k.h)
+        self.zeros = np.zeros(2 * m - 1)
+        for lane in (self.h_lane, self.dt_h, self.zeros):
+            lane.flags.writeable = False
         coef = np.zeros((2, 2, m))
         coef[:, :, :-1] = k.coef
         drift = np.zeros((2, m))
@@ -459,13 +444,12 @@ class _Window:
         terms = np.empty((2, 2, m))
         du = np.zeros(2 * m)  # gradients at the flat faces; the last entry stays 0
         # in the order of their first use in ``velocities``
-        self.operands = (du[:-1], du, k.h_lane[:2 * m], coef, du.reshape(2, 1, m), terms,
-                         drift, *terms)
-        self.states = k.states.reshape(-1)[:(_CHUNK + 1) * 2 * m].reshape(_CHUNK + 1, 2, m)
-        self.velocity_rows = k.velocity_rows.reshape(-1)[:_CHUNK * 2 * m].reshape(_CHUNK, 2, m)
+        self.operands = (du[:-1], du, self.h_lane, coef, du.reshape(2, 1, m), terms, drift, *terms)
+        self.states = np.empty((c + 1, 2, m))
+        self.velocity_rows = np.empty((c, 2, m))
         # per step j: state j, its flat left and right cells, state j + 1,
         # velocities j and their interior flat faces
-        flat = self.states.reshape(_CHUNK + 1, -1)
+        flat = self.states.reshape(c + 1, -1)
         self.rows = [(self.states[j], flat[j, :-1], flat[j, 1:], self.states[j + 1], v,
                       v.reshape(-1)[:-1]) for j, v in enumerate(self.velocity_rows)]
         self.mask = np.empty(2 * m - 1, dtype=bool)
@@ -517,9 +501,9 @@ def _kernel(cfg: SimConfig, grid: Grid, cells: int) -> _Kernel:
 
 def face_velocities(state: SimState, p: FluidParams) -> np.ndarray:
     """Velocities (A, B) of f and g at the interior faces, shape (2, n_cells - 1)."""
-    uf = state.u.reshape(-1)
-    k = _Kernel(state.grid, p, 1.0, state.grid.n_cells)  # dt does not enter the velocities
-    return k.window.velocities(uf[:-1], uf[1:], np.empty_like(state.u))[:, :-1]
+    uf, n = state.u.reshape(-1), state.grid.n_cells
+    w = _Window(_Kernel(state.grid, p, 1.0, n), 0, n)  # dt does not enter the velocities
+    return w.velocities(uf[:-1], uf[1:], np.empty_like(state.u))[:, :-1]
 
 
 def step(state: SimState, cfg: SimConfig) -> SimState:

@@ -75,16 +75,16 @@ class RootConfig:
 _ROOT_CFG = RootConfig(rel_tol=4e-16, abs_tol=1e-15, max_iter=200)
 
 
+# Newton's line search scales the step by _DAMPING until the residual
+# decreases, and gives up below _MIN_STEP
+_DAMPING = 0.5
+_MIN_STEP = 1e-12
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-12
     max_iter: int = 50
-    damping: float = 0.5
-    min_step: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError("damping must lie in (0, 1)")
 
 
 def find_root_bracketed(f: Callable[[float], float], a: float, b: float,
@@ -193,8 +193,8 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
             norm_new = max_abs(F_new)
             if math.isfinite(norm_new) and norm_new < norm:
                 break
-            t *= cfg.damping
-            if t < cfg.min_step:
+            t *= _DAMPING
+            if t < _MIN_STEP:
                 raise StepTooSmallError(
                     f"line search stalled at step {t:.3e} with residual {norm:.3e}")
         x, Fx, norm = x_new, F_new, norm_new

@@ -376,6 +376,24 @@ def test_guards_on_readme_rupture_config(dt, error, message, at_step):
     assert st.step_count == at_step
 
 
+@pytest.mark.parametrize("march", [run, step])
+def test_nan_cell_stops_the_march_at_step_0(march):
+    # the faces of a NaN cell get NaN velocities, which fail the advective
+    # guard; run's first chunk of 16 steps fails, and its first step raises
+    g = Grid(n_cells=100)
+    st = init_state((bump(0.0, 2.0), bump(0.3, 1.3)), g, renormalize=True)
+    st.u[1, 60] = math.nan
+    cfg = SimConfig(grid=g, params=FluidParams(1.0, 2.0, 1.0), t_end=0.01, dt=1e-5)
+    with pytest.raises(CflViolationError, match=r"^NaN velocity in step at t = 0;") as caught:
+        march(st, cfg) if march is step else march(cfg, st)
+    assert "nan" not in str(caught.value)
+    if march is run:
+        rep = caught.value.report
+        assert len(rep.states) == len(rep.times) == 1 and rep.times[0] == 0.0
+        assert rep.final.step_count == 0
+        assert np.array_equal(rep.final.u, st.u, equal_nan=True)
+
+
 # ----------------------------------------------------------------------
 # trajectories
 # ----------------------------------------------------------------------
@@ -583,9 +601,9 @@ def test_kernel_reused_after_failed_march_steps_like_a_fresh_one():
     with pytest.raises(CflViolationError, match=r"= 33\.2 > 1;"):
         step(start, cfg)
     half, full = cfg._kernels[200], cfg._kernels[400]
-    assert not np.isfinite(half.states).all()
-    for k in (half, full):
-        for lane in (k.h_lane, k.dt_h_lane, k.zeros):
+    assert not np.isfinite(half.window.states).all()
+    for w in (half.window, full.window):
+        for lane in (w.h_lane, w.dt_h, w.zeros):
             assert not lane.flags.writeable
 
     # the same config marches another start on the same kernels; at dt = 0.5
@@ -625,7 +643,8 @@ def test_run_records_share_no_memory(start, lane):
     assert len(rep.states) == 6
     for i, s in enumerate(rep.states):
         assert not np.shares_memory(s.u, st.u)
-        assert not np.shares_memory(s.u, k.states)
+        assert not np.shares_memory(s.u, k.window.states)
+        assert not np.shares_memory(s.u, k.lane)
         for earlier in rep.states[:i]:
             assert not np.shares_memory(s.u, earlier.u)
 

@@ -191,5 +191,3 @@ def test_newton_max_iter():
 def test_config_validation():
     with pytest.raises(ValueError):
         RootConfig(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(damping=1.5)
