@@ -17,12 +17,10 @@ from .params import (
     ContinuumClass,
     EvenCase,
     FluidParams,
-    PhysicalFluids,
     Regime,
     RegimeThresholds,
     classify_regime,
     dual_params,
-    from_physical,
     thresholds,
 )
 from .profiles import (

@@ -2,6 +2,8 @@
 
 The two-layer system is governed by three dimensionless numbers: a density
 ratio ``R``, a viscosity-weighted ratio ``R_mu``, and a mass ratio ``eta``.
+With the denser fluid (subscript minus) beneath, R = rho+/(rho- - rho+),
+R_mu = R mu-/mu+, and eta^2 is the mass ratio f0/g0 of the two layers.
 Once (R, eta) are fixed, five critical values of R_mu partition parameter
 space into regimes with qualitatively different steady states:
 
@@ -27,17 +29,14 @@ _BAND = 1e-13  # R_mu within this relative distance of a threshold counts as on 
 
 __all__ = [
     "FluidParams",
-    "PhysicalFluids",
     "RegimeThresholds",
     "EvenCase",
     "ContinuumClass",
     "Regime",
-    "from_physical",
     "thresholds",
     "classify_regime",
     "dual_params",
     "xi2",
-    "threshold_residual_large",
     "threshold_residual_small",
     "require_number",
 ]
@@ -77,30 +76,6 @@ class FluidParams:
 
 
 @dataclass(frozen=True)
-class PhysicalFluids:
-    """Dimensional description: densities, viscosities and layer masses.
-
-    The denser fluid (subscript minus) sits below the lighter one.
-    """
-
-    rho_minus: float
-    rho_plus: float
-    mu_minus: float
-    mu_plus: float
-    f0_mass: float
-    g0_mass: float
-
-    def __post_init__(self):
-        _require_positive(self, ("rho_minus", "rho_plus", "mu_minus", "mu_plus",
-                                 "f0_mass", "g0_mass"))
-        if self.rho_minus <= self.rho_plus:
-            raise ValueError(
-                "model requires the denser fluid beneath: rho_minus > rho_plus "
-                f"(got {self.rho_minus} <= {self.rho_plus})"
-            )
-
-
-@dataclass(frozen=True)
 class RegimeThresholds:
     """The five critical viscosity ratios for fixed (R, eta)."""
 
@@ -136,14 +111,6 @@ class Regime:
     continuum: ContinuumClass
 
 
-def from_physical(phys: PhysicalFluids) -> FluidParams:
-    """Reduce a dimensional fluid configuration to (R, R_mu, eta)."""
-    R = phys.rho_plus / (phys.rho_minus - phys.rho_plus)
-    mu = phys.mu_minus / phys.mu_plus
-    eta = math.sqrt(phys.f0_mass / phys.g0_mass)
-    return FluidParams(R=R, R_mu=mu * R, eta=eta)
-
-
 def xi2(t: float, R: float, eta: float) -> float:
     """Scalar function whose unique zero on (1, oo) locates r_M - R."""
     return math.sqrt(t) * (eta**2 - math.sqrt((1.0 + R) / (t + R))) - 1.0 - eta**2
@@ -165,11 +132,6 @@ def _t_M(R: float, eta: float) -> float:
         # cannot happen for valid parameters (xi2(1+) = -2); defensive only
         raise RuntimeError("unexpected sign of xi2 at the left bracket end")
     return find_root_bracketed(lambda t: xi2(t, R, eta), a, b)
-
-
-def threshold_residual_large(r_M: float, R: float, eta: float) -> float:
-    """Residual of r_M in its defining equation."""
-    return math.sqrt(r_M - R) * (eta**2 - math.sqrt((1.0 + R) / r_M)) - 1.0 - eta**2
 
 
 def threshold_residual_small(r_m: float, R: float, eta: float) -> float:
@@ -197,7 +159,7 @@ def _thresholds(R: float, eta: float) -> RegimeThresholds:
     r_M = R + _t_M(R, eta)
     eta1 = math.sqrt(R / (1.0 + R)) / eta
     r_m = R * (1.0 + R) / (R + _t_M(R, eta1))
-    res_M = threshold_residual_large(r_M, R, eta)
+    res_M = xi2(r_M - R, R, eta)
     res_m = threshold_residual_small(r_m, R, eta)
     if abs(res_M) > 1e-10 or abs(res_m) > 1e-10:
         raise RuntimeError(f"threshold residuals too large: {res_M:.3e}, {res_m:.3e}")

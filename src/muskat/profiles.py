@@ -43,6 +43,7 @@ from .params import (
     ContinuumClass,
     EvenCase,
     FluidParams,
+    Regime,
     classify_regime,
     dual_params,
     thresholds,
@@ -440,37 +441,47 @@ def solve_even_case3(p: FluidParams) -> tuple[float, float, float]:
     """Support radii (alpha, beta, gamma) of the even profile with G split.
 
     Exists for R_mu >= r_plus.  At the threshold alpha = 0 with closed-form
-    beta, gamma; above it, alpha solves a single scalar equation in
-    Y = alpha^(-3) with a guaranteed sign-change bracket.
+    beta, gamma; above it, the radii of ``_split_G_radii``.
     """
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    Rmu, e2 = p.R_mu, p.eta**2
     th = thresholds(p)
     rel = (Rmu - th.r_plus) / th.r_plus
     if rel < -_BAND:
         raise RegimeError(
             f"even profile with split G needs R_mu >= {th.r_plus:.6g}, got {Rmu:.6g}")
-    if rel <= _BAND:
-        a = 0.0
-        b = (4.5 * Rmu * e2**3 / (1.0 + e2) ** 2) ** (1.0 / 3.0)
-        g = (4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
-    else:
-        s, q = Rmu - R, Rmu - R - 1.0
-        A1 = 4.5 * Rmu * (1.0 + e2)
-        B1 = q / (1.0 + R)
-        A2 = 4.5 * Rmu * e2 * math.sqrt(s)
-        B2 = R * q * math.sqrt(s) / (1.0 + R)
-        y2 = 2.0 / (9.0 * e2 * (1.0 + R))
-        hi = max(2.0 * y2, y2 + 1.0)
-        while _xi_even(hi, A1, B1, A2, B2, q) >= 0.0:
-            hi *= 2.0
-            if hi > 1e250:
-                raise RuntimeError("failed to bracket the even-profile equation")
-        Y = find_root_bracketed(lambda y: _xi_even(y, A1, B1, A2, B2, q), y2, hi)
-        a = Y ** (-1.0 / 3.0)
-        b = (R * q * a**3 / ((1.0 + R) * s) + 4.5 * Rmu * e2 / s) ** (1.0 / 3.0)
-        g = (-q * a**3 / (1.0 + R) + 4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
-        if not a**3 < 4.5 * (1.0 + R) * e2:
-            raise RuntimeError("inner radius bound violated")
+    if rel > _BAND:
+        return _split_G_radii(p)
+    b = (4.5 * Rmu * e2**3 / (1.0 + e2) ** 2) ** (1.0 / 3.0)
+    g = (4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
+    return _checked_case3(p, 0.0, b, g)
+
+
+def _split_G_radii(p: FluidParams) -> tuple[float, float, float]:
+    """Split-G even radii with alpha > 0, for R_mu > r_plus (the caller's check):
+    alpha solves a single scalar equation in Y = alpha^(-3) with a guaranteed
+    sign-change bracket."""
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    s, q = Rmu - R, Rmu - R - 1.0
+    A1 = 4.5 * Rmu * (1.0 + e2)
+    B1 = q / (1.0 + R)
+    A2 = 4.5 * Rmu * e2 * math.sqrt(s)
+    B2 = R * q * math.sqrt(s) / (1.0 + R)
+    y2 = 2.0 / (9.0 * e2 * (1.0 + R))
+    hi = max(2.0 * y2, y2 + 1.0)
+    while _xi_even(hi, A1, B1, A2, B2, q) >= 0.0:
+        hi *= 2.0
+        if hi > 1e250:
+            raise RuntimeError("failed to bracket the even-profile equation")
+    Y = find_root_bracketed(lambda y: _xi_even(y, A1, B1, A2, B2, q), y2, hi)
+    a = Y ** (-1.0 / 3.0)
+    b = (R * q * a**3 / ((1.0 + R) * s) + 4.5 * Rmu * e2 / s) ** (1.0 / 3.0)
+    g = (-q * a**3 / (1.0 + R) + 4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
+    if not a**3 < 4.5 * (1.0 + R) * e2:
+        raise RuntimeError("inner radius bound violated")
+    return _checked_case3(p, a, b, g)
+
+
+def _checked_case3(p: FluidParams, a: float, b: float, g: float) -> tuple[float, float, float]:
     if not (0.0 <= a < b < g):
         raise RuntimeError(f"radii out of order: {a}, {b}, {g}")
     _require_solved(residuals_eq41_43(p, a, b, g), p, "even case-3 system")
@@ -550,14 +561,13 @@ def xi0(R_mu: float, z, R: float, eta: float):
 
 
 def connected_quadruple(p: FluidParams) -> tuple[float, float, float, float]:
-    """(beta1, alpha, beta, gamma) for the connected profile, R_mu >= r_M."""
+    """(beta1, alpha, beta, gamma) for the connected profile.
+
+    The caller has checked R_mu >= r_M (band included), in p or in its dual.
+    """
     R, Rmu, eta = p.R, p.R_mu, p.eta
     e2 = eta**2
     th = thresholds(p)
-    if not (Rmu > th.r0 and classify_regime(p).continuum is ContinuumClass.CONNECTED_ENDPOINTS):
-        raise RegimeError(
-            f"connected non-symmetric profile needs R_mu >= {th.r_M:.6g} "
-            f"(or <= {th.r_m:.6g} on the dual side), got {Rmu:.6g}")
     if (Rmu - th.r_M) / th.r_M <= _BAND:
         z = 0.0
     else:
@@ -581,19 +591,17 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    th = thresholds(p)
-    if classify_regime(p).continuum is not ContinuumClass.CONNECTED_ENDPOINTS:
+    regime = classify_regime(p)
+    if regime.continuum is not ContinuumClass.CONNECTED_ENDPOINTS:
+        th = thresholds(p)
         raise RegimeError(
             "connected non-symmetric profiles exist only for "
             f"R_mu >= {th.r_M:.6g} or R_mu <= {th.r_m:.6g}; got {p.R_mu:.6g}")
-    if p.R_mu > th.r0:
-        b1, a, b, g = connected_quadruple(p)
-        label = "connected-large"
-    else:
-        p1, lam = dual_params(p)
-        b1, a, b, g = (lam * v for v in connected_quadruple(p1))
+    work, lam, dual = _work_frame(p, regime)
+    b1, a, b, g = (lam * v for v in connected_quadruple(work))
+    if dual:
         _require_solved(residuals_d2(p, b1, a, b, g), p, "dual connected-profile")
-        label = "connected-small"
+    label = "connected-small" if dual else "connected-large"
     # the sextuplet with its split support collapsed onto beta1
     pp = _finish_pair(*_zeta_pieces(p, (b1, b1, b1, a, b, g)), p, label)
     return reflect(pp) if side == "left" else pp
@@ -619,16 +627,11 @@ def xi3(R_mu: float, y, R: float, eta: float):
 def boundary_zeta(p: FluidParams) -> tuple[float, ...]:
     """Sextuplet with alpha = 0 solving the five-equation system directly.
 
-    Requires r_plus < R_mu < r_M; outside that window the equation has no
-    admissible root.
+    The caller has checked r_plus < R_mu < r_M (bands excluded), in p or in
+    its dual; outside that window the equation has no admissible root.
     """
     R, Rmu, eta = p.R, p.R_mu, p.eta
     e2 = eta**2
-    th = thresholds(p)
-    if not (Rmu > th.r0 and classify_regime(p).continuum is ContinuumClass.DISCONNECTED_ENDPOINTS):
-        raise RegimeError(
-            f"alpha = 0 disconnected profile needs R_mu in ({th.r_plus:.6g}, "
-            f"{th.r_M:.6g}), got {Rmu:.6g}")
     s, q = Rmu - R, Rmu - R - 1.0
     y0 = -math.sqrt((1.0 + R) * s / Rmu)
     y = find_root_bracketed(lambda yy: xi3(Rmu, yy, R, eta), y0, -1.0)
@@ -657,15 +660,16 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    th = thresholds(p)
-    if classify_regime(p).continuum is not ContinuumClass.DISCONNECTED_ENDPOINTS:
+    regime = classify_regime(p)
+    if regime.continuum is not ContinuumClass.DISCONNECTED_ENDPOINTS:
+        th = thresholds(p)
         raise RegimeError(
             "alpha = 0 endpoints exist only for R_mu in "
             f"({th.r_plus:.6g}, {th.r_M:.6g}) or ({th.r_m:.6g}, {th.r_minus:.6g}); "
             f"got {p.R_mu:.6g}")
-    work, lam, dual = _work_frame(p)
+    work, lam, dual = _work_frame(p, regime)
     zeta_work = boundary_zeta(work)
-    a_even, _, _ = solve_even_case3(work)
+    a_even, _, _ = _split_G_radii(work)
     if side == "left":
         # other end of the curve: the reflected state
         zeta_work = _reflect_zeta(zeta_work)
@@ -678,13 +682,13 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
 
 
 def _zeta_pieces(p: FluidParams, zeta: Sequence[float]) -> tuple[list, list]:
-    """Pieces of F and G for g1 <= b1 <= a1 <= 0 <= a <= b <= g: G split for
-    R_mu > R + 1, else F split (R_mu < R); zero-width pieces are dropped later."""
+    """Pieces of F and G for g1 <= b1 <= a1 <= 0 <= a <= b <= g: G split where
+    ``_sextuplet_system`` is R1, else F split; zero-width pieces are dropped later."""
     g1, b1, a1, a, b, g = zeta
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     kF = (Rmu - R) / (6.0 * Rmu * e2)  # negative when F is split
     kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-    if Rmu > R + 1.0:
+    if _sextuplet_system(p) is residuals_R1:
         c0m = (R * g1**2 + (Rmu - R) * b1**2) / (6.0 * (1.0 + R) * Rmu * e2)
         Fp = [(b1, a1, kF * b1**2, -kF),
               (a1, a, c0m, -1.0 / (6.0 * (1.0 + R) * e2)),
@@ -773,10 +777,11 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
 # ----------------------------------------------------------------------
 
 
-def _work_frame(p: FluidParams) -> tuple[FluidParams, float, bool]:
-    """(work, lam, dual): the curve is traced in p above r_plus, else in the
-    dual parameters, whose states map back through the dilation lam."""
-    if p.R_mu > thresholds(p).r_plus:
+def _work_frame(p: FluidParams, regime: Regime) -> tuple[FluidParams, float, bool]:
+    """(work, lam, dual): non-even states of p are built in p when its even
+    profile has G split (CASE3), else in the dual parameters, whose states
+    map back through the dilation lam."""
+    if regime.even_case is EvenCase.CASE3:
         return p, 1.0, False
     return (*dual_params(p), True)
 
@@ -888,16 +893,17 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     """
     if n_points < 5:
         raise ValueError("n_points must be at least 5")
-    th = thresholds(p)
-    cont = classify_regime(p).continuum
+    regime = classify_regime(p)
+    cont = regime.continuum
     if cont is ContinuumClass.UNIQUE_EVEN:
+        th = thresholds(p)
         raise RegimeError(
             f"only the even steady state exists for R_mu in [{th.r_minus:.6g}, "
             f"{th.r_plus:.6g}]; got {p.R_mu:.6g}")
 
-    work, lam, dual = _work_frame(p)
+    work, lam, dual = _work_frame(p, regime)
 
-    a_even, b_even, _ = solve_even_case3(work)
+    a_even, b_even, _ = _split_G_radii(work)
     u_even = np.array([a_even, b_even])
 
     if cont is ContinuumClass.CONNECTED_ENDPOINTS:
@@ -965,9 +971,10 @@ def _fifth_power_energy(p: FluidParams, zeta: Sequence[float]) -> float:
 
 def curve_energy_closed_form(p: FluidParams, zeta: Sequence[float]) -> float:
     """Rescaled energy of a curve state from fifth powers of the sextuplet."""
-    if p.R_mu > p.R + 1.0:
+    system = _sextuplet_system(p)
+    if system is residuals_R1:
         return _fifth_power_energy(p, zeta)
-    if p.R_mu < p.R:
+    if system is residuals_R2:
         p1, lam = dual_params(p)
         zeta_d = tuple(-z / lam for z in reversed(tuple(zeta)))
         return _fifth_power_energy(p1, zeta_d) / lam

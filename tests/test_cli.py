@@ -358,6 +358,20 @@ def test_just_above_r_m_is_disconnected(tmp_path, capsys, argv, exit_code, says)
     assert says in out + err and "FAIL" not in out
 
 
+# just outside the r_m band, where the dual triple lies inside the r_M band: each
+# construction follows the caller's regime, not the dual's
+@pytest.mark.parametrize("argv, says", [
+    (["curve", "-n", "11"], '"endpoint_kind": "alpha-zero"'),
+    (["verify"], "PASS  boundary-profile"),
+])
+def test_just_outside_the_r_m_band_is_disconnected(tmp_path, capsys, argv, says):
+    extra = [] if argv[0] == "verify" else ["--out-dir", str(tmp_path)]
+    code, out, _ = run_cli(capsys, *argv, "--R", "1", "--R-mu", "0.05798649200835198",
+                           "--eta", "1", *extra)
+    assert code == EXIT_OK
+    assert says in out and "FAIL" not in out
+
+
 def test_env_var_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MUSKAT_OUT_DIR", str(tmp_path / "envout"))
     code, _, _ = run_cli(capsys, "profile", "--R", "1", "--R-mu", "2", "--eta", "1",

@@ -80,7 +80,7 @@ def test_brent_bitwise_equals_scipy_brentq(monkeypatch):
         solve_even_case3(FluidParams(R, over * r_plus, eta))
 
     sites = [f.__qualname__.split(".")[0] for (f, *_), _ in solves]
-    assert sites.count("solve_even_case3") == 3 and sites.count("_t_M") >= 3
+    assert sites.count("_split_G_radii") == 3 and sites.count("_t_M") >= 3
     for (f, a, b, xtol, rtol, max_iter), (x, converged) in solves:
         y, res = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=max_iter,
                                  full_output=True, disp=False)

@@ -9,59 +9,20 @@ from muskat.params import (
     ContinuumClass,
     EvenCase,
     FluidParams,
-    PhysicalFluids,
     classify_regime,
     dual_params,
-    from_physical,
-    threshold_residual_large,
     threshold_residual_small,
     thresholds,
+    xi2,
 )
 
 
-def test_from_physical_identity_ratios():
-    phys = PhysicalFluids(rho_minus=2.0, rho_plus=1.0, mu_minus=1.0, mu_plus=1.0,
-                          f0_mass=1.0, g0_mass=1.0)
-    p = from_physical(phys)
-    assert (p.R, p.R_mu, p.eta) == (1.0, 1.0, 1.0)
-
-
-def test_from_physical_water_oil():
-    # water under rapeseed oil: the physically relevant small-R_mu regime
-    phys = PhysicalFluids(rho_minus=1.0, rho_plus=0.92, mu_minus=1.0, mu_plus=67.84,
-                          f0_mass=1.0, g0_mass=1.0)
-    p = from_physical(phys)
-    assert p.R == pytest.approx(11.5, rel=1e-12)
-    assert p.R_mu == pytest.approx(11.5 / 67.84, rel=1e-12)
+def test_water_under_rapeseed_oil_is_below_r_minus():
+    # rho- = 1, rho+ = 0.92, mu+/mu- = 67.84, equal masses: the physically
+    # relevant small-R_mu regime
+    p = FluidParams(11.5, 11.5 / 67.84, 1.0)
     assert p.R_mu == pytest.approx(0.16951, rel=1e-4)
-    th = thresholds(p)
-    assert p.R_mu < th.r_minus  # the small-viscosity-ratio inequality holds
-
-
-def test_from_physical_hand_values():
-    phys = PhysicalFluids(rho_minus=3.0, rho_plus=1.0, mu_minus=2.0, mu_plus=1.0,
-                          f0_mass=4.0, g0_mass=1.0)
-    p = from_physical(phys)
-    assert (p.R, p.R_mu, p.eta) == (0.5, 1.0, 2.0)
-
-
-def test_from_physical_rejects_wrong_stratification():
-    with pytest.raises(ValueError):
-        PhysicalFluids(rho_minus=1.0, rho_plus=1.5, mu_minus=1.0, mu_plus=1.0,
-                       f0_mass=1.0, g0_mass=1.0)
-
-
-@pytest.mark.parametrize("bad, message", [
-    ({"rho_minus": True}, "rho_minus must be a finite real, got True"),
-    ({"mu_plus": "1"}, "mu_plus must be a finite real, got '1'"),
-    ({"f0_mass": math.inf}, "f0_mass must be a finite real"),
-    ({"g0_mass": 0.0}, "g0_mass must be positive, got 0.0"),
-])
-def test_physical_fluids_validation(bad, message):
-    good = {"rho_minus": 2.0, "rho_plus": 1.0, "mu_minus": 1.0, "mu_plus": 1.0,
-            "f0_mass": 1.0, "g0_mass": 1.0}
-    with pytest.raises(ValueError, match=message):
-        PhysicalFluids(**{**good, **bad})
+    assert p.R_mu < thresholds(p).r_minus
 
 
 def test_fluid_params_validation():
@@ -77,6 +38,17 @@ def test_fluid_params_validation():
     assert FluidParams(np.int64(1), np.float64(2.0), 1).theta == pytest.approx(0.5)
     p = FluidParams(1.0, 2.0, 1.0)
     assert p.theta == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"R": True}, "R must be a finite real, got True"),
+    ({"R_mu": "1"}, "R_mu must be a finite real, got '1'"),
+    ({"eta": math.inf}, "eta must be a finite real"),
+    ({"R": 0.0}, "R must be positive, got 0.0"),
+])
+def test_fluid_params_validation_messages(bad, message):
+    with pytest.raises(ValueError, match=message):
+        FluidParams(**{"R": 1.0, "R_mu": 2.0, "eta": 1.0, **bad})
 
 
 def test_thresholds_reference_point():
@@ -106,7 +78,7 @@ def test_thresholds_memoised_per_R_eta(monkeypatch):
 def test_threshold_defining_residuals():
     p = FluidParams(1.0, 1.0, 1.0)
     th = thresholds(p)
-    assert abs(threshold_residual_large(th.r_M, p.R, p.eta)) < 1e-10
+    assert abs(xi2(th.r_M - p.R, p.R, p.eta)) < 1e-10
     assert abs(threshold_residual_small(th.r_m, p.R, p.eta)) < 1e-10
 
 
@@ -116,7 +88,7 @@ def test_threshold_ordering_random():
         R, eta = rng.uniform(0.1, 10.0, size=2)
         th = thresholds(FluidParams(R, 1.0, eta))
         assert th.r_m < th.r_minus < th.r0 < th.r_plus < th.r_M
-        assert abs(threshold_residual_large(th.r_M, R, eta)) < 1e-10
+        assert abs(xi2(th.r_M - R, R, eta)) < 1e-10
         assert abs(threshold_residual_small(th.r_m, R, eta)) < 1e-10
 
 

@@ -41,6 +41,7 @@ from muskat.profiles import (
     xi3,
     _system_tol,
     _R1_reduced_funcs,
+    _work_frame,
 )
 from oracles import (
     _R1_newton_funcs,
@@ -742,13 +743,16 @@ def _outcome(fn):
 
 
 def test_constructions_exist_exactly_where_classify_regime_says():
-    # R_mu = r (1 + delta) around every threshold, inside, at and outside the band
+    # R_mu = r (1 + delta) around every threshold, inside, at and outside the band,
+    # and within 8 ulps of either band edge r (1 +- 1e-13)
     deltas = (0.0, 5e-14, -5e-14, 5e-13, -5e-13, 5e-12, -5e-12, 1e-6, -1e-6)
     for R, eta in ((1.0, 1.0), (2.0, 0.8), (0.5, 1.4)):
         th = thresholds(FluidParams(R, 1.0, eta))
         for r in (th.r_m, th.r_minus, th.r_plus, th.r_M):
-            for d in deltas:
-                p = FluidParams(R, r * (1.0 + d), eta)
+            band = np.array([r * (1.0 + 1e-13), r * (1.0 - 1e-13)])
+            edges = (band.view(np.int64)[:, None] + np.arange(-8, 9)).view(np.float64)
+            for R_mu in [r * (1.0 + d) for d in deltas] + edges.ravel().tolist():
+                p = FluidParams(R, R_mu, eta)
                 cont = classify_regime(p).continuum
                 even_profile(p)
                 assert _outcome(lambda: continue_curve(p, 5)) is (
@@ -764,6 +768,27 @@ def test_constructions_exist_exactly_where_classify_regime_says():
                 curve = continue_curve(p, 5)
                 for z in (curve[0].zeta, curve[-1].zeta):
                     assert bool(z[0] == z[1] == z[2] or z[3] == z[4] == z[5]) is connected, (p, z)
+
+
+def test_constructions_follow_the_callers_regime_at_the_r_m_band_edge():
+    # just outside the r_m band the dual triple lies just inside the r_M band;
+    # each construction must decide by p's own regime, not by the dual's
+    p = FluidParams(1.0, 0.05798649200835198, 1.0)
+    assert classify_regime(p).continuum is ContinuumClass.DISCONNECTED_ENDPOINTS
+    boundary_disconnected_profile(p)
+    assert curve_endpoint_kind(p) == "alpha-zero"
+    assert len(continue_curve(p, 5)) == 5
+    with pytest.raises(RegimeError):
+        connected_profile(p)
+
+
+def test_work_frame_is_p_for_split_G_and_the_dual_otherwise():
+    for R_mu in (10.0, 40.0):
+        p = FluidParams(1.0, R_mu, 1.0)
+        assert _work_frame(p, classify_regime(p)) == (p, 1.0, False)
+    for R_mu in (0.1, 0.03, 0.05798649200835198):
+        p = FluidParams(1.0, R_mu, 1.0)
+        assert _work_frame(p, classify_regime(p)) == (*dual_params(p), True)
 
 
 def test_curve_recovers_from_one_newton_failure(monkeypatch):
