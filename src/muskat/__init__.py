@@ -5,6 +5,7 @@ Submodules:
 
 * ``params``      -- parameter triple, regime thresholds, classification, duality
 * ``numerics``    -- bracketed scalar roots and damped Newton
+* ``checks``      -- the checks of a batch of piecewise-quadratic states
 * ``profiles``    -- exact piecewise-quadratic steady states and the
                      continuation curve
 * ``functionals`` -- energy / moment / entropy machinery

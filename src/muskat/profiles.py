@@ -20,7 +20,8 @@ The constructions follow three routes:
 
 Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
 beta <= gamma (even with a split film, connected, boundary, curve) gets its
-pieces from the one function ``_zeta_pieces``.
+pieces from the one function ``_zeta_pieces``, and every construction
+checks its states, all of a curve at once, with ``checks.check_pairs``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checks import STEADY_TOL, Pieces, check_pairs, field_failures, steady_residuals
 from .numerics import (
     NewtonConfig,
     NumericsError,
@@ -84,9 +86,6 @@ __all__ = [
     "sample_profile",
 ]
 
-_CONTINUITY_TOL = 1e-10
-_MASS_TOL = 1e-10
-_STEADY_TOL = 1e-9
 _SYSTEM_TOL = 1e-10
 
 
@@ -227,36 +226,10 @@ class PiecewiseQuadratic:
 
     def validate(self) -> None:
         """Profile-grade checks: ordering, continuity, non-negativity."""
-        if not self.pieces:
-            raise ValueError("empty piece list")
-        width = max(abs(self.pieces[0][0]), abs(self.pieces[-1][1]), 1.0)
-        prev_r = None
-        prev_val = None
-        for l, r, c0, c2 in self.pieces:
-            if not all(math.isfinite(v) for v in (l, r, c0, c2)):
-                raise ValueError("non-finite piece data")
-            if r <= l:
-                raise ValueError(f"degenerate interval [{l}, {r}]")
-            if prev_r is not None and l < prev_r - 1e-12 * width:
-                raise ValueError("overlapping pieces")
-            lo = min(c0 + c2 * l**2, c0 + c2 * r**2)
-            if l < 0.0 < r:
-                lo = min(lo, c0)
-            if lo < -_CONTINUITY_TOL:
-                raise ValueError(f"negative values (min {lo:.3e}) on [{l}, {r}]")
-            left_val = c0 + c2 * l**2
-            if prev_r is None:
-                if abs(left_val) > _CONTINUITY_TOL:
-                    raise ValueError(f"nonzero value {left_val:.3e} at outer endpoint {l}")
-            elif l - prev_r <= 1e-12 * width:
-                if abs(left_val - prev_val) > _CONTINUITY_TOL:
-                    raise ValueError(f"jump {left_val - prev_val:.3e} at breakpoint {l}")
-            else:
-                if abs(prev_val) > _CONTINUITY_TOL or abs(left_val) > _CONTINUITY_TOL:
-                    raise ValueError(f"nonzero value at a support gap near {l}")
-            prev_r, prev_val = r, c0 + c2 * r**2
-        if abs(prev_val) > _CONTINUITY_TOL:
-            raise ValueError(f"nonzero value {prev_val:.3e} at outer endpoint {prev_r}")
+        with np.errstate(all="ignore"):
+            failed, error = field_failures(Pieces([self]))
+        if failed[0]:
+            raise error(0)
 
 
 # ----------------------------------------------------------------------
@@ -274,12 +247,20 @@ class ProfilePair:
     label: str = ""
     zeta: tuple[float, ...] | None = None
 
+    # grid -> read-only (2, n) stack of the exact cell averages of F and G
+    _averages: dict = field(init=False, default_factory=dict, compare=False,
+                            hash=False, repr=False)
+
     def __post_init__(self):
-        self.F.validate()
-        self.G.validate()
-        mF, mG = self.F.mass(), self.G.mass()
-        if abs(mF - 1.0) > _MASS_TOL or abs(mG - 1.0) > _MASS_TOL:
-            raise ValueError(f"masses must be 1: got {mF!r}, {mG!r}")
+        check_pairs(self.params, [self.F], [self.G])
+
+    @classmethod
+    def _checked(cls, F, G, params, label, zeta) -> "ProfilePair":
+        """A pair whose fields ``check_pairs`` has passed, built without
+        running ``__post_init__``'s checks a second time."""
+        pp = object.__new__(cls)
+        pp.__dict__.update(F=F, G=G, params=params, label=label, zeta=zeta, _averages={})
+        return pp
 
     @property
     def support_F(self) -> list[tuple[float, float]]:
@@ -375,16 +356,6 @@ def _sextuplet_system(p: FluidParams):
 # ----------------------------------------------------------------------
 
 
-def _coeffs_walk(q: PiecewiseQuadratic, xs: Iterable[float]):
-    """(c0, c2) of the first piece holding each x, or (0, 0): one forward walk,
-    so the xs must increase and the pieces be sorted by left end."""
-    pieces, i, n = q.pieces, 0, len(q.pieces)
-    for x in xs:
-        while i < n and pieces[i][1] < x:
-            i += 1
-        yield pieces[i][2:] if i < n and pieces[i][0] <= x else (0.0, 0.0)
-
-
 def steady_residual_fields(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
                            p: FluidParams) -> float:
     """Exact max of |F * (pressure_F)'| and |G * (pressure_G)'|.
@@ -395,37 +366,27 @@ def steady_residual_fields(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
     x = +-sqrt(-c0 / (3 c2)) inside.  Intervals shorter than 1e-13 of the span
     come from breakpoints equal up to rounding and are skipped.
     """
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-    breaks = sorted({v for l, r, _, _ in F.pieces + G.pieces for v in (l, r)})
-    min_len = 1e-13 * max(breaks[-1] - breaks[0], 1.0)
-    spans = [(u, v) for u, v in zip(breaks[:-1], breaks[1:]) if v - u > min_len]
-    mids = [0.5 * (u + v) for u, v in spans]
-    worst = 0.0
-    for (u, v), (f0, f2), (g0, g2) in zip(spans, _coeffs_walk(F, mids), _coeffs_walk(G, mids)):
-        k_f = 2.0 * (e2 * (1.0 + R) * f2 + R * g2) + 1.0 / 3.0
-        k_g = 2.0 * (e2 * Rmu * f2 + Rmu * g2) + 1.0 / 3.0
-        for k, c0, c2 in ((k_f, f0, f2), (k_g, g0, g2)):
-            worst = max(worst, abs(k * u * (c0 + c2 * u * u)), abs(k * v * (c0 + c2 * v * v)))
-            if c0 * c2 < 0.0:
-                xc = math.sqrt(-c0 / (3.0 * c2))  # the cubic is odd: equal at -xc
-                if u < xc < v or u < -xc < v:
-                    worst = max(worst, abs(k * xc * (c0 + c2 * xc * xc)))
-    return worst
+    with np.errstate(all="ignore"):
+        return float(steady_residuals(p, Pieces([F, G]))[0])
 
 
 def steady_residual(pp: ProfilePair) -> float:
     return steady_residual_fields(pp.F, pp.G, pp.params)
 
 
+def _finish_pairs(p: FluidParams, fields, label: str, zetas=None, first=()) -> list[ProfilePair]:
+    """The pairs of p with each state's (F pieces, G pieces) and zeta, every
+    state checked in one batch (see ``check_pairs``)."""
+    Fs = [PiecewiseQuadratic.from_pieces(F) for F, _ in fields]
+    Gs = [PiecewiseQuadratic.from_pieces(G) for _, G in fields]
+    check_pairs(p, Fs, Gs, label, first)
+    return [ProfilePair._checked(F, G, p, label, zeta)
+            for F, G, zeta in zip(Fs, Gs, zetas or [None] * len(Fs))]
+
+
 def _finish_pair(F, G, p, label, zeta=None) -> ProfilePair:
-    pp = ProfilePair(F=PiecewiseQuadratic.from_pieces(F),
-                     G=PiecewiseQuadratic.from_pieces(G),
-                     params=p, label=label,
-                     zeta=None if zeta is None else tuple(float(z) for z in zeta))
-    res = steady_residual(pp)
-    if res > _STEADY_TOL:
-        raise RuntimeError(f"steady residual {res:.3e} exceeds {_STEADY_TOL} for {label}")
-    return pp
+    zetas = None if zeta is None else [tuple(float(z) for z in zeta)]
+    return _finish_pairs(p, [(F, G)], label, zetas)[0]
 
 
 # ----------------------------------------------------------------------
@@ -673,7 +634,7 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
     if side == "left":
         # other end of the curve: the reflected state
         zeta_work = _reflect_zeta(zeta_work)
-    return _curve_point(p, zeta_work, a_even, lam, dual)
+    return _curve_points(p, [zeta_work], a_even, lam, dual)[0]
 
 
 # ----------------------------------------------------------------------
@@ -719,22 +680,32 @@ def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
     or zero-width intervals) produce the corresponding boundary profiles.
     """
     zeta = tuple(float(z) for z in zeta)
-    if len(zeta) != 6 or not all(math.isfinite(z) for z in zeta):
+    if len(zeta) != 6:
         raise InvalidZetaError(f"bad sextuplet {zeta!r}")
-    g1, b1, a1, a, b, g = zeta
-    scale = max(abs(g1), abs(g), 1.0)
-    mono = all(zeta[i + 1] - zeta[i] >= -1e-12 * scale for i in range(5))
-    if not (mono and a1 <= 1e-12 * scale and a >= -1e-12 * scale):
-        raise InvalidZetaError(f"ordering violated: {zeta}")
+    return _sextuplet_pairs(p, [zeta])[0]
+
+
+def _sextuplet_pairs(p: FluidParams, zetas) -> list[ProfilePair]:
+    """``profile_from_zeta`` of each sextuplet, all checked in one batch: each
+    must be finite and weakly ordered, p must have a sextuplet system, and
+    the sextuplet's residual in it must be small."""
+    zetas = [tuple(float(z) for z in zeta) for zeta in zetas]
     system = _sextuplet_system(p)
-    if system is None:
-        raise InvalidZetaError(
-            "disconnected-support sextuplets require R_mu > R + 1 or R_mu < R")
-    res = max_abs(system(p, zeta))
-    if res > max(1e-8, 1e-12 * 9.0 * p.R_mu * (1.0 + p.R) * (1.0 + p.eta**2)):
-        raise InvalidZetaError(f"system residual {res:.3e} too large")
+    with np.errstate(all="ignore"):
+        z = np.array(zetas).reshape(-1, 6)
+        tol = 1e-12 * np.maximum(np.maximum(np.abs(z[:, 0]), np.abs(z[:, 5])), 1.0)
+        ordered = ((np.diff(z, axis=1) >= -tol[:, None]).all(axis=1)
+                   & (z[:, 2] <= tol) & (z[:, 3] >= -tol))
+        res = np.zeros(len(z)) if system is None else np.max(np.abs(system(p, z.T)), axis=0)
+    bound = max(1e-8, 1e-12 * 9.0 * p.R_mu * (1.0 + p.R) * (1.0 + p.eta**2))
+    checks = [(~np.isfinite(z).all(axis=1), lambda k: InvalidZetaError(
+                  f"bad sextuplet {zetas[k]!r}")),
+              (~ordered, lambda k: InvalidZetaError(f"ordering violated: {zetas[k]}")),
+              (np.full(len(z), system is None), lambda k: InvalidZetaError(
+                  "disconnected-support sextuplets require R_mu > R + 1 or R_mu < R")),
+              (res > bound, lambda k: InvalidZetaError(f"system residual {res[k]:.3e} too large"))]
     label = "zeta-large" if system is residuals_R1 else "zeta-small"
-    return _finish_pair(*_zeta_pieces(p, zeta), p, label, zeta=zeta)
+    return _finish_pairs(p, [_zeta_pieces(p, zeta) for zeta in zetas], label, zetas, checks)
 
 
 # ----------------------------------------------------------------------
@@ -767,7 +738,7 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
                       label=(pp.label + "|dual") if pp.label else "dual",
                       zeta=zeta1)
     res = steady_residual(new)
-    if res > _STEADY_TOL:
+    if res > STEADY_TOL:
         raise RuntimeError(f"dual pair steady residual {res:.3e}")
     return new
 
@@ -786,13 +757,13 @@ def _work_frame(p: FluidParams, regime: Regime) -> tuple[FluidParams, float, boo
     return (*dual_params(p), True)
 
 
-def _curve_point(p: FluidParams, zw: Sequence[float], a_even: float, lam: float,
-                 dual: bool) -> CurvePoint:
-    """The state of p whose work-frame sextuplet is zw; its curve parameter is
-    lam (a_even + alpha1), zero at the even state."""
-    ell = lam * (a_even + zw[2])
-    zeta = tuple(-lam * z for z in reversed(zw)) if dual else tuple(zw)
-    return CurvePoint(ell=ell, zeta=zeta, profile=profile_from_zeta(p, zeta))
+def _curve_points(p: FluidParams, zws: Sequence[Sequence[float]], a_even: float, lam: float,
+                  dual: bool) -> list[CurvePoint]:
+    """The states of p whose work-frame sextuplets are zws, built as one batch;
+    a state's curve parameter is lam (a_even + alpha1), zero at the even state."""
+    zetas = [tuple(-lam * z for z in reversed(zw)) if dual else tuple(zw) for zw in zws]
+    return [CurvePoint(ell=lam * (a_even + zw[2]), zeta=zeta, profile=pp)
+            for zw, zeta, pp in zip(zws, zetas, _sextuplet_pairs(p, zetas))]
 
 
 def _R1_complete(p: FluidParams, a1: float, a: float, b: float):
@@ -936,13 +907,9 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
             u_prev, a1_prev = u_cur, a1_cur
             u_cur, a1_cur = u_new, a1_grid[i]
 
-    points = []
-    for i in range(n_points):
-        if i == i0:
-            even = even_profile(p)
-            points.append(CurvePoint(ell=0.0, zeta=even.zeta, profile=even))
-        else:
-            points.append(_curve_point(p, zetas[i], a_even, lam, dual))
+    points = _curve_points(p, [zetas[i] for i in range(n_points) if i != i0], a_even, lam, dual)
+    even = even_profile(p)
+    points.insert(i0, CurvePoint(ell=0.0, zeta=even.zeta, profile=even))
     points.sort(key=lambda cp: cp.ell)
     return points
 
@@ -960,25 +927,30 @@ def curve_endpoint_kind(p: FluidParams) -> str:
 # ----------------------------------------------------------------------
 
 
-def _fifth_power_energy(p: FluidParams, zeta: Sequence[float]) -> float:
+def _fifth_power_energy(p: FluidParams, zetas: np.ndarray) -> np.ndarray:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-    g1, b1, a1, a, b, g = zeta
-    return (R * (g**5 - g1**5)
-            + (Rmu - R) ** 2 * (b**5 - b1**5)
-            - R * (Rmu - R - 1.0) ** 2 * (a**5 - a1**5) / (1.0 + R)
+    # fifth powers by Python's float power, as the scalar form took them
+    g1, b1, a1, a, b, g = np.reshape([z**5 for z in zetas.ravel().tolist()], zetas.shape).T
+    return (R * (g - g1)
+            + (Rmu - R) ** 2 * (b - b1)
+            - R * (Rmu - R - 1.0) ** 2 * (a - a1) / (1.0 + R)
             ) / (90.0 * e2 * Rmu**2)
+
+
+def _closed_form_energies(p: FluidParams, zetas: np.ndarray) -> np.ndarray:
+    """``curve_energy_closed_form`` of each row of an (N, 6) array."""
+    system = _sextuplet_system(p)
+    if system is residuals_R1:
+        return _fifth_power_energy(p, zetas)
+    if system is residuals_R2:
+        p1, lam = dual_params(p)
+        return _fifth_power_energy(p1, -zetas[:, ::-1] / lam) / lam
+    raise RegimeError("closed-form curve energy needs R_mu > R + 1 or R_mu < R")
 
 
 def curve_energy_closed_form(p: FluidParams, zeta: Sequence[float]) -> float:
     """Rescaled energy of a curve state from fifth powers of the sextuplet."""
-    system = _sextuplet_system(p)
-    if system is residuals_R1:
-        return _fifth_power_energy(p, zeta)
-    if system is residuals_R2:
-        p1, lam = dual_params(p)
-        zeta_d = tuple(-z / lam for z in reversed(tuple(zeta)))
-        return _fifth_power_energy(p1, zeta_d) / lam
-    raise RegimeError("closed-form curve energy needs R_mu > R + 1 or R_mu < R")
+    return float(_closed_form_energies(p, np.array([zeta], dtype=float))[0])
 
 
 # ----------------------------------------------------------------------

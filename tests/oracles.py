@@ -6,15 +6,20 @@ from typing import Sequence
 import numpy as np
 
 from muskat.functionals import _GAUSS_W, _GAUSS_X, FunctionalReport, NegativeInputError, _report
+from muskat.checks import STEADY_TOL
 from muskat.fvm import cell_averages
 from muskat.numerics import find_root_bracketed, max_abs
-from muskat.params import FluidParams, thresholds
+from muskat.params import FluidParams, dual_params, thresholds
 from muskat.profiles import (
+    InvalidZetaError,
     PiecewiseQuadratic,
     ProfilePair,
     RegimeError,
+    _sextuplet_system,
     _system_tol,
+    _zeta_pieces,
     residuals_R1,
+    residuals_R2,
     residuals_eq51_53,
 )
 
@@ -185,3 +190,113 @@ def l2_distance_by_field(state, reference: ProfilePair) -> float:
     fr = cell_averages(reference.F, state.grid)
     gr = cell_averages(reference.G, state.grid)
     return math.sqrt(state.grid.h * float(np.sum((state.f - fr) ** 2 + (state.g - gr) ** 2)))
+
+
+def validate_by_loop(q: PiecewiseQuadratic) -> None:
+    """Profile-grade checks of one field, one piece at a time (the scalar
+    form of ``PiecewiseQuadratic.validate``)."""
+    if not q.pieces:
+        raise ValueError("empty piece list")
+    tol = 1e-10
+    width = max(abs(q.pieces[0][0]), abs(q.pieces[-1][1]), 1.0)
+    prev_r = None
+    prev_val = None
+    for l, r, c0, c2 in q.pieces:
+        if not all(math.isfinite(v) for v in (l, r, c0, c2)):
+            raise ValueError("non-finite piece data")
+        if r <= l:
+            raise ValueError(f"degenerate interval [{l}, {r}]")
+        if prev_r is not None and l < prev_r - 1e-12 * width:
+            raise ValueError("overlapping pieces")
+        lo = min(c0 + c2 * l**2, c0 + c2 * r**2)
+        if l < 0.0 < r:
+            lo = min(lo, c0)
+        if lo < -tol:
+            raise ValueError(f"negative values (min {lo:.3e}) on [{l}, {r}]")
+        left_val = c0 + c2 * l**2
+        if prev_r is None:
+            if abs(left_val) > tol:
+                raise ValueError(f"nonzero value {left_val:.3e} at outer endpoint {l}")
+        elif l - prev_r <= 1e-12 * width:
+            if abs(left_val - prev_val) > tol:
+                raise ValueError(f"jump {left_val - prev_val:.3e} at breakpoint {l}")
+        else:
+            if abs(prev_val) > tol or abs(left_val) > tol:
+                raise ValueError(f"nonzero value at a support gap near {l}")
+        prev_r, prev_val = r, c0 + c2 * r**2
+    if abs(prev_val) > tol:
+        raise ValueError(f"nonzero value {prev_val:.3e} at outer endpoint {prev_r}")
+
+
+def check_pair_by_state(F: PiecewiseQuadratic, G: PiecewiseQuadratic, p: FluidParams,
+                        label: str | None = None) -> None:
+    """The checks of one construction on one state: validate F and G, their
+    unit masses and, given the construction's ``label``, the exact steady
+    residual (the scalar form of ``profiles._check_pairs``)."""
+    validate_by_loop(F)
+    validate_by_loop(G)
+    mF, mG = F.mass(), G.mass()
+    if abs(mF - 1.0) > 1e-10 or abs(mG - 1.0) > 1e-10:
+        raise ValueError(f"masses must be 1: got {mF!r}, {mG!r}")
+    if label is not None:
+        res = steady_residual_fields_by_scan(F, G, p)
+        if res > STEADY_TOL:
+            raise RuntimeError(f"steady residual {res:.3e} exceeds {STEADY_TOL} for {label}")
+
+
+def profile_from_zeta_by_state(p: FluidParams, zeta: Sequence[float]):
+    """(F, G) of ``profile_from_zeta`` built and checked one state at a time."""
+    zeta = tuple(float(z) for z in zeta)
+    if len(zeta) != 6 or not all(math.isfinite(z) for z in zeta):
+        raise InvalidZetaError(f"bad sextuplet {zeta!r}")
+    g1, b1, a1, a, b, g = zeta
+    scale = max(abs(g1), abs(g), 1.0)
+    mono = all(zeta[i + 1] - zeta[i] >= -1e-12 * scale for i in range(5))
+    if not (mono and a1 <= 1e-12 * scale and a >= -1e-12 * scale):
+        raise InvalidZetaError(f"ordering violated: {zeta}")
+    system = _sextuplet_system(p)
+    if system is None:
+        raise InvalidZetaError(
+            "disconnected-support sextuplets require R_mu > R + 1 or R_mu < R")
+    res = max_abs(system(p, zeta))
+    if res > max(1e-8, 1e-12 * 9.0 * p.R_mu * (1.0 + p.R) * (1.0 + p.eta**2)):
+        raise InvalidZetaError(f"system residual {res:.3e} too large")
+    F, G = (PiecewiseQuadratic.from_pieces(q) for q in _zeta_pieces(p, zeta))
+    check_pair_by_state(F, G, p, "zeta-large" if system is residuals_R1 else "zeta-small")
+    return F, G
+
+
+def fields_report_by_loop(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
+                          p: FluidParams) -> FunctionalReport:
+    """Report of a field pair, its screen and entropy one piece at a time
+    (the scalar form of ``functionals._fields_reports``)."""
+    for q in (F, G):
+        for l, r, c0, c2 in q.pieces:
+            lo = min(c0 + c2 * l**2, c0 + c2 * r**2, c0 if l < 0.0 < r else np.inf)
+            if lo < -1e-12:
+                raise NegativeInputError("fields must be non-negative")
+    theta = p.theta
+    return _report(p, F.inner(), F.inner(G), G.inner(),
+                   m1=F.moment(1) + theta * G.moment(1),
+                   m2=F.moment(2) + theta * G.moment(2),
+                   entropy=entropy_piecewise_by_loop(F) + theta * entropy_piecewise_by_loop(G))
+
+
+def _fifth_power_energy_by_state(p: FluidParams, zeta: Sequence[float]) -> float:
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    g1, b1, a1, a, b, g = zeta
+    return (R * (g**5 - g1**5)
+            + (Rmu - R) ** 2 * (b**5 - b1**5)
+            - R * (Rmu - R - 1.0) ** 2 * (a**5 - a1**5) / (1.0 + R)
+            ) / (90.0 * e2 * Rmu**2)
+
+
+def curve_energy_closed_form_by_state(p: FluidParams, zeta: Sequence[float]) -> float:
+    """Closed-form E_* of one sextuplet (the scalar form of
+    ``profiles._closed_form_energies``)."""
+    system = _sextuplet_system(p)
+    if system is residuals_R1:
+        return _fifth_power_energy_by_state(p, zeta)
+    assert system is residuals_R2
+    p1, lam = dual_params(p)
+    return _fifth_power_energy_by_state(p1, tuple(-z / lam for z in reversed(tuple(zeta)))) / lam

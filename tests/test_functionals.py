@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from muskat.checks import Pieces
 from muskat.functionals import (
     MismatchError,
     _entropy_piecewise,
@@ -163,10 +164,10 @@ def test_entropy_one_array_bitwise_equals_per_piece_loop():
               FluidParams(1.0, 21.0, 1.0), FluidParams(4.0, 0.7, 1.0)):
         profiles += [cp.profile for cp in continue_curve(p, 9)]
     for pp in profiles:
-        whole = _entropy_piecewise(pp.F, pp.G)
+        whole = _entropy_piecewise(Pieces([pp.F, pp.G]))
         loop = [entropy_piecewise_by_loop(pp.F), entropy_piecewise_by_loop(pp.G)]
         assert np.array(whole).tobytes() == np.array(loop).tobytes()
-    assert _entropy_piecewise(PiecewiseQuadratic(())) == [0.0]
+    assert _entropy_piecewise(Pieces([PiecewiseQuadratic(())])) == [0.0]
 
 
 def _bump(center: float, halfwidth: float, background: float = 0.0):

@@ -8,7 +8,7 @@ import muskat
 
 # each module may import only modules to its left; the package __init__
 # imports the layers below cli, and cli reads __version__ from it
-ORDER = ["numerics", "params", "profiles", "functionals", "fvm", "__init__", "cli"]
+ORDER = ["numerics", "params", "checks", "profiles", "functionals", "fvm", "__init__", "cli"]
 
 
 def _targets(node: ast.AST) -> list[str]:
