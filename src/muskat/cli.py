@@ -37,10 +37,9 @@ EXIT_NUMERICAL = 4
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    row_fmt = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        fh.write("".join([",".join(header) + "\n", *[row_fmt % tuple(row) for row in rows]]))
 
 
 def _out_dir(args) -> Path:

@@ -66,10 +66,52 @@ def _entropy_piecewise(pcs: Pieces, floor: float = 1e-300) -> list[float]:
         h[s] = half[s, 0] * np.sum(_GAUSS_W * v * np.log(v), axis=1)
     per_piece = np.zeros(pcs.real.shape)
     per_piece[pcs.real] = h
-    totals = np.zeros(len(pcs.count))
-    for column in per_piece.T:
+    return _column_sums(per_piece).tolist()
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's sum, added column by column: the order of a loop's ``+=``."""
+    totals = np.zeros(len(terms))
+    for column in terms.T:
         totals += column
-    return totals.tolist()
+    return totals
+
+
+def _products_and_moments(pcs: Pieces):
+    """The L2 products F.F, F.G and G.G and the moments 1 and 2 of F and of G
+    of each pair of a batch whose fields alternate F, G in ``pcs``, bitwise
+    those of the scalar loops over pieces: powers by Python's float power,
+    overlaps [max(la, lb), min(ra, rb)] with Python's tie rule, each term in
+    the scalar expression's order and exactly 0.0 where two pieces do not
+    overlap, and the terms added in the loop's (a-piece, b-piece) order."""
+    ends = np.stack([pcs.l, pcs.r])
+    # each distinct endpoint's powers once: equal bits, equal powers
+    bits, at = np.unique(ends.view(np.int64).ravel(), return_inverse=True)
+    distinct = bits.view(float).tolist()
+    pw = {k: np.array([x**k for x in distinct])[at].reshape(ends.shape) for k in (2, 3, 4, 5)}
+    real, c0, c2 = pcs.real, pcs.c0, pcs.c2
+
+    def moment(k: int) -> np.ndarray:
+        (l1, r1), (l3, r3) = pw[k + 1], pw[k + 3]
+        return _column_sums(np.where(real, c0 * (r1 - l1) / (k + 1) + c2 * (r3 - l3) / (k + 3),
+                                     0.0))
+
+    def inner(a: slice, b: slice) -> np.ndarray:
+        def pick(t, b_wins):  # t of the b-piece where b_wins, else of the a-piece
+            return np.where(b_wins, t[b][:, None, :], t[a][:, :, None])
+
+        lb_wins = pick(pcs.l, True) > pick(pcs.l, False)  # else max(la, lb) is la
+        rb_wins = pick(pcs.r, True) < pick(pcs.r, False)  # else min(ra, rb) is ra
+        l, r = pick(pcs.l, lb_wins), pick(pcs.r, rb_wins)
+        d3, d5 = (pick(pw[k][1], rb_wins) - pick(pw[k][0], lb_wins) for k in (3, 5))
+        a0, a2, b0, b2 = pick(c0, False), pick(c2, False), pick(c0, True), pick(c2, True)
+        terms = a0 * b0 * (r - l) + (a0 * b2 + a2 * b0) * d3 / 3.0 + a2 * b2 * d5 / 5.0
+        keep = pick(real, False) & pick(real, True) & ~(r <= l)
+        return _column_sums(np.where(keep, terms, 0.0).reshape(len(terms), -1))
+
+    F, G = slice(0, None, 2), slice(1, None, 2)
+    m1, m2 = moment(1), moment(2)
+    return inner(F, F), inner(F, G), inner(G, G), m1[F], m1[G], m2[F], m2[G]
 
 
 def _report(p: FluidParams, iFF: float, iFG: float, iGG: float, m1: float, m2: float,
@@ -84,17 +126,17 @@ def _report(p: FluidParams, iFF: float, iFG: float, iGG: float, m1: float, m2: f
 def _fields_reports(p: FluidParams, pairs) -> tuple[list[FunctionalReport], np.ndarray]:
     """Report of each (F, G) pair, and whether the pair dips below -1e-12
     anywhere: the entropy of all fields in one quadrature, the L2 products
-    and moments exact, piece by piece."""
+    and moments exact, all from one table of the pieces."""
     with np.errstate(all="ignore"):
         pcs = Pieces([q for pair in pairs for q in pair])
+        columns = [v.tolist() for v in _products_and_moments(pcs)]
     negative = (pcs.low < -1e-12).reshape(len(pairs), -1).any(axis=1)
     theta = p.theta
     h = _entropy_piecewise(pcs)
-    return [_report(p, F.inner(), F.inner(G), G.inner(),
-                    m1=F.moment(1) + theta * G.moment(1),
-                    m2=F.moment(2) + theta * G.moment(2),
+    return [_report(p, iFF, iFG, iGG, m1=m1F + theta * m1G, m2=m2F + theta * m2G,
                     entropy=h_f + theta * h_g)
-            for (F, G), h_f, h_g in zip(pairs, h[0::2], h[1::2])], negative
+            for iFF, iFG, iGG, m1F, m1G, m2F, m2G, h_f, h_g
+            in zip(*columns, h[0::2], h[1::2])], negative
 
 
 def _state_report(state, p: FluidParams) -> FunctionalReport:

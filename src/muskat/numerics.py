@@ -1,4 +1,4 @@
-"""Scalar bracketed root finding and damped Newton for small dense systems.
+"""Scalar bracketed root finding and damped Newton for one or two unknowns.
 
 Every profile construction in this package reduces to either a single
 monotone (or unimodal) scalar equation, solved here by Brent's method on a
@@ -166,7 +166,8 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
                  J: Callable[[list[float]], Sequence[Sequence[float]]],
                  x0: Sequence[float],
                  cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
-    """Damped Newton iteration for F(x) = 0 with analytic Jacobian J.
+    """Damped Newton iteration for F(x) = 0 in one or two unknowns, with
+    analytic Jacobian J.
 
     F and J receive the iterate as a list of floats and may return any
     sequences (tuples, lists or arrays) of the residual and of the Jacobian's
@@ -176,7 +177,8 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
     (the Hadamard bound).  The step is halved until the max-norm residual
     decreases; a residual that is NaN or infinite counts as no decrease.
     Returns the root as an array.  Raises SingularJacobianError /
-    StepTooSmallError / MaxIterExceededError on the corresponding failures.
+    StepTooSmallError / MaxIterExceededError on the corresponding failures,
+    and ValueError for more than two unknowns.
     """
     x = [float(v) for v in x0]
     n = len(x)
@@ -210,38 +212,29 @@ def max_abs(v: Sequence[float]) -> float:
     return max(map(abs, v))
 
 
-def _solve_step(A: list[list[float]], Fx: list[float]) -> list[float]:
-    """Solve A dx = -Fx by Gaussian elimination with partial pivoting.
-
-    A is overwritten.  The determinant is the signed product of the pivots.
-    """
-    n = len(Fx)
-    scale = math.prod([math.hypot(*row) for row in A])
-    b = [-v for v in Fx]
+def _solve_step(A: Sequence[Sequence[float]], Fx: Sequence[float]) -> list[float]:
+    """Solve A dx = -Fx for one or two unknowns: Gaussian elimination with
+    partial pivoting, written out.  The determinant is the signed product of
+    the pivots; an elimination that meets a zero pivot stops there."""
+    if len(Fx) == 1:
+        ((a,),), b0 = A, -Fx[0]
+        if not math.isfinite(a) or abs(a) < 1e-14 * max(math.hypot(a), 1e-300):
+            raise SingularJacobianError(f"|det J| = {abs(a):.3e} below 1e-14 * scale")
+        return [b0 / a]
+    if len(Fx) != 2:
+        raise ValueError(f"_solve_step solves one or two unknowns, not {len(Fx)}")
+    ((a, b), (c, d)), b0, b1 = A, -Fx[0], -Fx[1]
+    scale = math.hypot(a, b) * math.hypot(c, d)
     det = 1.0
-    for k in range(n):
-        piv = k
-        for i in range(k + 1, n):
-            if abs(A[i][k]) > abs(A[piv][k]):
-                piv = i
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            b[k], b[piv] = b[piv], b[k]
-            det = -det
-        Ak = A[k]
-        det *= Ak[k]
-        if Ak[k] == 0.0:
-            break
-        for i in range(k + 1, n):
-            Ai = A[i]
-            m = Ai[k] / Ak[k]
-            for j in range(k + 1, n):
-                Ai[j] -= m * Ak[j]
-            b[i] -= m * b[k]
+    if abs(c) > abs(a):
+        a, b, c, d, b0, b1, det = c, d, a, b, b1, b0, -1.0
+    det *= a
+    if a != 0.0:
+        m = c / a
+        d -= m * b
+        b1 -= m * b0
+        det *= d
     if not math.isfinite(det) or abs(det) < 1e-14 * max(scale, 1e-300):
         raise SingularJacobianError(f"|det J| = {abs(det):.3e} below 1e-14 * scale")
-    dx = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        Ak = A[k]
-        dx[k] = (b[k] - sum([Ak[j] * dx[j] for j in range(k + 1, n)])) / Ak[k]
-    return dx
+    dx1 = b1 / d
+    return [(b0 - (0.0 + b * dx1)) / a, dx1]  # 0.0 + as sum() adds a term to 0

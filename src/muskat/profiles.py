@@ -27,6 +27,7 @@ checks its states, all of a curve at once, with ``checks.check_pairs``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -121,13 +122,15 @@ class ContinuationStallError(NumericsError):
 Piece = tuple[float, float, float, float]  # (l, r, c0, c2): c0 + c2*x^2 on [l, r]
 
 
-def _clean_pieces(pieces: Iterable[Sequence[float]]) -> tuple[Piece, ...]:
-    kept = []
-    scale = max([1.0] + [max(abs(p[0]), abs(p[1])) for p in pieces]) if pieces else 1.0
-    for l, r, c0, c2 in pieces:
-        if r - l > 1e-14 * max(scale, 1.0):
-            kept.append((float(l), float(r), float(c0), float(c2)))
-    kept.sort(key=lambda p: p[0])
+def _clean_pieces(pieces: Sequence[Sequence[float]]) -> tuple[Piece, ...]:
+    # max(abs(l), abs(r)) of each piece, written out; scale is at least 1
+    scale = max([1.0, *[abs(r) if abs(r) > abs(l) else abs(l) for l, r, _, _ in pieces]])
+    min_width = 1e-14 * scale
+    kept = [(float(l), float(r), float(c0), float(c2)) for l, r, c0, c2 in pieces
+            if r - l > min_width]
+    lefts = [q[0] for q in kept]
+    if not all(map(operator.le, lefts, lefts[1:])):  # else the stable sort keeps them
+        kept.sort(key=lambda q: q[0])
     return tuple(kept)
 
 
@@ -169,21 +172,6 @@ class PiecewiseQuadratic:
 
     def mass(self) -> float:
         return self.moment(0)
-
-    def inner(self, other: "PiecewiseQuadratic | None" = None) -> float:
-        """Exact integral of the product with ``other`` (or with itself)."""
-        other = self if other is None else other
-        total = 0.0
-        for la, ra, a0, a2 in self.pieces:
-            for lb, rb, b0, b2 in other.pieces:
-                l, r = max(la, lb), min(ra, rb)
-                if r <= l:
-                    continue
-                d1 = r - l
-                d3 = r**3 - l**3
-                d5 = r**5 - l**5
-                total += a0 * b0 * d1 + (a0 * b2 + a2 * b0) * d3 / 3.0 + a2 * b2 * d5 / 5.0
-        return total
 
     # -- transforms ---------------------------------------------------
 

@@ -8,7 +8,7 @@ import numpy as np
 from muskat.functionals import _GAUSS_W, _GAUSS_X, FunctionalReport, NegativeInputError, _report
 from muskat.checks import STEADY_TOL
 from muskat.fvm import cell_averages
-from muskat.numerics import find_root_bracketed, max_abs
+from muskat.numerics import SingularJacobianError, find_root_bracketed, max_abs
 from muskat.params import FluidParams, dual_params, thresholds
 from muskat.profiles import (
     InvalidZetaError,
@@ -266,6 +266,23 @@ def profile_from_zeta_by_state(p: FluidParams, zeta: Sequence[float]):
     return F, G
 
 
+def inner_by_loop(a: PiecewiseQuadratic, b: PiecewiseQuadratic | None = None) -> float:
+    """Exact integral of a * b (or of a * a), one pair of pieces at a time (the
+    scalar form of the products of ``functionals._products_and_moments``)."""
+    b = a if b is None else b
+    total = 0.0
+    for la, ra, a0, a2 in a.pieces:
+        for lb, rb, b0, b2 in b.pieces:
+            l, r = max(la, lb), min(ra, rb)
+            if r <= l:
+                continue
+            d1 = r - l
+            d3 = r**3 - l**3
+            d5 = r**5 - l**5
+            total += a0 * b0 * d1 + (a0 * b2 + a2 * b0) * d3 / 3.0 + a2 * b2 * d5 / 5.0
+    return total
+
+
 def fields_report_by_loop(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
                           p: FluidParams) -> FunctionalReport:
     """Report of a field pair, its screen and entropy one piece at a time
@@ -276,7 +293,7 @@ def fields_report_by_loop(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
             if lo < -1e-12:
                 raise NegativeInputError("fields must be non-negative")
     theta = p.theta
-    return _report(p, F.inner(), F.inner(G), G.inner(),
+    return _report(p, inner_by_loop(F), inner_by_loop(F, G), inner_by_loop(G),
                    m1=F.moment(1) + theta * G.moment(1),
                    m2=F.moment(2) + theta * G.moment(2),
                    entropy=entropy_piecewise_by_loop(F) + theta * entropy_piecewise_by_loop(G))
@@ -300,3 +317,41 @@ def curve_energy_closed_form_by_state(p: FluidParams, zeta: Sequence[float]) -> 
     assert system is residuals_R2
     p1, lam = dual_params(p)
     return _fifth_power_energy_by_state(p1, tuple(-z / lam for z in reversed(tuple(zeta)))) / lam
+
+
+def solve_step_by_elimination(A: list[list[float]], Fx: list[float]) -> list[float]:
+    """Solve A dx = -Fx for any number of unknowns by Gaussian elimination with
+    partial pivoting, A overwritten (the general form of ``numerics._solve_step``).
+
+    The determinant is the signed product of the pivots.
+    """
+    n = len(Fx)
+    scale = math.prod([math.hypot(*row) for row in A])
+    b = [-v for v in Fx]
+    det = 1.0
+    for k in range(n):
+        piv = k
+        for i in range(k + 1, n):
+            if abs(A[i][k]) > abs(A[piv][k]):
+                piv = i
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            b[k], b[piv] = b[piv], b[k]
+            det = -det
+        Ak = A[k]
+        det *= Ak[k]
+        if Ak[k] == 0.0:
+            break
+        for i in range(k + 1, n):
+            Ai = A[i]
+            m = Ai[k] / Ak[k]
+            for j in range(k + 1, n):
+                Ai[j] -= m * Ak[j]
+            b[i] -= m * b[k]
+    if not math.isfinite(det) or abs(det) < 1e-14 * max(scale, 1e-300):
+        raise SingularJacobianError(f"|det J| = {abs(det):.3e} below 1e-14 * scale")
+    dx = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        Ak = A[k]
+        dx[k] = (b[k] - sum([Ak[j] * dx[j] for j in range(k + 1, n)])) / Ak[k]
+    return dx

@@ -10,6 +10,7 @@ from muskat.checks import Pieces
 from muskat.functionals import (
     MismatchError,
     _entropy_piecewise,
+    _products_and_moments,
     NegativeInputError,
     dissipation,
     energy_along_curve,
@@ -26,6 +27,8 @@ from muskat.profiles import (
 from oracles import (
     dissipation_by_field,
     entropy_piecewise_by_loop,
+    fields_report_by_loop,
+    inner_by_loop,
     l2_distance_by_field,
     state_report_by_field,
 )
@@ -168,6 +171,66 @@ def test_entropy_one_array_bitwise_equals_per_piece_loop():
         loop = [entropy_piecewise_by_loop(pp.F), entropy_piecewise_by_loop(pp.G)]
         assert np.array(whole).tobytes() == np.array(loop).tobytes()
     assert _entropy_piecewise(Pieces([PiecewiseQuadratic(())])) == [0.0]
+
+
+def _products_and_moments_by_loop(pairs) -> list[bytes]:
+    """The columns of ``_products_and_moments`` from the scalar loops, as bytes."""
+    cols = [[inner_by_loop(F), inner_by_loop(F, G), inner_by_loop(G),
+             F.moment(1), G.moment(1), F.moment(2), G.moment(2)] for F, G in pairs]
+    return [np.array(c).tobytes() for c in zip(*cols)]
+
+
+def _products_and_moments_batched(pairs) -> list[bytes]:
+    pcs = Pieces([q for pair in pairs for q in pair])
+    return [c.tobytes() for c in _products_and_moments(pcs)]
+
+
+@pytest.mark.parametrize("p", [FluidParams(1.0, 10.0, 1.0), FluidParams(1.0, 40.0, 1.0),
+                               FluidParams(1.0, 0.1, 1.0), FluidParams(1.0, 0.03, 1.0)],
+                         ids=["disconnected-large", "connected-large", "disconnected-small",
+                              "connected-small"])
+def test_products_and_moments_bitwise_equal_scalar_loops_on_curves(p):
+    pairs = [(cp.profile.F, cp.profile.G) for cp in continue_curve(p, 41)]
+    assert _products_and_moments_batched(pairs) == _products_and_moments_by_loop(pairs)
+
+
+def test_products_and_moments_bitwise_equal_scalar_loops_on_hand_built_fields():
+    q = PiecewiseQuadratic
+    fields = [
+        q(((-1.0, 0.0, 1.0, -1.0), (0.0, 1.0, 1.0, -1.0))),  # touching at 0
+        q(((-1.0, -0.0, 0.5, -0.5), (0.0, 1.0, 0.5, -0.5))),  # -0.0 against 0.0: max/min ties
+        q(((-3.0, -2.0, 2.5, -0.25),)),  # disjoint from the others
+        q(((-0.5, 0.5, 2.0, -8.0),)),  # inside the first two
+        q(((-2.0, -1.0, 0.3, 0.1), (-1.0, -0.25, 0.7, -0.3), (0.25, 0.75, 0.2, 0.4),
+           (0.75, 1.5, 0.9, -0.4))),  # four pieces: the others are padded
+        q(((-1.0, 1.0, 0.75, -0.75),)),  # the same ends as the first two
+        q(()),
+    ]
+    pairs = [(F, G) for F in fields for G in fields]
+    assert _products_and_moments_batched(pairs) == _products_and_moments_by_loop(pairs)
+    rng = np.random.default_rng(3)
+    ends = np.array([-2.0, -1.5, -1.0, -0.25, -0.0, 0.0, 0.5, 1.0, 1.0 / 3.0, 2.0])
+    for _ in range(20):
+        fields = []
+        for n in rng.integers(0, 6, size=8):
+            lr = rng.choice(ends, size=(n, 2))
+            fields.append(q(tuple((min(l, r), max(l, r) + (l == r), *rng.normal(size=2))
+                                  for l, r in lr)))
+        pairs = list(zip(fields[::2], fields[1::2]))
+        assert _products_and_moments_batched(pairs) == _products_and_moments_by_loop(pairs)
+
+
+def test_evaluate_bitwise_equals_fields_report_by_loop():
+    p = FluidParams(2.0, 0.5, 1.3)
+    pairs = [(pp.F, pp.G) for pp in (even_profile(p), connected_profile(FluidParams(1.0, 21.0, 1.0)))]
+    pairs += [(cp.profile.F, cp.profile.G) for cp in continue_curve(FluidParams(1.0, 0.1, 1.0), 9)]
+    bumps = [PiecewiseQuadratic(((-1.0, -0.0, 0.75, -0.75), (0.0, 1.0, 0.75, -0.75))),
+             PiecewiseQuadratic(((-0.5, 1.5, 0.5, -0.125),))]
+    pairs += [(F, G) for F in bumps for G in bumps]
+    for F, G in pairs:
+        rep, expect = evaluate((F, G), p), fields_report_by_loop(F, G, p)
+        for name, value in dataclasses.asdict(rep).items():
+            assert np.float64(value).tobytes() == np.float64(getattr(expect, name)).tobytes(), name
 
 
 def _bump(center: float, halfwidth: float, background: float = 0.0):

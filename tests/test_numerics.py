@@ -19,8 +19,9 @@ from muskat.numerics import (
     find_root_bracketed,
     newton_solve,
 )
-from muskat.params import FluidParams, thresholds, xi2
-from muskat.profiles import solve_even_case3
+from muskat.params import ContinuumClass, FluidParams, classify_regime, thresholds, xi2
+from muskat.profiles import continue_curve, solve_even_case3
+from oracles import solve_step_by_elimination
 
 
 def test_sqrt2():
@@ -186,6 +187,60 @@ def test_newton_max_iter():
     J = lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]])
     with pytest.raises(MaxIterExceededError):
         newton_solve(F, J, [50.0], NewtonConfig(tol=1e-14, max_iter=2))
+
+
+def _step(solve, A, Fx):
+    """solve's dx as bytes, or the type and message of what it raised."""
+    try:
+        return np.array(solve([list(row) for row in A], list(Fx))).tobytes()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+_rng = np.random.default_rng(7)
+STEP_CASES = (
+    [([[a]], [f]) for a, f in _rng.normal(size=(20, 2)) * np.exp(_rng.normal(0, 8, (20, 2)))]
+    + [(A.tolist(), F.tolist()) for A, F in zip(_rng.normal(size=(40, 2, 2)),
+                                                _rng.normal(size=(40, 2)))]
+    + [([[0.0]], [1.0]), ([[1e-320]], [1.0]), ([[-0.0]], [0.0]), ([[math.nan]], [1.0]),
+       ([[math.inf]], [1.0]), ([[-3.0]], [-0.0]),
+       ([[0.0, 1.0], [1.0, 0.0]], [-2.0, -3.0]),  # zero diagonal pivot
+       ([[0.0, 1.0], [0.0, 2.0]], [1.0, 1.0]),  # zero first column: no pivot
+       ([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]),  # exactly singular
+       ([[1.0, 1.0], [1.0, 1.0 + 1e-14]], [1.0, 0.0]),  # |det| below 1e-14 * scale
+       ([[1.0, 1.0], [1.0, 1.0 + 4e-14]], [1.0, 0.0]),  # |det| above it
+       ([[2.0, 0.0], [0.0, 3.0]], [0.0, 1.0]),  # -0.0 - 0.0 in the back substitution
+       ([[2.0, -0.0], [0.0, 3.0]], [0.0, -1.0]),
+       ([[math.nan, 1.0], [1.0, 1.0]], [1.0, 1.0]),
+       ([[0.0, math.nan], [0.0, 1.0]], [1.0, 1.0]),
+       ([[1e200, 1e200], [1e200, -1e200]], [1.0, 1.0]),
+       ([[1e-200, 0.0], [0.0, 1e-200]], [1.0, 1.0]),
+       ([[1.0, 0.0], [0.0, 1e-15]], [1.0, 1.0])]  # regular: the row norms scale the test
+    # |first column| tied: the first row stays the pivot row
+    + [([[x, y], [-x, z]], [u, v]) for x, y, z, u, v in _rng.normal(size=(20, 5))])
+
+
+def test_written_out_step_bitwise_equals_general_elimination():
+    for A, Fx in STEP_CASES:
+        assert _step(numerics._solve_step, A, Fx) == _step(solve_step_by_elimination, A, Fx), A
+    raised = [_step(numerics._solve_step, A, Fx) for A, Fx in STEP_CASES]
+    assert sum(isinstance(r, tuple) and r[0] is SingularJacobianError for r in raised) >= 5
+    with pytest.raises(ValueError):
+        numerics._solve_step([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("R_mu, cls", [
+    (10.0, ContinuumClass.DISCONNECTED_ENDPOINTS), (40.0, ContinuumClass.CONNECTED_ENDPOINTS),
+    (0.1, ContinuumClass.DISCONNECTED_ENDPOINTS), (0.03, ContinuumClass.CONNECTED_ENDPOINTS),
+], ids=["disconnected-large", "connected-large", "disconnected-small", "connected-small"])
+def test_curve_zetas_bitwise_with_general_elimination(R_mu, cls, monkeypatch):
+    p = FluidParams(1.0, R_mu, 1.0)
+    assert classify_regime(p).continuum is cls
+    curve = continue_curve(p, 21)
+    monkeypatch.setattr(numerics, "_solve_step", solve_step_by_elimination)
+    oracle = continue_curve(p, 21)
+    assert ([np.array([cp.ell, *cp.zeta]).tobytes() for cp in curve]
+            == [np.array([cp.ell, *cp.zeta]).tobytes() for cp in oracle])
 
 
 def test_config_validation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from muskat import profiles
+from muskat import numerics, profiles
 from muskat.numerics import NewtonConfig, NumericsError, max_abs, newton_solve
 from muskat.params import ContinuumClass, FluidParams, classify_regime, dual_params, thresholds
 from muskat.profiles import (
@@ -47,6 +47,7 @@ from oracles import (
     _R1_newton_funcs,
     curve_jacobian_det,
     solve_even_case4_direct,
+    solve_step_by_elimination,
     steady_residual_fields_by_scan,
 )
 
@@ -594,6 +595,14 @@ def test_newton_converges_fast_near_curve_point():
     assert np.allclose(x, [g1, b1, a, b, g], rtol=1e-9)
 
 
+@pytest.fixture
+def five_unknowns(monkeypatch):
+    # newton_solve steps one or two unknowns; the oracle's general elimination
+    # lets it solve the full five-unknown curve system
+    monkeypatch.setattr(numerics, "_solve_step", solve_step_by_elimination)
+
+
+@pytest.mark.usefixtures("five_unknowns")
 @pytest.mark.parametrize("p, cls", [
     (FluidParams(1.0, 10.0, 1.0), ContinuumClass.DISCONNECTED_ENDPOINTS),
     (FluidParams(1.0, 21.0, 1.0), ContinuumClass.CONNECTED_ENDPOINTS),
@@ -821,6 +830,7 @@ def test_curve_stalls_when_newton_always_fails(monkeypatch):
         continue_curve(FluidParams(1.0, 10.0, 1.0), 11)
 
 
+@pytest.mark.usefixtures("five_unknowns")
 def test_curve_reflection_symmetry_interior():
     p = FluidParams(1.0, 10.0, 1.0)
     curve = continue_curve(p, 21)
