@@ -133,8 +133,8 @@ def check_pairs(p: FluidParams, Fs, Gs, label: str | None = None, first=()) -> N
     with np.errstate(all="ignore"):
         pcs = Pieces([q for pair in zip(Fs, Gs) for q in pair])
         failed, error = field_failures(pcs)
-        # masses piece by piece in order, as moment(0) sums them; a failing
-        # state's message quotes moment(0) itself
+        # masses piece by piece in order, as mass() sums them; a failing
+        # state's message quotes mass() itself
         mass = np.zeros(len(pcs.count))
         for l, r, c0, c2 in zip(pcs.l.T, pcs.r.T, pcs.c0.T, pcs.c2.T):
             mass += c0 * (r - l) + c2 * (r * r * r - l * l * l) / 3.0

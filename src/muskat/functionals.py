@@ -85,10 +85,8 @@ def _products_and_moments(pcs: Pieces):
     the scalar expression's order and exactly 0.0 where two pieces do not
     overlap, and the terms added in the loop's (a-piece, b-piece) order."""
     ends = np.stack([pcs.l, pcs.r])
-    # each distinct endpoint's powers once: equal bits, equal powers
-    bits, at = np.unique(ends.view(np.int64).ravel(), return_inverse=True)
-    distinct = bits.view(float).tolist()
-    pw = {k: np.array([x**k for x in distinct])[at].reshape(ends.shape) for k in (2, 3, 4, 5)}
+    xs = ends.ravel().tolist()
+    pw = {k: np.array([x**k for x in xs]).reshape(ends.shape) for k in (2, 3, 4, 5)}
     real, c0, c2 = pcs.real, pcs.c0, pcs.c2
 
     def moment(k: int) -> np.ndarray:
@@ -97,16 +95,20 @@ def _products_and_moments(pcs: Pieces):
                                      0.0))
 
     def inner(a: slice, b: slice) -> np.ndarray:
-        def pick(t, b_wins):  # t of the b-piece where b_wins, else of the a-piece
-            return np.where(b_wins, t[b][:, None, :], t[a][:, :, None])
+        def at(t):  # t of the a-piece and of the b-piece, as views over the pairs
+            return t[a][:, :, None], t[b][:, None, :]
 
-        lb_wins = pick(pcs.l, True) > pick(pcs.l, False)  # else max(la, lb) is la
-        rb_wins = pick(pcs.r, True) < pick(pcs.r, False)  # else min(ra, rb) is ra
+        def pick(t, b_wins):  # t of the b-piece where b_wins, else of the a-piece
+            ta, tb = at(t)
+            return np.where(b_wins, tb, ta)
+
+        (la, lb), (ra, rb) = at(pcs.l), at(pcs.r)
+        lb_wins, rb_wins = lb > la, rb < ra  # else max(la, lb) is la, min(ra, rb) is ra
         l, r = pick(pcs.l, lb_wins), pick(pcs.r, rb_wins)
         d3, d5 = (pick(pw[k][1], rb_wins) - pick(pw[k][0], lb_wins) for k in (3, 5))
-        a0, a2, b0, b2 = pick(c0, False), pick(c2, False), pick(c0, True), pick(c2, True)
+        (a0, b0), (a2, b2), (real_a, real_b) = at(c0), at(c2), at(real)
         terms = a0 * b0 * (r - l) + (a0 * b2 + a2 * b0) * d3 / 3.0 + a2 * b2 * d5 / 5.0
-        keep = pick(real, False) & pick(real, True) & ~(r <= l)
+        keep = real_a & real_b & ~(r <= l)
         return _column_sums(np.where(keep, terms, 0.0).reshape(len(terms), -1))
 
     F, G = slice(0, None, 2), slice(1, None, 2)

@@ -161,17 +161,12 @@ class PiecewiseQuadratic:
 
     # -- exact integrals ---------------------------------------------
 
-    def moment(self, k: int) -> float:
-        """Exact integral of x^k times the function, k in {0, 1, 2}."""
-        if k not in (0, 1, 2):
-            raise ValueError("moment order must be 0, 1 or 2")
-        total, k1, k3 = 0.0, k + 1, k + 3
-        for l, r, c0, c2 in self.pieces:
-            total += c0 * (r**k1 - l**k1) / k1 + c2 * (r**k3 - l**k3) / k3
-        return total
-
     def mass(self) -> float:
-        return self.moment(0)
+        """Exact integral of the function, one piece at a time."""
+        total = 0.0
+        for l, r, c0, c2 in self.pieces:
+            total += c0 * (r - l) + c2 * (r**3 - l**3) / 3.0
+        return total
 
     # -- transforms ---------------------------------------------------
 

@@ -283,6 +283,17 @@ def inner_by_loop(a: PiecewiseQuadratic, b: PiecewiseQuadratic | None = None) ->
     return total
 
 
+def moment_by_loop(q: PiecewiseQuadratic, k: int) -> float:
+    """Exact integral of x^k times q, k in {0, 1, 2}, one piece at a time (the
+    scalar form of the moments of ``functionals._products_and_moments``)."""
+    if k not in (0, 1, 2):
+        raise ValueError("moment order must be 0, 1 or 2")
+    total, k1, k3 = 0.0, k + 1, k + 3
+    for l, r, c0, c2 in q.pieces:
+        total += c0 * (r**k1 - l**k1) / k1 + c2 * (r**k3 - l**k3) / k3
+    return total
+
+
 def fields_report_by_loop(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
                           p: FluidParams) -> FunctionalReport:
     """Report of a field pair, its screen and entropy one piece at a time
@@ -294,8 +305,8 @@ def fields_report_by_loop(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
                 raise NegativeInputError("fields must be non-negative")
     theta = p.theta
     return _report(p, inner_by_loop(F), inner_by_loop(F, G), inner_by_loop(G),
-                   m1=F.moment(1) + theta * G.moment(1),
-                   m2=F.moment(2) + theta * G.moment(2),
+                   m1=moment_by_loop(F, 1) + theta * moment_by_loop(G, 1),
+                   m2=moment_by_loop(F, 2) + theta * moment_by_loop(G, 2),
                    entropy=entropy_piecewise_by_loop(F) + theta * entropy_piecewise_by_loop(G))
 
 

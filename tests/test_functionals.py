@@ -30,6 +30,7 @@ from oracles import (
     fields_report_by_loop,
     inner_by_loop,
     l2_distance_by_field,
+    moment_by_loop,
     state_report_by_field,
 )
 
@@ -176,7 +177,8 @@ def test_entropy_one_array_bitwise_equals_per_piece_loop():
 def _products_and_moments_by_loop(pairs) -> list[bytes]:
     """The columns of ``_products_and_moments`` from the scalar loops, as bytes."""
     cols = [[inner_by_loop(F), inner_by_loop(F, G), inner_by_loop(G),
-             F.moment(1), G.moment(1), F.moment(2), G.moment(2)] for F, G in pairs]
+             moment_by_loop(F, 1), moment_by_loop(G, 1), moment_by_loop(F, 2),
+             moment_by_loop(G, 2)] for F, G in pairs]
     return [np.array(c).tobytes() for c in zip(*cols)]
 
 
