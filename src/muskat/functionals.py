@@ -10,6 +10,7 @@ unimodal with its minimum at the even state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -27,7 +28,16 @@ __all__ = [
     "energy_along_curve",
 ]
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(64)
+
+@cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 64-point Gauss-Legendre quadrature on [-1, 1],
+    read-only, computed on first use: importing numpy.polynomial for them
+    would add milliseconds to every import of the package."""
+    rule = np.polynomial.legendre.leggauss(64)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 class NegativeInputError(Exception):
@@ -56,14 +66,15 @@ def _entropy_piecewise(pcs: Pieces, floor: float = 1e-300) -> list[float]:
     are then added in piece order.
     """
     l, r, c0, c2 = (a[pcs.real][:, None] for a in (pcs.l, pcs.r, pcs.c0, pcs.c2))
+    gauss_x, gauss_w = _gauss_rule()
     half, mid = 0.5 * (r - l), 0.5 * (l + r)
     h = np.empty(len(l))
     for b in range(0, len(l), 64):
         s = slice(b, b + 64)
-        v = half[s] * _GAUSS_X + mid[s]
+        v = half[s] * gauss_x + mid[s]
         v = c0[s] + c2[s] * v**2
         v[~(v > floor)] = 1.0  # v ln v -> 0 there
-        h[s] = half[s, 0] * np.sum(_GAUSS_W * v * np.log(v), axis=1)
+        h[s] = half[s, 0] * np.sum(gauss_w * v * np.log(v), axis=1)
     per_piece = np.zeros(pcs.real.shape)
     per_piece[pcs.real] = h
     return _column_sums(per_piece).tolist()

@@ -169,29 +169,37 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
     """Damped Newton iteration for F(x) = 0 in one or two unknowns, with
     analytic Jacobian J.
 
-    F and J receive the iterate as a list of floats and may return any
-    sequences (tuples, lists or arrays) of the residual and of the Jacobian's
-    rows.  The loop runs in Python floats: the step comes from Gaussian
-    elimination with partial pivoting, and J counts as singular when the
-    product of the pivots is below 1e-14 times the product of the row norms
-    (the Hadamard bound).  The step is halved until the max-norm residual
-    decreases; a residual that is NaN or infinite counts as no decrease.
-    Returns the root as an array.  Raises SingularJacobianError /
-    StepTooSmallError / MaxIterExceededError on the corresponding failures,
-    and ValueError for more than two unknowns.
+    F and J receive the iterate as a list of floats.  F returns a sequence
+    of the residual's entries and J a sequence of the Jacobian's rows
+    (tuples, lists or arrays); the entries are used as returned, so they
+    must be floats: Python floats, or numpy float64 scalars, which are
+    floats too and give the same results.  The loop runs in those floats:
+    the step comes from Gaussian elimination with partial pivoting, and J
+    counts as singular when the product of the pivots is below 1e-14 times
+    the product of the row norms (the Hadamard bound).  The step is halved
+    until the max-norm residual decreases; a residual that is NaN or
+    infinite counts as no decrease.  Returns the root as an array.  Raises
+    SingularJacobianError / StepTooSmallError / MaxIterExceededError on the
+    corresponding failures, and ValueError for more than two unknowns.
     """
     x = [float(v) for v in x0]
     n = len(x)
-    Fx = [float(v) for v in F(x)]
+    tol = cfg.tol
+    Fx = F(x)
     norm = max_abs(Fx)
     for _ in range(cfg.max_iter):
-        if norm <= cfg.tol:
+        if norm <= tol:
             return np.array(x)
-        dx = _solve_step([[float(v) for v in row] for row in J(x)], Fx)
+        dx = _solve_step(J(x), Fx)
         t = 1.0
         while True:
-            x_new = [x[i] + t * dx[i] for i in range(n)]
-            F_new = [float(v) for v in F(x_new)]
+            if n == 2:
+                x_new = [x[0] + t * dx[0], x[1] + t * dx[1]]
+            elif n == 1:
+                x_new = [x[0] + t * dx[0]]
+            else:
+                x_new = [x[i] + t * dx[i] for i in range(n)]
+            F_new = F(x_new)
             norm_new = max_abs(F_new)
             if math.isfinite(norm_new) and norm_new < norm:
                 break
@@ -200,16 +208,24 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
                 raise StepTooSmallError(
                     f"line search stalled at step {t:.3e} with residual {norm:.3e}")
         x, Fx, norm = x_new, F_new, norm_new
-    if norm <= cfg.tol:
+    if norm <= tol:
         return np.array(x)
     raise MaxIterExceededError(f"residual {norm:.3e} after {cfg.max_iter} iterations")
 
 
 def max_abs(v: Sequence[float]) -> float:
-    """Max-norm that is NaN when any entry is (Python's max would skip it)."""
-    if any(map(math.isnan, v)):
-        return math.nan
-    return max(map(abs, v))
+    """Max-norm that is NaN when any entry is (Python's max would skip it),
+    in one pass; like max(), the first of equal largest entries."""
+    best = None
+    for e in v:
+        a = abs(e)
+        if a != a:
+            return math.nan
+        if best is None or a > best:
+            best = a
+    if best is None:
+        raise ValueError("max() arg is an empty sequence")
+    return best
 
 
 def _solve_step(A: Sequence[Sequence[float]], Fx: Sequence[float]) -> list[float]:

@@ -27,7 +27,6 @@ checks its states, all of a curve at once, with ``checks.check_pairs``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -122,16 +121,30 @@ class ContinuationStallError(NumericsError):
 Piece = tuple[float, float, float, float]  # (l, r, c0, c2): c0 + c2*x^2 on [l, r]
 
 
-def _clean_pieces(pieces: Sequence[Sequence[float]]) -> tuple[Piece, ...]:
-    # max(abs(l), abs(r)) of each piece, written out; scale is at least 1
-    scale = max([1.0, *[abs(r) if abs(r) > abs(l) else abs(l) for l, r, _, _ in pieces]])
+def _kept_pieces(pieces: Sequence[Sequence[float]]) -> list:
+    """The pieces wider than 1e-14 times the largest |end| (at least 1), in
+    order of their left ends: a stable sort, run only when they are out of it."""
+    scale = 1.0
+    for l, r, _, _ in pieces:
+        al, ar = abs(l), abs(r)
+        w = ar if ar > al else al
+        if w > scale:  # max()'s rule: a NaN never wins
+            scale = w
     min_width = 1e-14 * scale
-    kept = [(float(l), float(r), float(c0), float(c2)) for l, r, c0, c2 in pieces
-            if r - l > min_width]
-    lefts = [q[0] for q in kept]
-    if not all(map(operator.le, lefts, lefts[1:])):  # else the stable sort keeps them
+    kept, ordered = [], True
+    for q in pieces:
+        if q[1] - q[0] > min_width:
+            if kept and not kept[-1][0] <= q[0]:
+                ordered = False
+            kept.append(q)
+    if not ordered:
         kept.sort(key=lambda q: q[0])
-    return tuple(kept)
+    return kept
+
+
+def _clean_pieces(pieces: Sequence[Sequence[float]]) -> tuple[Piece, ...]:
+    return tuple([(float(l), float(r), float(c0), float(c2))
+                  for l, r, c0, c2 in _kept_pieces(pieces)])
 
 
 @dataclass(frozen=True)
@@ -357,11 +370,28 @@ def steady_residual(pp: ProfilePair) -> float:
     return steady_residual_fields(pp.F, pp.G, pp.params)
 
 
+def _float_fields(fields) -> tuple[list, list]:
+    """(Fs, Gs), each state's F pieces and G pieces made fields in one pass.
+    Every piece is a tuple of floats, as ``_zeta_pieces`` and the even forms
+    build them, so the kept tuples serve as they are: each field holds the
+    pieces of ``PiecewiseQuadratic.from_pieces``, whose float() of a Python
+    float is that float (numpy float64 entries, from parameters given as
+    numpy scalars, keep their type and bits), and is made without the
+    dataclass's initializer."""
+    Fs, Gs = out = ([], [])
+    new = object.__new__
+    for state in fields:
+        for pieces, dest in zip(state, out):
+            q = new(PiecewiseQuadratic)
+            q.__dict__.update(pieces=tuple(_kept_pieces(pieces)), _averages={})
+            dest.append(q)
+    return Fs, Gs
+
+
 def _finish_pairs(p: FluidParams, fields, label: str, zetas=None, first=()) -> list[ProfilePair]:
     """The pairs of p with each state's (F pieces, G pieces) and zeta, every
     state checked in one batch (see ``check_pairs``)."""
-    Fs = [PiecewiseQuadratic.from_pieces(F) for F, _ in fields]
-    Gs = [PiecewiseQuadratic.from_pieces(G) for _, G in fields]
+    Fs, Gs = _float_fields(fields)
     check_pairs(p, Fs, Gs, label, first)
     return [ProfilePair._checked(F, G, p, label, zeta)
             for F, G, zeta in zip(Fs, Gs, zetas or [None] * len(Fs))]
@@ -672,7 +702,7 @@ def _sextuplet_pairs(p: FluidParams, zetas) -> list[ProfilePair]:
     """``profile_from_zeta`` of each sextuplet, all checked in one batch: each
     must be finite and weakly ordered, p must have a sextuplet system, and
     the sextuplet's residual in it must be small."""
-    zetas = [tuple(float(z) for z in zeta) for zeta in zetas]
+    zetas = [tuple(map(float, zeta)) for zeta in zetas]
     system = _sextuplet_system(p)
     with np.errstate(all="ignore"):
         z = np.array(zetas).reshape(-1, 6)
@@ -744,48 +774,51 @@ def _curve_points(p: FluidParams, zws: Sequence[Sequence[float]], a_even: float,
                   dual: bool) -> list[CurvePoint]:
     """The states of p whose work-frame sextuplets are zws, built as one batch;
     a state's curve parameter is lam (a_even + alpha1), zero at the even state."""
-    zetas = [tuple(-lam * z for z in reversed(zw)) if dual else tuple(zw) for zw in zws]
+    zetas = [tuple([-lam * z for z in reversed(zw)]) if dual else tuple(zw) for zw in zws]
     return [CurvePoint(ell=lam * (a_even + zw[2]), zeta=zeta, profile=pp)
             for zw, zeta, pp in zip(zws, zetas, _sextuplet_pairs(p, zetas))]
 
 
-def _R1_complete(p: FluidParams, a1: float, a: float, b: float):
-    """The sextuplet at (alpha1, alpha, beta) from the three quadratic rows of
-    R1, with gamma1 < beta1 < 0 < gamma; None when a radicand is not positive."""
-    R, Rmu = p.R, p.R_mu
-    s, q = Rmu - R, Rmu - R - 1.0
-    g2 = s * b**2 - q * a**2
-    b12 = b**2 + R * q * (a1**2 - a**2) / (s * (1.0 + R))
-    g12 = s * b12 - q * a1**2
-    if not (g2 > 0.0 and b12 > 0.0 and g12 > 0.0):
-        return None
-    return (-math.sqrt(g12), -math.sqrt(b12), a1, a, b, math.sqrt(g2))
-
-
 def _R1_reduced_funcs(p: FluidParams, a1: float):
     """Rows 4 and 5 of R1 and their Jacobian in (alpha, beta) at fixed alpha1,
-    the other unknowns given by ``_R1_complete``; NaN where it has none.
-    Returns (F, J, complete): ``complete(u)`` is ``_R1_complete`` at u,
-    remembered for the last iterate, so F, J and the caller share one
-    completion per iterate.  J takes alpha and beta from u itself and F reads
-    alpha only in alpha^3 - alpha1^3, so a hit on an iterate that differs only
-    in the sign of a zero changes nothing."""
-    R, Rmu = p.R, p.R_mu
+    the other unknowns given by the three quadratic rows of R1 in closed form;
+    NaN where a radicand is not positive.  Returns (F, J, complete):
+    ``complete(u)`` is the sextuplet at u, gamma1 < beta1 < 0 < gamma, or None
+    without one, remembered for the last iterate, so F, J and the caller share
+    one completion per iterate.  J takes alpha and beta from u itself and F
+    reads alpha only in alpha^3 - alpha1^3, so a hit on an iterate that
+    differs only in the sign of a zero changes nothing.  Every value is
+    bitwise that of the same expression in ``residuals_R1``."""
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     s, q = Rmu - R, Rmu - R - 1.0
-    k = R * q / (1.0 + R)
+    Rq, R1 = R * q, 1.0 + R
+    k = Rq / R1
+    sR1, a12, a13 = s * R1, a1**2, a1**3
+    qa12 = q * a12
+    c4, c5 = 9.0 * e2 * Rmu, 9.0 * Rmu
     last = [None, None]  # (alpha, beta) and its completion
 
     def complete(u):
         key = (u[0], u[1])
         if key != last[0]:
-            last[:] = key, _R1_complete(p, a1, *key)
+            a, b = key
+            a2, b2 = a**2, b**2
+            g2 = s * b2 - q * a2
+            b12 = b2 + Rq * (a12 - a2) / sR1
+            g12 = s * b12 - qa12
+            zeta = None
+            if g2 > 0.0 and b12 > 0.0 and g12 > 0.0:
+                zeta = (-math.sqrt(g12), -math.sqrt(b12), a1, a, b, math.sqrt(g2))
+            last[:] = key, zeta
         return last[1]
 
     def F(u):
         zeta = complete(u)
         if zeta is None:
             return math.nan, math.nan
-        return residuals_R1(p, zeta)[3:]
+        g1, b1, _, a, b, g = zeta
+        db3, da3 = b**3 - b1**3, a**3 - a13
+        return s * db3 - Rq * da3 / R1 - c4, (g**3 - g1**3) - s * db3 + q * da3 - c5
 
     def J(u):
         zeta = complete(u)
@@ -800,12 +833,13 @@ def _R1_reduced_funcs(p: FluidParams, a1: float):
     return F, J, complete
 
 
-def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float, u_from: np.ndarray,
-                 u_prev: np.ndarray | None, a1_prev: float | None,
-                 cfg: NewtonConfig) -> tuple[np.ndarray, tuple]:
+def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float, u_from: Sequence[float],
+                 u_prev: Sequence[float] | None, a1_prev: float | None,
+                 cfg: NewtonConfig) -> tuple[list[float], tuple]:
     """Newton solve in (alpha, beta) at a1_target, bisecting the parameter
-    step on failure; returns (alpha, beta) and the sextuplet."""
-    a1_cur, u_cur = a1_from, u_from.copy()
+    step on failure; returns (alpha, beta) and the sextuplet.  The secant
+    predictor works on the two Python floats, each entry as an array would."""
+    a1_cur, (u0, u1) = a1_from, u_from
     u_sec, a1_sec = u_prev, a1_prev
     step = a1_target - a1_cur
     guard, zeta = 0, None
@@ -814,27 +848,28 @@ def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float, u_from: np.nd
             step = a1_target - a1_cur
         trial = a1_cur + step
         if u_sec is not None and a1_sec != a1_cur:
-            pred = u_cur + (u_cur - u_sec) * ((trial - a1_cur) / (a1_cur - a1_sec))
+            f = (trial - a1_cur) / (a1_cur - a1_sec)
+            pred = [u0 + (u0 - u_sec[0]) * f, u1 + (u1 - u_sec[1]) * f]
         else:
-            pred = u_cur
+            pred = [u0, u1]
         F, J, complete = _R1_reduced_funcs(p, trial)
         try:
-            u_new = newton_solve(F, J, pred, cfg)
-            z_new = complete(u_new.tolist())
+            u_new = newton_solve(F, J, pred, cfg).tolist()
+            z_new = complete(u_new)
             g1, b1, a1, a, b, g = z_new or (math.nan,) * 6
             ok = g1 < b1 < a1 < 0.0 < a < b < g
         except NumericsError:
             ok = False
         if ok:
-            u_sec, a1_sec = u_cur, a1_cur
-            u_cur, a1_cur, zeta = u_new, trial, z_new
+            u_sec, a1_sec = (u0, u1), a1_cur
+            (u0, u1), a1_cur, zeta = u_new, trial, z_new
         else:
             step *= 0.5
             guard += 1
             if abs(step) < 1e-12 * max(abs(a1_target), 1.0) or guard > 200:
                 raise ContinuationStallError(
                     f"continuation stalled near alpha1 = {a1_cur:.12g}")
-    return u_cur, zeta
+    return [u0, u1], zeta
 
 
 def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
@@ -858,7 +893,6 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     work, lam, dual = _work_frame(p, regime)
 
     a_even, b_even, _ = _split_G_radii(work)
-    u_even = np.array([a_even, b_even])
 
     if cont is ContinuumClass.CONNECTED_ENDPOINTS:
         b1e, ae, be, ge = connected_quadruple(work)
@@ -880,7 +914,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
                               max_iter=60)
     zetas: dict[int, tuple[float, ...]] = {0: zeta_lo, n_points - 1: zeta_hi}
     for direction in (1, -1):
-        u_cur = u_even.copy()
+        u_cur = [a_even, b_even]
         a1_cur = -a_even
         u_prev, a1_prev = None, None
         rng = range(i0 + 1, n_points - 1) if direction == 1 else range(i0 - 1, 0, -1)

@@ -1,14 +1,23 @@
 """Independent constructions that the tests check the library against."""
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
-from muskat.functionals import _GAUSS_W, _GAUSS_X, FunctionalReport, NegativeInputError, _report
+from muskat.functionals import FunctionalReport, NegativeInputError, _gauss_rule, _report
 from muskat.checks import STEADY_TOL
 from muskat.fvm import cell_averages
-from muskat.numerics import SingularJacobianError, find_root_bracketed, max_abs
+from muskat import numerics
+from muskat.numerics import (
+    MaxIterExceededError,
+    NewtonConfig,
+    SingularJacobianError,
+    StepTooSmallError,
+    find_root_bracketed,
+    max_abs,
+)
 from muskat.params import FluidParams, dual_params, thresholds
 from muskat.profiles import (
     InvalidZetaError,
@@ -124,13 +133,14 @@ def steady_residual_fields_by_scan(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
 def entropy_piecewise_by_loop(q: PiecewiseQuadratic, floor: float = 1e-300) -> float:
     """Gauss-Legendre quadrature of q ln q, one piece at a time (the per-piece
     form of ``functionals._entropy_piecewise``)."""
+    gauss_x, gauss_w = _gauss_rule()
     total = 0.0
     for l, r, c0, c2 in q.pieces:
         xm, half = 0.5 * (l + r), 0.5 * (r - l)
-        x = xm + half * _GAUSS_X
+        x = xm + half * gauss_x
         v = c0 + c2 * x**2
         v = np.where(v > floor, v, 1.0)  # v ln v -> 0 there
-        total += half * float(np.sum(_GAUSS_W * v * np.log(v)))
+        total += half * float(np.sum(gauss_w * v * np.log(v)))
     return total
 
 
@@ -330,12 +340,14 @@ def curve_energy_closed_form_by_state(p: FluidParams, zeta: Sequence[float]) -> 
     return _fifth_power_energy_by_state(p1, tuple(-z / lam for z in reversed(tuple(zeta)))) / lam
 
 
-def solve_step_by_elimination(A: list[list[float]], Fx: list[float]) -> list[float]:
+def solve_step_by_elimination(A: Sequence[Sequence[float]], Fx: Sequence[float]) -> list[float]:
     """Solve A dx = -Fx for any number of unknowns by Gaussian elimination with
-    partial pivoting, A overwritten (the general form of ``numerics._solve_step``).
+    partial pivoting, on a copy of A as lists of floats (the general form of
+    ``numerics._solve_step``).
 
     The determinant is the signed product of the pivots.
     """
+    A = [[float(v) for v in row] for row in A]
     n = len(Fx)
     scale = math.prod([math.hypot(*row) for row in A])
     b = [-v for v in Fx]
@@ -366,3 +378,69 @@ def solve_step_by_elimination(A: list[list[float]], Fx: list[float]) -> list[flo
         Ak = A[k]
         dx[k] = (b[k] - sum([Ak[j] * dx[j] for j in range(k + 1, n)])) / Ak[k]
     return dx
+
+
+def max_abs_by_two_passes(v: Sequence[float]) -> float:
+    """Max-norm that is NaN when any entry is: a NaN test, then Python's max
+    (the two-pass form of ``numerics.max_abs``)."""
+    if any(map(math.isnan, v)):
+        return math.nan
+    return max(map(abs, v))
+
+
+def newton_solve_by_lists(F, J, x0: Sequence[float],
+                          cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
+    """Damped Newton iteration that rebuilds the iterate, the residual and the
+    Jacobian as lists of Python floats at every step (the list form of
+    ``numerics.newton_solve``)."""
+    x = [float(v) for v in x0]
+    n = len(x)
+    Fx = [float(v) for v in F(x)]
+    norm = max_abs_by_two_passes(Fx)
+    for _ in range(cfg.max_iter):
+        if norm <= cfg.tol:
+            return np.array(x)
+        dx = numerics._solve_step([[float(v) for v in row] for row in J(x)], Fx)
+        t = 1.0
+        while True:
+            x_new = [x[i] + t * dx[i] for i in range(n)]
+            F_new = [float(v) for v in F(x_new)]
+            norm_new = max_abs_by_two_passes(F_new)
+            if math.isfinite(norm_new) and norm_new < norm:
+                break
+            t *= numerics._DAMPING
+            if t < numerics._MIN_STEP:
+                raise StepTooSmallError(
+                    f"line search stalled at step {t:.3e} with residual {norm:.3e}")
+        x, Fx, norm = x_new, F_new, norm_new
+    if norm <= cfg.tol:
+        return np.array(x)
+    raise MaxIterExceededError(f"residual {norm:.3e} after {cfg.max_iter} iterations")
+
+
+def clean_pieces_by_sort(pieces) -> tuple:
+    """The pieces as float tuples, those not wider than 1e-14 times the
+    largest |end| (at least 1) dropped, sorted by left end when out of order
+    (the comprehension form of ``profiles._clean_pieces``)."""
+    scale = max([1.0, *[abs(r) if abs(r) > abs(l) else abs(l) for l, r, _, _ in pieces]])
+    min_width = 1e-14 * scale
+    kept = [(float(l), float(r), float(c0), float(c2)) for l, r, c0, c2 in pieces
+            if r - l > min_width]
+    lefts = [q[0] for q in kept]
+    if not all(map(operator.le, lefts, lefts[1:])):  # else the stable sort keeps them
+        kept.sort(key=lambda q: q[0])
+    return tuple(kept)
+
+
+def R1_complete_by_rows(p: FluidParams, a1: float, a: float, b: float):
+    """The sextuplet at (alpha1, alpha, beta) from the three quadratic rows of
+    R1, with gamma1 < beta1 < 0 < gamma; None when a radicand is not positive
+    (the per-call form of the completion in ``profiles._R1_reduced_funcs``)."""
+    R, Rmu = p.R, p.R_mu
+    s, q = Rmu - R, Rmu - R - 1.0
+    g2 = s * b**2 - q * a**2
+    b12 = b**2 + R * q * (a1**2 - a**2) / (s * (1.0 + R))
+    g12 = s * b12 - q * a1**2
+    if not (g2 > 0.0 and b12 > 0.0 and g12 > 0.0):
+        return None
+    return (-math.sqrt(g12), -math.sqrt(b12), a1, a, b, math.sqrt(g2))

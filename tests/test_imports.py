@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import muskat
@@ -58,3 +61,13 @@ def test_all_lists_every_public_function_and_class():
         bad += [f"{f.name}: {n} not in __all__" for n in public if n not in mod.__all__]
         bad += [f"{f.name}: {n} listed but absent" for n in mod.__all__ if not hasattr(mod, n)]
     assert not bad, bad
+
+
+def test_package_import_leaves_numpy_polynomial_out():
+    # the quadrature nodes are computed on first use, so importing the
+    # package and its CLI does not load numpy.polynomial
+    src = Path(muskat.__file__).resolve().parents[1]
+    code = ("import sys, muskat.cli; "
+            "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                   check=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muskat import numerics
+from muskat import numerics, profiles
 from muskat.numerics import (
     MaxIterExceededError,
     NewtonConfig,
@@ -21,7 +21,7 @@ from muskat.numerics import (
 )
 from muskat.params import ContinuumClass, FluidParams, classify_regime, thresholds, xi2
 from muskat.profiles import continue_curve, solve_even_case3
-from oracles import solve_step_by_elimination
+from oracles import newton_solve_by_lists, solve_step_by_elimination
 
 
 def test_sqrt2():
@@ -189,6 +189,40 @@ def test_newton_max_iter():
         newton_solve(F, J, [50.0], NewtonConfig(tol=1e-14, max_iter=2))
 
 
+NEWTON_TESTS = (test_newton_affine_one_step, test_newton_scalar_quadratic,
+                test_newton_residual_bound, test_newton_accepts_tuples,
+                test_newton_pivots_on_zero_diagonal, test_newton_nan_residual_halves_the_step,
+                test_newton_singular_jacobian, test_newton_nearly_singular_jacobian,
+                test_newton_max_iter)
+
+
+def _solved(solve, F, J, x0, cfg):
+    """solve's root as bytes, or the type and message of what it raised."""
+    try:
+        return solve(F, J, x0, cfg).tobytes()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_newton_bitwise_equals_list_oracle(monkeypatch):
+    # every system of the Newton tests above, recorded as they run: the
+    # shipped loop on the returned floats gives the root bits of the loop
+    # that rebuilds float lists, or raises its exception type and message
+    systems = []
+
+    def record(F, J, x0, cfg=NewtonConfig()):
+        systems.append((F, J, x0, cfg))
+        return numerics.newton_solve(F, J, x0, cfg)
+
+    monkeypatch.setattr(sys.modules[__name__], "newton_solve", record)
+    for test in NEWTON_TESTS:
+        test()
+    assert len(systems) == len(NEWTON_TESTS)
+    outcomes = [_solved(numerics.newton_solve, *system) for system in systems]
+    assert outcomes == [_solved(newton_solve_by_lists, *system) for system in systems]
+    assert sum(isinstance(out, tuple) for out in outcomes) == 3
+
+
 def _step(solve, A, Fx):
     """solve's dx as bytes, or the type and message of what it raised."""
     try:
@@ -241,6 +275,29 @@ def test_curve_zetas_bitwise_with_general_elimination(R_mu, cls, monkeypatch):
     oracle = continue_curve(p, 21)
     assert ([np.array([cp.ell, *cp.zeta]).tobytes() for cp in curve]
             == [np.array([cp.ell, *cp.zeta]).tobytes() for cp in oracle])
+
+
+@pytest.mark.parametrize("p", [
+    FluidParams(1.0, 10.0, 1.0), FluidParams(1.0, 40.0, 1.0), FluidParams(1.0, 0.1, 1.0),
+    FluidParams(1.0, 0.03, 1.0), FluidParams(1.0, 21.0, 1.0), FluidParams(4.0, 0.7, 1.0),
+], ids=lambda p: f"{p.R:g}-{p.R_mu:g}-{p.eta:g}")
+def test_curve_bitwise_with_list_oracle_newton(p, monkeypatch):
+    # the continuation on Python floats gives the curve of the list loop,
+    # with one newton_solve call per corrector solve in both
+    def counted(solve, calls):
+        def run(*args):
+            calls.append(None)
+            return solve(*args)
+        return run
+
+    shipped, listed = [], []
+    monkeypatch.setattr(profiles, "newton_solve", counted(newton_solve, shipped))
+    curve = continue_curve(p, 21)
+    monkeypatch.setattr(profiles, "newton_solve", counted(newton_solve_by_lists, listed))
+    oracle = continue_curve(p, 21)
+    assert ([np.array([cp.ell, *cp.zeta]).tobytes() for cp in curve]
+            == [np.array([cp.ell, *cp.zeta]).tobytes() for cp in oracle])
+    assert len(shipped) == len(listed) >= 18
 
 
 def test_config_validation():

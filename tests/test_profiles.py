@@ -39,12 +39,17 @@ from muskat.profiles import (
     steady_residual_fields,
     xi0,
     xi3,
+    _clean_pieces,
+    _float_fields,
     _system_tol,
     _R1_reduced_funcs,
     _work_frame,
+    _zeta_pieces,
 )
 from oracles import (
+    R1_complete_by_rows,
     _R1_newton_funcs,
+    clean_pieces_by_sort,
     curve_jacobian_det,
     moment_by_loop,
     solve_even_case4_direct,
@@ -382,6 +387,56 @@ def test_zeta_collapsed_equals_connected():
     assert np.allclose(pp.G(x), cn.G(x), atol=1e-12)
 
 
+def _typed_bits(pieces) -> list:
+    """Each entry of each piece as (type, IEEE bytes)."""
+    return [tuple((type(v), np.float64(v).tobytes()) for v in q) for q in pieces]
+
+
+def _connected_zeta(p: FluidParams) -> tuple:
+    work, lam, _ = _work_frame(p, classify_regime(p))
+    b1, a, b, g = (lam * v for v in connected_quadruple(work))
+    return (b1, b1, b1, a, b, g)
+
+
+def _even_zeta(p: FluidParams) -> tuple:
+    a, b, g = solve_even_case3(p) if p.R_mu > p.R + 1.0 else solve_even_case4(p)
+    return (-g, -b, -a, a, b, g)
+
+
+@pytest.mark.parametrize("zeta_of, p", [
+    (_connected_zeta, FluidParams(1.0, 21.0, 1.0)), (_connected_zeta, FluidParams(1.0, 0.01, 1.0)),
+    (_even_zeta, FluidParams(1.0, 10.0, 1.0)), (_even_zeta, FluidParams(1.0, 0.1, 1.0)),
+], ids=["connected-large", "connected-small", "even-case3", "even-case4"])
+def test_float_fields_bitwise_equal_clean_pieces(zeta_of, p):
+    # the one-pass field build keeps what _clean_pieces keeps, in its order,
+    # as Python floats of the same bits: connected endpoints lose the pieces
+    # collapsed onto beta1, the even state loses none
+    fields = _zeta_pieces(p, zeta_of(p))
+    built = _float_fields([fields])
+    for pieces, (q,) in zip(fields, built):
+        assert _typed_bits(q.pieces) == _typed_bits(_clean_pieces(pieces)) \
+            == _typed_bits(clean_pieces_by_sort(pieces))
+        assert q == PiecewiseQuadratic.from_pieces(pieces)
+    dropped = sum(map(len, fields)) - sum(len(q.pieces) for (q,) in built)
+    assert dropped == (3 if zeta_of is _connected_zeta else 0)
+
+
+def test_float_fields_sort_out_of_order_pieces():
+    # pieces out of order, one of zero width and two with tied left ends
+    pieces = [(1.0, 2.0, 0.25, 0.0), (-1.0, 1.0, 0.5, 0.0), (0.5, 0.5, 3.0, 0.0),
+              (-3.0, -1.0, 0.125, 0.0), (1.0, 1.5, 0.75, 0.0), (-4.0, -4.0 + 1e-15, 1.0, 0.0)]
+    (q,), (r,) = _float_fields([(pieces, pieces[:2])])
+    assert [v[0] for v in q.pieces] == [-3.0, -1.0, 1.0, 1.0]
+    assert q.pieces[2:] == (pieces[0], pieces[4])  # the stable sort keeps tied pieces in order
+    assert _typed_bits(q.pieces) == _typed_bits(_clean_pieces(pieces)) \
+        == _typed_bits(clean_pieces_by_sort(pieces))
+    assert r.pieces == (pieces[1], pieces[0])
+    # from_pieces of any numbers: float tuples, as the comprehension form gives them
+    for raw in (pieces, [(-1, 1, 1, 0), (2, 3, np.float64(0.5), np.float32(0.25))],
+                [(math.nan, 1.0, 0.5, 0.0), (-2.0, 5.0, 0.5, 0.0), [3.0, 4.0, 1.0, 0.0]]):
+        assert _typed_bits(_clean_pieces(raw)) == _typed_bits(clean_pieces_by_sort(raw))
+
+
 def test_zeta_rejects_garbage():
     p = FluidParams(1.0, 10.0, 1.0)
     with pytest.raises(InvalidZetaError):
@@ -641,6 +696,24 @@ def test_reduced_jacobian_matches_central_differences():
     F, J, _ = _R1_reduced_funcs(p, -1.0)
     assert all(math.isnan(v) for v in F([1.0, 0.0]))
     assert all(math.isnan(v) for row in J([1.0, 0.0]) for v in row)
+
+
+@pytest.mark.parametrize("p", [FluidParams(1.0, 10.0, 1.0), FluidParams(2.0, 40.0, 0.8)],
+                         ids=["disconnected", "connected"])
+def test_reduced_funcs_bitwise_equal_residuals_R1(p):
+    # F is rows 4 and 5 of residuals_R1 at the completed sextuplet, and the
+    # completion solves the three quadratic rows as the per-call form does,
+    # on the curve and around it
+    rng = np.random.default_rng(3)
+    for cp in continue_curve(p, 9)[1:-1]:
+        g1, b1, a1, a, b, g = cp.zeta
+        F, J, complete = _R1_reduced_funcs(p, a1)
+        for u in [[a, b], *(np.array([a, b]) * (1.0 + 1e-3 * rng.normal(size=(4, 2)))).tolist()]:
+            zeta = complete(u)
+            assert np.array(zeta).tobytes() == np.array(R1_complete_by_rows(p, a1, *u)).tobytes()
+            assert np.array(F(u)).tobytes() == np.array(residuals_R1(p, zeta)[3:]).tobytes()
+    assert R1_complete_by_rows(p, -1.0, 1.0, 0.0) is None and _R1_reduced_funcs(
+        p, -1.0)[2]([1.0, 0.0]) is None
 
 
 @pytest.mark.parametrize("rmu", [10.0, 21.0, 0.1, 0.01])
