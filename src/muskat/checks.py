@@ -42,16 +42,18 @@ class Pieces:
 
 
 def field_failures(pcs: Pieces):
-    """Every condition of ``PiecewiseQuadratic.validate`` on each field at
-    once: (failed, error), failed[m] whether field m breaks one and error(m)
-    the ValueError of its first broken condition, in validate's order."""
+    """The profile-grade conditions (finite, ordered, non-negative,
+    continuous, zero at the outer ends) on each field at once: (failed,
+    error), failed[m] whether field m breaks one and error(m) the ValueError
+    of its first broken condition, in the order a loop over the pieces meets
+    them."""
     l, r, left, right, n = pcs.l, pcs.r, pcs.left, pcs.right, pcs.count
     tol, end = CONTINUITY_TOL, (np.arange(len(n)), np.maximum(n - 1, 0))
     width = np.fmax(np.fmax(np.abs(l[:, 0]), np.abs(r[end])), 1.0)[:, None]
     first = np.arange(l.shape[1]) == 0
     prev_r, prev_val = np.roll(r, 1, axis=1), np.roll(right, 1, axis=1)
     touching = ~first & (l - prev_r <= 1e-12 * width)
-    # per piece, in validate's order; the last three exclude each other
+    # per piece, in the loop's order; the last three exclude each other
     conds = [(~pcs.finite, lambda m, j: "non-finite piece data"),
              (r <= l, lambda m, j: f"degenerate interval [{l[m, j]}, {r[m, j]}]"),
              (~first & (l < prev_r - 1e-12 * width), lambda m, j: "overlapping pieces"),
@@ -126,8 +128,8 @@ def raise_first(checks) -> None:
 
 def check_pairs(p: FluidParams, Fs, Gs, label: str | None = None, first=()) -> None:
     """Check every state (F_k, G_k) of a batch at once: the (failed, error)
-    pairs ``first``, then every condition of ``PiecewiseQuadratic.validate``
-    on F_k and on G_k, their unit masses and, given the ``label`` of the
+    pairs ``first``, then every condition of ``field_failures`` on F_k and
+    on G_k, their unit masses and, given the ``label`` of the
     construction, the exact steady residual.  Raises what checking one state
     at a time raises (see ``raise_first``)."""
     with np.errstate(all="ignore"):

@@ -58,7 +58,11 @@ class FunctionalReport:
     dissipation: float | None = None
 
 
-def _entropy_piecewise(pcs: Pieces, floor: float = 1e-300) -> list[float]:
+# q ln q is taken as 0 where q is at most this, so 0 ln 0 = 0
+_ENTROPY_FLOOR = 1e-300
+
+
+def _entropy_piecewise(pcs: Pieces) -> list[float]:
     """Gauss-Legendre quadrature of q ln q for each field, with 0 ln 0 = 0.
 
     The pieces of all fields are evaluated as (pieces, nodes) arrays of at
@@ -73,7 +77,7 @@ def _entropy_piecewise(pcs: Pieces, floor: float = 1e-300) -> list[float]:
         s = slice(b, b + 64)
         v = half[s] * gauss_x + mid[s]
         v = c0[s] + c2[s] * v**2
-        v[~(v > floor)] = 1.0  # v ln v -> 0 there
+        v[~(v > _ENTROPY_FLOOR)] = 1.0  # v ln v -> 0 there
         h[s] = half[s, 0] * np.sum(gauss_w * v * np.log(v), axis=1)
     per_piece = np.zeros(pcs.real.shape)
     per_piece[pcs.real] = h
@@ -168,7 +172,7 @@ def _state_report(state, p: FluidParams) -> FunctionalReport:
     w = f + theta * g
     np.multiply(w, x, q[3])
     np.multiply(w, x**2, q[4])
-    pos = u > 1e-300
+    pos = u > _ENTROPY_FLOOR
     q[5:] = np.where(pos, u * np.log(np.where(pos, u, 1.0)), 0.0)
     s_ff, s_fg, s_gg, s_m1, s_m2, s_hf, s_hg = np.add.reduce(q, axis=1).tolist()
     return _report(p, h * s_ff, h * s_fg, h * s_gg, m1=h * s_m1, m2=h * s_m2,

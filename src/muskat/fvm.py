@@ -217,19 +217,8 @@ class TrajectoryReport:
 
 
 def cell_averages(q: PiecewiseQuadratic, grid: Grid) -> np.ndarray:
-    """Exact cell averages of a piecewise quadratic whose support lies in the grid.
-
-    The result is computed once per profile and grid, kept on the profile,
-    and returned read-only.
-    """
-    out = q._averages.get(grid)
-    if out is None:
-        out = q._averages[grid] = _exact_cell_averages(q, grid)
-        out.flags.writeable = False
-    return out
-
-
-def _exact_cell_averages(q: PiecewiseQuadratic, grid: Grid) -> np.ndarray:
+    """Exact cell averages of a piecewise quadratic whose support lies in the
+    grid, as a new array on every call (``l2_distance`` keeps a pair's)."""
     if q.pieces:
         lo, hi = q.pieces[0][0], q.pieces[-1][1]
         if lo < grid.x_left - 1e-12 or hi > grid.x_right + 1e-12:
@@ -523,12 +512,13 @@ def support_components(u: np.ndarray) -> int:
 
 
 def l2_distance(state: SimState, reference: ProfilePair) -> float:
-    """L2 distance of cell averages to the exact averages of a profile."""
+    """L2 distance of cell averages to the exact averages of a profile, which
+    are computed once per pair and grid and kept on the pair, read-only."""
     grid = state.grid
     ref = reference._averages.get(grid)
     if ref is None:
         ref = reference._averages[grid] = np.stack(
-            [_exact_cell_averages(reference.F, grid), _exact_cell_averages(reference.G, grid)])
+            [cell_averages(reference.F, grid), cell_averages(reference.G, grid)])
         ref.flags.writeable = False
     d = np.subtract(state.u, ref)
     np.square(d, d)

@@ -54,8 +54,9 @@ class StepTooSmallError(NumericsError):
 
 
 # scipy's brentq rejects relative tolerances below 4*eps; the port keeps the
-# clamp because the last bits of every root depend on the tolerance used
-_MIN_RTOL = 4.0 * np.finfo(float).eps
+# clamp because the last bits of every root depend on the tolerance used;
+# a Python float, so that no root comes back as a numpy scalar
+_MIN_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

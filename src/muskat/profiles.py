@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checks import STEADY_TOL, Pieces, check_pairs, field_failures, steady_residuals
+from .checks import Pieces, check_pairs, steady_residuals
 from .numerics import (
     NewtonConfig,
     NumericsError,
@@ -152,9 +152,6 @@ class PiecewiseQuadratic:
     """Even-power quadratic segments; the function is zero off all pieces."""
 
     pieces: tuple[Piece, ...]
-    # grid -> read-only exact cell averages, filled by fvm.cell_averages
-    _averages: dict = field(init=False, default_factory=dict, compare=False,
-                            hash=False, repr=False)
 
     @staticmethod
     def from_pieces(pieces: Iterable[Sequence[float]]) -> "PiecewiseQuadratic":
@@ -181,19 +178,6 @@ class PiecewiseQuadratic:
             total += c0 * (r - l) + c2 * (r**3 - l**3) / 3.0
         return total
 
-    # -- transforms ---------------------------------------------------
-
-    def reflected(self) -> "PiecewiseQuadratic":
-        return PiecewiseQuadratic.from_pieces(
-            [(-r, -l, c0, c2) for l, r, c0, c2 in self.pieces])
-
-    def scaled(self, lam: float) -> "PiecewiseQuadratic":
-        """The function x -> lam * q(lam * x), for lam > 0 (mass preserving)."""
-        if lam <= 0:
-            raise ValueError("scale factor must be positive")
-        return PiecewiseQuadratic.from_pieces(
-            [(l / lam, r / lam, lam * c0, lam**3 * c2) for l, r, c0, c2 in self.pieces])
-
     # -- structure ----------------------------------------------------
 
     def peak(self) -> float:
@@ -219,13 +203,6 @@ class PiecewiseQuadratic:
             else:
                 out.append([l, r])
         return [(a, b) for a, b in out]
-
-    def validate(self) -> None:
-        """Profile-grade checks: ordering, continuity, non-negativity."""
-        with np.errstate(all="ignore"):
-            failed, error = field_failures(Pieces([self]))
-        if failed[0]:
-            raise error(0)
 
 
 # ----------------------------------------------------------------------
@@ -372,18 +349,18 @@ def steady_residual(pp: ProfilePair) -> float:
 
 def _float_fields(fields) -> tuple[list, list]:
     """(Fs, Gs), each state's F pieces and G pieces made fields in one pass.
-    Every piece is a tuple of floats, as ``_zeta_pieces`` and the even forms
-    build them, so the kept tuples serve as they are: each field holds the
-    pieces of ``PiecewiseQuadratic.from_pieces``, whose float() of a Python
-    float is that float (numpy float64 entries, from parameters given as
-    numpy scalars, keep their type and bits), and is made without the
-    dataclass's initializer."""
+    Every piece is a tuple of floats, as ``_zeta_pieces``, the even forms and
+    the symmetry maps build them, so the kept tuples serve as they are: each
+    field holds the pieces of ``PiecewiseQuadratic.from_pieces``, whose
+    float() of a Python float is that float (other entries, from parameters
+    given as numpy scalars or a pair built by hand, keep their type and
+    bits), and is made without the dataclass's initializer."""
     Fs, Gs = out = ([], [])
     new = object.__new__
     for state in fields:
         for pieces, dest in zip(state, out):
             q = new(PiecewiseQuadratic)
-            q.__dict__.update(pieces=tuple(_kept_pieces(pieces)), _averages={})
+            q.__dict__.update(pieces=tuple(_kept_pieces(pieces)))
             dest.append(q)
     return Fs, Gs
 
@@ -728,10 +705,11 @@ def _sextuplet_pairs(p: FluidParams, zetas) -> list[ProfilePair]:
 
 def reflect(pp: ProfilePair) -> ProfilePair:
     """Mirror image about x = 0 (also a steady state)."""
-    return ProfilePair(
-        F=pp.F.reflected(), G=pp.G.reflected(), params=pp.params,
-        label=pp.label + "|reflected" if pp.label else "reflected",
-        zeta=None if pp.zeta is None else _reflect_zeta(pp.zeta))
+    fields = tuple([(-r, -l, c0, c2) for l, r, c0, c2 in reversed(q.pieces)]
+                   for q in (pp.F, pp.G))
+    return _finish_pairs(pp.params, [fields],
+                         pp.label + "|reflected" if pp.label else "reflected",
+                         [None if pp.zeta is None else _reflect_zeta(pp.zeta)])[0]
 
 
 def dual_transform(pp: ProfilePair) -> ProfilePair:
@@ -747,13 +725,11 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
         system = _sextuplet_system(p1)
         if system is not None and max_abs(system(p1, cand)) < 1e-8:
             zeta1 = cand
-    new = ProfilePair(F=pp.G.scaled(lam), G=pp.F.scaled(lam), params=p1,
-                      label=(pp.label + "|dual") if pp.label else "dual",
-                      zeta=zeta1)
-    res = steady_residual(new)
-    if res > STEADY_TOL:
-        raise RuntimeError(f"dual pair steady residual {res:.3e}")
-    return new
+    # q -> lam q(lam .), which keeps the mass
+    fields = tuple([(l / lam, r / lam, lam * c0, lam**3 * c2) for l, r, c0, c2 in q.pieces]
+                   for q in (pp.G, pp.F))
+    return _finish_pairs(p1, [fields], (pp.label + "|dual") if pp.label else "dual",
+                         [zeta1])[0]
 
 
 # ----------------------------------------------------------------------
@@ -987,12 +963,14 @@ def profile_to_dict(pp: ProfilePair) -> dict:
     }
 
 
-def sample_profile(pp: ProfilePair, n: int = 1001,
-                   margin: float = 0.05) -> np.ndarray:
+_SAMPLE_MARGIN = 0.05  # share of the span sampled beyond each end
+
+
+def sample_profile(pp: ProfilePair, n: int = 1001) -> np.ndarray:
     """Columns x, F, G, eta^2 F + G on a uniform grid spanning both supports."""
     lo = min(pp.F.pieces[0][0], pp.G.pieces[0][0])
     hi = max(pp.F.pieces[-1][1], pp.G.pieces[-1][1])
-    pad = margin * (hi - lo)
+    pad = _SAMPLE_MARGIN * (hi - lo)
     x = np.linspace(lo - pad, hi + pad, n)
     Fx, Gx = pp.F(x), pp.G(x)
     return np.column_stack([x, Fx, Gx, pp.params.eta**2 * Fx + Gx])

@@ -30,6 +30,7 @@ from muskat.profiles import (
     residuals_R1,
     residuals_R2,
     residuals_eq51_53,
+    steady_residual,
 )
 
 
@@ -204,7 +205,7 @@ def l2_distance_by_field(state, reference: ProfilePair) -> float:
 
 def validate_by_loop(q: PiecewiseQuadratic) -> None:
     """Profile-grade checks of one field, one piece at a time (the scalar
-    form of ``PiecewiseQuadratic.validate``)."""
+    form of ``checks.field_failures``)."""
     if not q.pieces:
         raise ValueError("empty piece list")
     tol = 1e-10
@@ -444,3 +445,38 @@ def R1_complete_by_rows(p: FluidParams, a1: float, a: float, b: float):
     if not (g2 > 0.0 and b12 > 0.0 and g12 > 0.0):
         return None
     return (-math.sqrt(g12), -math.sqrt(b12), a1, a, b, math.sqrt(g2))
+
+
+def reflect_by_constructor(pp: ProfilePair) -> ProfilePair:
+    """The mirror image of a pair built by the public constructor, each field
+    through ``from_pieces`` (the per-pair form of ``profiles.reflect``)."""
+    return ProfilePair(
+        F=PiecewiseQuadratic.from_pieces([(-r, -l, c0, c2) for l, r, c0, c2 in pp.F.pieces]),
+        G=PiecewiseQuadratic.from_pieces([(-r, -l, c0, c2) for l, r, c0, c2 in pp.G.pieces]),
+        params=pp.params,
+        label=pp.label + "|reflected" if pp.label else "reflected",
+        zeta=None if pp.zeta is None else tuple(-z for z in reversed(pp.zeta)))
+
+
+def dual_transform_by_constructor(pp: ProfilePair) -> ProfilePair:
+    """The fluid-swap transform of a pair built by the public constructor,
+    then checked for its steady residual (the per-pair form of
+    ``profiles.dual_transform``)."""
+    p1, lam = dual_params(pp.params)
+    zeta1 = None
+    if pp.zeta is not None:
+        cand = tuple(z / lam for z in pp.zeta)
+        system = _sextuplet_system(p1)
+        if system is not None and max_abs(system(p1, cand)) < 1e-8:
+            zeta1 = cand
+
+    def scaled(q: PiecewiseQuadratic) -> PiecewiseQuadratic:
+        return PiecewiseQuadratic.from_pieces(
+            [(l / lam, r / lam, lam * c0, lam**3 * c2) for l, r, c0, c2 in q.pieces])
+
+    new = ProfilePair(F=scaled(pp.G), G=scaled(pp.F), params=p1,
+                      label=(pp.label + "|dual") if pp.label else "dual", zeta=zeta1)
+    res = steady_residual(new)
+    if res > STEADY_TOL:
+        raise RuntimeError(f"dual pair steady residual {res:.3e}")
+    return new

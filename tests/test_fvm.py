@@ -108,22 +108,36 @@ def _cell_averages_oracle(q: PiecewiseQuadratic, g: Grid) -> np.ndarray:
     return out / g.h
 
 
-def test_cell_averages_computed_once_and_read_only():
+def test_cell_averages_computed_once_and_read_only(monkeypatch):
     pp = even_profile(FluidParams(1.0, 2.0, 1.0))
     g = Grid(n_cells=50)
+    # cell_averages computes afresh: a new array on each call, bitwise the oracle's
     avg = cell_averages(pp.F, g)
-    assert np.array_equal(avg, _cell_averages_oracle(pp.F, g))
-    assert cell_averages(pp.F, g) is avg
-    assert cell_averages(pp.F, Grid(n_cells=50)) is avg  # an equal grid
-    assert not avg.flags.writeable
+    assert avg.tobytes() == _cell_averages_oracle(pp.F, g).tobytes()
+    again = cell_averages(pp.F, g)
+    assert again is not avg and again.tobytes() == avg.tobytes()
+    avg[:] = 7.0
+    assert cell_averages(pp.F, g).tobytes() == again.tobytes()
+    # l2_distance builds the pair's (2, n) stack once per grid and keeps it read-only
+    st, st_equal_grid = init_state(pp, g), init_state(pp, Grid(n_cells=50))
+    calls = []
+    monkeypatch.setattr(fvm, "cell_averages",
+                        lambda q, grid: calls.append(q) or cell_averages(q, grid))
+    for state in (st, st, st_equal_grid):
+        l2_distance(state, pp)
+    assert len(calls) == 2 and calls[0] is pp.F and calls[1] is pp.G
+    stack = pp._averages[g]
+    assert stack.tobytes() == np.stack([_cell_averages_oracle(pp.F, g),
+                                        _cell_averages_oracle(pp.G, g)]).tobytes()
+    assert not stack.flags.writeable
     with pytest.raises(ValueError):
-        avg[0] = 1.0
-    # the state holds writable copies; writing to them leaves the averages alone
-    st = init_state(pp, g)
+        stack[0, 0] = 1.0
+    # the state holds writable copies; writing to them leaves the stack alone
     st.f[:] = 7.0
     st.g[:] = 7.0
-    assert np.array_equal(cell_averages(pp.F, g), _cell_averages_oracle(pp.F, g))
-    assert np.array_equal(cell_averages(pp.G, g), _cell_averages_oracle(pp.G, g))
+    assert pp._averages[g] is stack
+    assert stack.tobytes() == np.stack([_cell_averages_oracle(pp.F, g),
+                                        _cell_averages_oracle(pp.G, g)]).tobytes()
 
 
 def test_l2_distance_equals_uncached_formula():

@@ -20,7 +20,7 @@ from muskat.numerics import (
     newton_solve,
 )
 from muskat.params import ContinuumClass, FluidParams, classify_regime, thresholds, xi2
-from muskat.profiles import continue_curve, solve_even_case3
+from muskat.profiles import continue_curve, solve_even_case3, solve_even_case4
 from oracles import newton_solve_by_lists, solve_step_by_elimination
 
 
@@ -87,6 +87,18 @@ def test_brent_bitwise_equals_scipy_brentq(monkeypatch):
                                  full_output=True, disp=False)
         assert x.hex() == float(y).hex()
         assert converged == res.converged
+
+
+def test_brent_roots_are_python_floats():
+    # a root whose last Brent step is a tolerance step is a Python float too
+    assert type(find_root_bracketed(lambda t: t**3, -1.0, 2.0)) is float
+    th = thresholds(FluidParams(1.0, 1.0, 1.0))
+    assert [type(v) for v in vars(th).values()] == [float] * len(vars(th))
+    for p, solve in ((FluidParams(1.0, 21.0, 1.0), solve_even_case3),
+                     (FluidParams(1.0, 0.05, 1.0), solve_even_case4)):
+        assert [type(v) for v in solve(p)] == [float] * 3
+        pp = profiles.even_profile(p)
+        assert {type(v) for q in (pp.F, pp.G) for piece in q.pieces for v in piece} == {float}
 
 
 def test_nan_raises_value_error():

@@ -51,7 +51,9 @@ from oracles import (
     _R1_newton_funcs,
     clean_pieces_by_sort,
     curve_jacobian_det,
+    dual_transform_by_constructor,
     moment_by_loop,
+    reflect_by_constructor,
     solve_even_case4_direct,
     solve_step_by_elimination,
     steady_residual_fields_by_scan,
@@ -87,11 +89,6 @@ def test_even_profile_moments():
     assert moment_by_loop(pp.F, 0) == pytest.approx(1.0, abs=1e-12)
     assert moment_by_loop(pp.G, 0) == pytest.approx(1.0, abs=1e-12)
     assert moment_by_loop(pp.F, 1) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_scaled_preserves_mass():
-    q = even_profile(FluidParams(1.0, 2.0, 1.0)).G
-    assert q.scaled(1.7).mass() == pytest.approx(q.mass(), rel=1e-14)
 
 
 def test_pair_requires_unit_masses():
@@ -489,6 +486,44 @@ def test_dual_zeta_transfers():
     dd = dual_transform(pp)
     assert dd.zeta is not None
     assert max_abs(residuals_R2(dd.params, dd.zeta)) < 1e-8
+
+
+def _symmetry_sources() -> list:
+    # the even state of one triple per even case, a left connected state and
+    # a left boundary endpoint
+    evens = [even_profile(FluidParams(1.0, rmu, 1.0)) for rmu in (1.5, 2.0, 10.0, 0.05, 0.5)]
+    assert [pp.label for pp in evens] == [f"even-case{k}" for k in range(1, 6)]
+    return evens + [connected_profile(FluidParams(1.0, 21.0, 1.0), side="left"),
+                    boundary_disconnected_profile(FluidParams(1.0, 0.1, 1.0), side="left").profile]
+
+
+def _same_pair(a: ProfilePair, b: ProfilePair) -> None:
+    for qa, qb in ((a.F, b.F), (a.G, b.G)):
+        assert _typed_bits(qa.pieces) == _typed_bits(qb.pieces)
+    assert a.zeta == b.zeta and a.label == b.label and a.params == b.params
+    if a.zeta is not None:
+        assert [type(z) for z in a.zeta] == [type(z) for z in b.zeta] == [float] * 6
+
+
+def test_symmetry_maps_equal_the_constructor_forms():
+    # through the construction batch the maps give what the public
+    # constructor gives: piece bits and types, zeta, label and params
+    for pp in _symmetry_sources():
+        _same_pair(reflect(pp), reflect_by_constructor(pp))
+        _same_pair(dual_transform(pp), dual_transform_by_constructor(pp))
+
+
+def test_symmetry_maps_check_the_steady_residual_in_the_batch():
+    # a pair of valid unit-mass fields that is not steady for its parameters
+    pp = even_profile(FluidParams(1.0, 2.0, 1.0))
+    off = ProfilePair(F=pp.F, G=pp.G, params=FluidParams(1.0, 3.0, 1.0))
+    assert steady_residual(off) > 1e-9
+    with pytest.raises(RuntimeError, match=r"steady residual .* exceeds 1e-09 for dual$"):
+        dual_transform(off)
+    with pytest.raises(RuntimeError, match="dual pair steady residual"):
+        dual_transform_by_constructor(off)
+    with pytest.raises(RuntimeError, match=r"steady residual .* exceeds 1e-09 for reflected$"):
+        reflect(off)
 
 
 # ----------------------------------------------------------------------
