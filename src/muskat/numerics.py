@@ -194,12 +194,7 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
         dx = _solve_step(J(x), Fx)
         t = 1.0
         while True:
-            if n == 2:
-                x_new = [x[0] + t * dx[0], x[1] + t * dx[1]]
-            elif n == 1:
-                x_new = [x[0] + t * dx[0]]
-            else:
-                x_new = [x[i] + t * dx[i] for i in range(n)]
+            x_new = [x[0] + t * dx[0], x[1] + t * dx[1]] if n == 2 else [x[0] + t * dx[0]]
             F_new = F(x_new)
             norm_new = max_abs(F_new)
             if math.isfinite(norm_new) and norm_new < norm:

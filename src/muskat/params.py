@@ -85,9 +85,6 @@ class RegimeThresholds:
     r_plus: float
     r_M: float
 
-    def ordered(self) -> tuple[float, float, float, float, float]:
-        return (self.r_m, self.r_minus, self.r0, self.r_plus, self.r_M)
-
 
 class EvenCase(enum.Enum):
     """Which of the five even-profile constructions applies."""

@@ -20,8 +20,9 @@ The constructions follow three routes:
 
 Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
 beta <= gamma (even with a split film, connected, boundary, curve) gets its
-pieces from the one function ``_zeta_pieces``, and every construction
-checks its states, all of a curve at once, with ``checks.check_pairs``.
+pieces from the one function ``_zeta_pieces``.  Each returned state is built
+and checked once, all of a curve (its even state too) in one batch of
+``checks.check_pairs``, and a left connected state mirrored before its batch.
 """
 
 from __future__ import annotations
@@ -554,8 +555,10 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
         _require_solved(residuals_d2(p, b1, a, b, g), p, "dual connected-profile")
     label = "connected-small" if dual else "connected-large"
     # the sextuplet with its split support collapsed onto beta1
-    pp = _finish_pair(*_zeta_pieces(p, (b1, b1, b1, a, b, g)), p, label)
-    return reflect(pp) if side == "left" else pp
+    fields = _zeta_pieces(p, (b1, b1, b1, a, b, g))
+    if side == "left":
+        fields, label = [_mirror(q) for q in fields], label + "|reflected"
+    return _finish_pair(*fields, p, label)
 
 
 # ----------------------------------------------------------------------
@@ -703,10 +706,14 @@ def _sextuplet_pairs(p: FluidParams, zetas) -> list[ProfilePair]:
 # ----------------------------------------------------------------------
 
 
+def _mirror(pieces: Sequence[Piece]) -> list:
+    """The pieces of x -> q(-x), in order of their left ends."""
+    return [(-r, -l, c0, c2) for l, r, c0, c2 in reversed(pieces)]
+
+
 def reflect(pp: ProfilePair) -> ProfilePair:
     """Mirror image about x = 0 (also a steady state)."""
-    fields = tuple([(-r, -l, c0, c2) for l, r, c0, c2 in reversed(q.pieces)]
-                   for q in (pp.F, pp.G))
+    fields = (_mirror(pp.F.pieces), _mirror(pp.G.pieces))
     return _finish_pairs(pp.params, [fields],
                          pp.label + "|reflected" if pp.label else "reflected",
                          [None if pp.zeta is None else _reflect_zeta(pp.zeta)])[0]
@@ -854,7 +861,8 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     Returns ``n_points`` states ordered by the curve parameter, endpoints
     snapped to their exact boundary constructions and the even state placed
     exactly at parameter zero.  Below the small-viscosity threshold the
-    curve is traced in the dual parameters and mapped back.
+    curve is traced in the dual parameters and mapped back.  The even state,
+    from the grid's own radii, is checked in the curve's one batch.
     """
     if n_points < 5:
         raise ValueError("n_points must be at least 5")
@@ -867,8 +875,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
             f"{th.r_plus:.6g}]; got {p.R_mu:.6g}")
 
     work, lam, dual = _work_frame(p, regime)
-
-    a_even, b_even, _ = _split_G_radii(work)
+    a_even, b_even, g_even = _split_G_radii(work)
 
     if cont is ContinuumClass.CONNECTED_ENDPOINTS:
         b1e, ae, be, ge = connected_quadruple(work)
@@ -877,7 +884,6 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     else:
         zeta_lo = boundary_zeta(work)
         a1_lo, a1_hi = zeta_lo[2], 0.0
-    zeta_hi = _reflect_zeta(zeta_lo)
 
     a1_grid = np.linspace(a1_lo, a1_hi, n_points)
     i0 = int(np.argmin(np.abs(a1_grid - (-a_even))))
@@ -888,22 +894,24 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     newton_cfg = NewtonConfig(tol=max(1e-12, 1e-13 * 9.0 * work.R_mu
                                       * (1.0 + work.R) * (1.0 + work.eta**2)),
                               max_iter=60)
-    zetas: dict[int, tuple[float, ...]] = {0: zeta_lo, n_points - 1: zeta_hi}
-    for direction in (1, -1):
-        u_cur = [a_even, b_even]
-        a1_cur = -a_even
+    zetas: dict[int, tuple[float, ...]] = {0: zeta_lo, n_points - 1: _reflect_zeta(zeta_lo),
+                                           i0: (-g_even, -b_even, -a_even, a_even, b_even, g_even)}
+    for rng in (range(i0 + 1, n_points - 1), range(i0 - 1, 0, -1)):
+        u_cur, a1_cur = [a_even, b_even], -a_even
         u_prev, a1_prev = None, None
-        rng = range(i0 + 1, n_points - 1) if direction == 1 else range(i0 - 1, 0, -1)
         for i in rng:
             u_new, zetas[i] = _solve_R1_at(work, a1_grid[i], a1_cur, u_cur, u_prev,
                                            a1_prev, newton_cfg)
             u_prev, a1_prev = u_cur, a1_cur
             u_cur, a1_cur = u_new, a1_grid[i]
 
-    points = _curve_points(p, [zetas[i] for i in range(n_points) if i != i0], a_even, lam, dual)
-    even = even_profile(p)
-    points.insert(i0, CurvePoint(ell=0.0, zeta=even.zeta, profile=even))
-    points.sort(key=lambda cp: cp.ell)
+    # ell = lam (a_even + alpha1) rises with the index and is 0.0 at i0
+    points = _curve_points(p, [zetas[i] for i in range(n_points)], a_even, lam, dual)
+    even, pp = points[i0], points[i0].profile
+    if dual:  # the radii in p, checked as solve_even_case4 checks them
+        _require_solved(residuals_eq51_53(p, *even.zeta[3:]), p, "even case-4 system")
+    points[i0] = CurvePoint(even.ell, even.zeta, ProfilePair._checked(
+        pp.F, pp.G, p, f"even-case{regime.even_case.value}", pp.zeta))
     return points
 
 

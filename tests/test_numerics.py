@@ -271,8 +271,11 @@ def test_written_out_step_bitwise_equals_general_elimination():
         assert _step(numerics._solve_step, A, Fx) == _step(solve_step_by_elimination, A, Fx), A
     raised = [_step(numerics._solve_step, A, Fx) for A, Fx in STEP_CASES]
     assert sum(isinstance(r, tuple) and r[0] is SingularJacobianError for r in raised) >= 5
+    eye3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(ValueError):
-        numerics._solve_step([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0])
+        numerics._solve_step(eye3, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):  # newton_solve steps through it, so never three unknowns
+        newton_solve(lambda x: (1.0, 1.0, 1.0), lambda x: eye3, [0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("R_mu, cls", [

@@ -53,6 +53,7 @@ from oracles import (
     curve_jacobian_det,
     dual_transform_by_constructor,
     moment_by_loop,
+    newton_solve_by_lists,
     reflect_by_constructor,
     solve_even_case4_direct,
     solve_step_by_elimination,
@@ -526,6 +527,39 @@ def test_symmetry_maps_check_the_steady_residual_in_the_batch():
         reflect(off)
 
 
+def _counted(monkeypatch, name: str) -> list:
+    """A list that grows by one at each call of profiles.<name>."""
+    calls, fn = [], getattr(profiles, name)
+
+    def run(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, name, run)
+    return calls
+
+
+@pytest.mark.parametrize("rmu, label", [(21.0, "connected-large|reflected"),
+                                        (0.01, "connected-small|reflected")])
+def test_left_connected_state_is_reflected_right_in_one_batch(rmu, label, monkeypatch):
+    # mirrored before its one batch, the left state is reflect's image of the right one
+    p = FluidParams(1.0, rmu, 1.0)
+    batches = _counted(monkeypatch, "check_pairs")
+    left = connected_profile(p, "left")
+    assert len(batches) == 1
+    _same_pair(left, reflect(connected_profile(p, "right")))
+    assert left.label == label and left.zeta is None
+
+
+@pytest.mark.parametrize("rmu", [10.0, 40.0, 0.1, 0.03])
+def test_curve_checks_its_even_state_in_its_one_batch(rmu, monkeypatch):
+    # one triple per continuum class; the even state is not rebuilt by even_profile
+    batches, evens = _counted(monkeypatch, "check_pairs"), _counted(monkeypatch, "even_profile")
+    curve = continue_curve(FluidParams(1.0, rmu, 1.0), 11)
+    assert len(batches) == 1 and evens == []
+    assert [cp.ell for cp in curve].count(0.0) == 1
+
+
 # ----------------------------------------------------------------------
 # steady residual as a detector
 # ----------------------------------------------------------------------
@@ -687,11 +721,11 @@ def test_newton_converges_fast_near_curve_point():
 
 
 def _newton_five_unknowns(F, J, x0):
-    """newton_solve on the full five-unknown curve system.  It steps one or two
-    unknowns, so only here the oracle's general elimination takes the step."""
+    """The oracle's Newton loop on the full five-unknown curve system: newton_solve
+    steps one or two unknowns, so here the oracle's general elimination takes the step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_solve_step", solve_step_by_elimination)
-        return newton_solve(F, J, x0, NewtonConfig(tol=1e-13))
+        return newton_solve_by_lists(F, J, x0, NewtonConfig(tol=1e-13))
 
 
 @pytest.mark.parametrize("p, cls", [
