@@ -77,12 +77,13 @@ def _usage_error(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _unimodal(ells, es: np.ndarray) -> bool:
-    """Whether E* along a curve sorted by ell changes direction at most once
-    and is least at ell = 0."""
-    d = np.diff(es)
-    return (int(np.sum(np.sign(d[:-1]) != np.sign(d[1:]))) <= 1
-            and abs(ells[int(np.argmin(es))]) <= 1e-12)
+def _unimodal(sigmas, es: np.ndarray) -> bool:
+    """Whether E* along a curve sorted by sigma, of odd length, is exactly
+    even about its centre, where |sigma| <= 1e-12, and falls strictly
+    towards it: so it changes direction once, at its least value."""
+    c = len(es) // 2
+    return (len(es) % 2 == 1 and abs(sigmas[c]) <= 1e-12 and np.array_equal(es, es[::-1])
+            and bool(np.all(np.diff(es[:c + 1]) < 0.0)))
 
 
 # ----------------------------------------------------------------------
@@ -156,28 +157,28 @@ def cmd_curve(args) -> int:
 
     es = np.array([rep.rescaled_energy for rep in reports])
     if not _unimodal([cp.ell for cp in curve], es):
-        raise NumericsError("curve energy is not unimodal with minimum at ell = 0")
+        raise NumericsError("curve energy is not unimodal with minimum at sigma = 0")
     i_min = int(np.argmin(es))
 
     stem = f"curve_R{args.R:g}_Rmu{args.R_mu:g}_eta{args.eta:g}"
     csv_path = out / f"{stem}.csv"
-    header = ["ell", "gamma1", "beta1", "alpha1", "alpha", "beta", "gamma", "E_star"]
+    header = ["sigma", "gamma1", "beta1", "alpha1", "alpha", "beta", "gamma", "E_star"]
     rows = [[cp.ell, *cp.zeta, rep.rescaled_energy] for cp, rep in zip(curve, reports)]
     _write_csv(csv_path, header, rows)
 
     fn_path = out / f"{stem}_functionals.csv"
     fn_rows = [[cp.ell, rep.energy, rep.rescaled_energy, rep.m1, rep.m2, rep.entropy]
                for cp, rep in zip(curve, reports)]
-    _write_csv(fn_path, ["ell", "E", "E_star", "M1", "M2", "H"], fn_rows)
+    _write_csv(fn_path, ["sigma", "E", "E_star", "M1", "M2", "H"], fn_rows)
 
     kind = profiles.curve_endpoint_kind(p)
     report = {
         "n_points": len(curve),
-        "ell_minus": curve[0].ell,
-        "ell_plus": curve[-1].ell,
+        "sigma_minus": curve[0].ell,
+        "sigma_plus": curve[-1].ell,
         "endpoint_kind": kind,
         "E_star_min": float(es[i_min]),
-        "E_star_min_at_ell": curve[i_min].ell,
+        "E_star_min_at_sigma": curve[i_min].ell,
         "endpoints": {
             "lower": {"zeta": list(curve[0].zeta), "label": kind},
             "upper": {"zeta": list(curve[-1].zeta), "label": kind},
@@ -345,8 +346,8 @@ def cmd_verify(args) -> int:
     if regime.continuum is not ContinuumClass.UNIQUE_EVEN:
         def curve_checks():
             curve = profiles.continue_curve(p, n_points=21)
-            ells, es = zip(*functionals.energy_along_curve(curve))
-            return _unimodal(ells, np.array(es))
+            sigmas, es = zip(*functionals.energy_along_curve(curve))
+            return _unimodal(sigmas, np.array(es))
 
         check("curve-energy-unimodal", curve_checks)
         if regime.continuum is ContinuumClass.CONNECTED_ENDPOINTS:
@@ -409,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--R", type=_positive, required=True)
     cv.add_argument("--R-mu", dest="R_mu", type=_positive, required=True)
     cv.add_argument("--eta", type=_positive, required=True)
-    cv.add_argument("-n", "--n-points", type=int, default=101)
+    cv.add_argument("-n", "--n-points", type=int, default=101,
+                    help="number of states, odd and at least 5 (else a usage error, "
+                         "exit 2): the even state at the centre, sigma = 0")
     cv.add_argument("--out-dir", default=None)
     cv.set_defaults(func=cmd_curve)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .params import FluidParams
 from .checks import Pieces, raise_first
-from .profiles import CurvePoint, ProfilePair, _closed_form_energies
+from .profiles import CurvePoint, ProfilePair, _closed_form_energies, _mirror
 
 __all__ = [
     "FunctionalReport",
@@ -229,33 +229,59 @@ def dissipation(state, p: FluidParams) -> float:
     return 0.5 * h * (s_f + p.theta * s_g)
 
 
+def _mirror_images(a: ProfilePair, b: ProfilePair) -> bool:
+    """Whether the fields of a are those of b mirrored about x = 0."""
+    return list(a.F.pieces) == _mirror(b.F.pieces) and list(a.G.pieces) == _mirror(b.G.pieces)
+
+
 def curve_reports(curve: list[CurvePoint], tol: float = 1e-9) -> list[FunctionalReport]:
     """Functional report of each curve state, in curve order, cross-checked.
 
     E_* is computed by exact quadrature of the profile and independently
     from the closed form in fifth powers of the sextuplet; disagreement
     beyond ``tol`` raises MismatchError.  The states must share one
-    parameter triple; they are evaluated as one batch.
+    parameter triple; they are evaluated as one batch.  A state whose F and
+    G are the mirror images of those of the state at the mirrored index
+    (i and n - 1 - i, as ``continue_curve`` builds its sigma < 0 half) is
+    not evaluated: E, E_*, M2 and H are mirror-invariant, so it takes its
+    partner's report with M1 negated.  Every state keeps its own closed-form
+    check.
     """
     if not curve:
         return []
     p = curve[0].profile.params
     if any(cp.profile.params != p for cp in curve):
         raise ValueError("curve states must share one parameter triple")
-    reports, negative = _fields_reports(p, [(cp.profile.F, cp.profile.G) for cp in curve])
+    n = len(curve)
+    # source[i]: the state whose report state i takes, its mirror partner or itself
+    source = [n - 1 - i if i < n - 1 - i and _mirror_images(curve[i].profile,
+                                                            curve[n - 1 - i].profile) else i
+              for i in range(n)]
+    evaluated = sorted(set(source))
+    at = {i: k for k, i in enumerate(evaluated)}
+    own, negative = _fields_reports(
+        p, [(curve[i].profile.F, curve[i].profile.G) for i in evaluated])
+    reports = []
+    for i, j in enumerate(source):
+        rep = own[at[j]]
+        reports.append(rep if i == j else FunctionalReport(
+            energy=rep.energy, rescaled_energy=rep.rescaled_energy, m1=-rep.m1, m2=rep.m2,
+            entropy=rep.entropy))
+    negative = negative[[at[j] for j in source]]
     quad = [rep.rescaled_energy for rep in reports]
     closed = _closed_form_energies(p, np.array([cp.zeta for cp in curve], dtype=float)).tolist()
     raise_first([
         (negative, lambda k: NegativeInputError("fields must be non-negative")),
         (np.abs(np.subtract(closed, quad)) > tol, lambda k: MismatchError(
-            f"energy mismatch at ell = {curve[k].ell:.6g}: quadrature "
+            f"energy mismatch at sigma = {curve[k].ell:.6g}: quadrature "
             f"{quad[k]:.15g} vs closed form {closed[k]:.15g}"))])
     return reports
 
 
 def energy_along_curve(curve: list[CurvePoint],
                        tol: float = 1e-9) -> list[tuple[float, float]]:
-    """(ell, E_*) along a continuation curve, sorted by ell; see curve_reports."""
+    """(sigma, E_*) along a continuation curve, sorted by sigma (``CurvePoint.ell``);
+    see curve_reports."""
     reports = curve_reports(curve, tol)
     return sorted(((cp.ell, rep.rescaled_energy) for cp, rep in zip(curve, reports)),
                   key=lambda t: t[0])

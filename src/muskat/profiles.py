@@ -16,7 +16,9 @@ The constructions follow three routes:
   five-equation polynomial system traced as a one-parameter curve by Newton
   continuation from the even solution, with endpoints snapped to the
   boundary constructions above; Newton runs on its two cubic equations in
-  (alpha, beta), the three quadratic ones solved in closed form.
+  (alpha, beta) at fixed sigma = alpha + alpha1, the three quadratic ones
+  solved in closed form.  The mirror x -> -x sends sigma to -sigma, so only
+  the sigma > 0 half is traced and the other half is its mirror image.
 
 Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
 beta <= gamma (even with a split film, connected, boundary, curve) gets its
@@ -247,7 +249,9 @@ class ProfilePair:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One steady state on the continuation curve."""
+    """One steady state on the continuation curve; ``ell`` is its curve
+    parameter sigma = alpha + alpha1 = zeta[2] + zeta[3], which is 0.0 at the
+    even state and changes sign under the mirror x -> -x."""
 
     ell: float
     zeta: tuple[float, float, float, float, float, float]
@@ -610,7 +614,9 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
 
     Exists for r_plus < R_mu < r_M, or in the dual window r_m < R_mu <
     r_minus where it is obtained by the fluid-swap transform.  ``side``
-    picks one of the two mirror-image endpoints.
+    picks one of the two mirror-image endpoints: 'right' is the first state
+    of ``continue_curve`` (sigma < 0), built as the mirror image of 'left',
+    the last one (sigma > 0), as the curve builds them.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -622,12 +628,10 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
             f"({th.r_plus:.6g}, {th.r_M:.6g}) or ({th.r_m:.6g}, {th.r_minus:.6g}); "
             f"got {p.R_mu:.6g}")
     work, lam, dual = _work_frame(p, regime)
-    zeta_work = boundary_zeta(work)
-    a_even, _, _ = _split_G_radii(work)
-    if side == "left":
-        # other end of the curve: the reflected state
-        zeta_work = _reflect_zeta(zeta_work)
-    return _curve_points(p, [zeta_work], a_even, lam, dual)[0]
+    zetas, fields = _p_frame_states(p, [_traced_end(boundary_zeta(work), dual)], lam, dual)
+    if side == "right":
+        zetas, fields = _mirror_states(zetas, fields)
+    return _curve_points(p, zetas, fields)[0]
 
 
 # ----------------------------------------------------------------------
@@ -679,10 +683,16 @@ def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
 
 
 def _sextuplet_pairs(p: FluidParams, zetas) -> list[ProfilePair]:
-    """``profile_from_zeta`` of each sextuplet, all checked in one batch: each
-    must be finite and weakly ordered, p must have a sextuplet system, and
-    the sextuplet's residual in it must be small."""
+    """``profile_from_zeta`` of each sextuplet, all checked in one batch."""
     zetas = [tuple(map(float, zeta)) for zeta in zetas]
+    return _zeta_batch(p, zetas, [_zeta_pieces(p, zeta) for zeta in zetas])
+
+
+def _zeta_batch(p: FluidParams, zetas, fields) -> list[ProfilePair]:
+    """The pairs of sextuplets (tuples of floats) with their (F pieces, G
+    pieces), all checked in one batch: each sextuplet must be finite and
+    weakly ordered, p must have a sextuplet system, and the sextuplet's
+    residual in it must be small."""
     system = _sextuplet_system(p)
     with np.errstate(all="ignore"):
         z = np.array(zetas).reshape(-1, 6)
@@ -698,7 +708,7 @@ def _sextuplet_pairs(p: FluidParams, zetas) -> list[ProfilePair]:
                   "disconnected-support sextuplets require R_mu > R + 1 or R_mu < R")),
               (res > bound, lambda k: InvalidZetaError(f"system residual {res[k]:.3e} too large"))]
     label = "zeta-large" if system is residuals_R1 else "zeta-small"
-    return _finish_pairs(p, [_zeta_pieces(p, zeta) for zeta in zetas], label, zetas, checks)
+    return _finish_pairs(p, fields, label, zetas, checks)
 
 
 # ----------------------------------------------------------------------
@@ -753,31 +763,50 @@ def _work_frame(p: FluidParams, regime: Regime) -> tuple[FluidParams, float, boo
     return (*dual_params(p), True)
 
 
-def _curve_points(p: FluidParams, zws: Sequence[Sequence[float]], a_even: float, lam: float,
-                  dual: bool) -> list[CurvePoint]:
-    """The states of p whose work-frame sextuplets are zws, built as one batch;
-    a state's curve parameter is lam (a_even + alpha1), zero at the even state."""
+def _p_frame_states(p: FluidParams, zws: Sequence[Sequence[float]], lam: float,
+                    dual: bool) -> tuple[list, list]:
+    """(zetas, fields): the sextuplets in p of the work-frame ones zws, and
+    each one's (F pieces, G pieces)."""
     zetas = [tuple([-lam * z for z in reversed(zw)]) if dual else tuple(zw) for zw in zws]
-    return [CurvePoint(ell=lam * (a_even + zw[2]), zeta=zeta, profile=pp)
-            for zw, zeta, pp in zip(zws, zetas, _sextuplet_pairs(p, zetas))]
+    return zetas, [_zeta_pieces(p, zeta) for zeta in zetas]
 
 
-def _R1_reduced_funcs(p: FluidParams, a1: float):
-    """Rows 4 and 5 of R1 and their Jacobian in (alpha, beta) at fixed alpha1,
-    the other unknowns given by the three quadratic rows of R1 in closed form;
-    NaN where a radicand is not positive.  Returns (F, J, complete):
+def _mirror_states(zetas: list, fields: list) -> tuple[list, list]:
+    """The mirror images of the states (zetas, fields), in reverse order."""
+    return ([_reflect_zeta(zeta) for zeta in reversed(zetas)],
+            [(_mirror(F), _mirror(G)) for F, G in reversed(fields)])
+
+
+def _curve_points(p: FluidParams, zetas: list, fields: list) -> list[CurvePoint]:
+    """The states of p with these sextuplets and pieces, checked as one batch;
+    a state's curve parameter is sigma = alpha + alpha1 of its sextuplet."""
+    return [CurvePoint(ell=zeta[2] + zeta[3], zeta=zeta, profile=pp)
+            for zeta, pp in zip(zetas, _zeta_batch(p, zetas, fields))]
+
+
+def _traced_end(zeta_lo: tuple, dual: bool) -> tuple:
+    """The work-frame sextuplet of the curve's end with sigma > 0 in p, given
+    the end zeta_lo with sigma < 0 in the work frame: the map back from the
+    dual frame, x -> -lam x, turns the sign of sigma."""
+    return zeta_lo if dual else _reflect_zeta(zeta_lo)
+
+
+def _R1_reduced_funcs(p: FluidParams, sigma: float):
+    """Rows 4 and 5 of R1 and their Jacobian in (alpha, beta) at fixed
+    sigma = alpha + alpha1, with alpha1 = sigma - alpha and the other
+    unknowns given by the three quadratic rows of R1 in closed form; NaN
+    where a radicand is not positive.  Returns (F, J, complete):
     ``complete(u)`` is the sextuplet at u, gamma1 < beta1 < 0 < gamma, or None
     without one, remembered for the last iterate, so F, J and the caller share
-    one completion per iterate.  J takes alpha and beta from u itself and F
-    reads alpha only in alpha^3 - alpha1^3, so a hit on an iterate that
-    differs only in the sign of a zero changes nothing.  Every value is
-    bitwise that of the same expression in ``residuals_R1``."""
+    one completion per iterate.  J takes alpha and beta from u itself, so a
+    hit on an iterate that differs only in the sign of a zero changes
+    nothing it reads.  Every value of F and of the completion is bitwise
+    that of the same expression in ``residuals_R1``."""
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     s, q = Rmu - R, Rmu - R - 1.0
     Rq, R1 = R * q, 1.0 + R
     k = Rq / R1
-    sR1, a12, a13 = s * R1, a1**2, a1**3
-    qa12 = q * a12
+    sR1 = s * R1
     c4, c5 = 9.0 * e2 * Rmu, 9.0 * Rmu
     last = [None, None]  # (alpha, beta) and its completion
 
@@ -785,10 +814,11 @@ def _R1_reduced_funcs(p: FluidParams, a1: float):
         key = (u[0], u[1])
         if key != last[0]:
             a, b = key
-            a2, b2 = a**2, b**2
+            a1 = sigma - a
+            a2, b2, a12 = a**2, b**2, a1**2
             g2 = s * b2 - q * a2
             b12 = b2 + Rq * (a12 - a2) / sR1
-            g12 = s * b12 - qa12
+            g12 = s * b12 - q * a12
             zeta = None
             if g2 > 0.0 and b12 > 0.0 and g12 > 0.0:
                 zeta = (-math.sqrt(g12), -math.sqrt(b12), a1, a, b, math.sqrt(g2))
@@ -799,8 +829,8 @@ def _R1_reduced_funcs(p: FluidParams, a1: float):
         zeta = complete(u)
         if zeta is None:
             return math.nan, math.nan
-        g1, b1, _, a, b, g = zeta
-        db3, da3 = b**3 - b1**3, a**3 - a13
+        g1, b1, a1, a, b, g = zeta
+        db3, da3 = b**3 - b1**3, a**3 - a1**3
         return s * db3 - Rq * da3 / R1 - c4, (g**3 - g1**3) - s * db3 + q * da3 - c5
 
     def J(u):
@@ -808,30 +838,33 @@ def _R1_reduced_funcs(p: FluidParams, a1: float):
         if zeta is None:
             return (math.nan, math.nan), (math.nan, math.nan)
         (g1, b1, _, _, _, g), (a, b) = zeta, u
-        # chain rule: d(b1^3) = 3 b1 (b db - (k/s) a da), d(g^3) = 3 g (s b db - q a da),
-        # d(g1^3) = 3 g1 (s b db - k a da)
-        return ((3.0 * k * a * (b1 - a), 3.0 * s * b * (b - b1)),
-                (3.0 * a * (q * (a - g) + k * (g1 - b1)), 3.0 * s * b * (g - g1 - b + b1)))
+        a1 = sigma - a
+        # chain rule with d(alpha1) = -d(alpha): d(b1^3) = 3 b1 (b db - (k/s)(a + a1) da),
+        # d(g^3) = 3 g (s b db - q a da), d(g1^3) = 3 g1 (s b db - (k (a + a1) - q a1) da)
+        return ((3.0 * k * (a * (b1 - a) + a1 * (b1 - a1)), 3.0 * s * b * (b - b1)),
+                (3.0 * (q * (a * (a - g) + a1 * (a1 - g1)) + k * (a + a1) * (g1 - b1)),
+                 3.0 * s * b * (g - g1 - b + b1)))
 
     return F, J, complete
 
 
-def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float, u_from: Sequence[float],
-                 u_prev: Sequence[float] | None, a1_prev: float | None,
+def _solve_R1_at(p: FluidParams, s_target: float, s_from: float, u_from: Sequence[float],
+                 u_prev: Sequence[float] | None, s_prev: float | None,
                  cfg: NewtonConfig) -> tuple[list[float], tuple]:
-    """Newton solve in (alpha, beta) at a1_target, bisecting the parameter
-    step on failure; returns (alpha, beta) and the sextuplet.  The secant
-    predictor works on the two Python floats, each entry as an array would."""
-    a1_cur, (u0, u1) = a1_from, u_from
-    u_sec, a1_sec = u_prev, a1_prev
-    step = a1_target - a1_cur
+    """Newton solve in (alpha, beta) at sigma = s_target, bisecting the
+    parameter step on failure; returns (alpha, beta) and the sextuplet.  The
+    secant predictor works on the two Python floats, each entry as an array
+    would."""
+    s_cur, (u0, u1) = s_from, u_from
+    u_sec, s_sec = u_prev, s_prev
+    step = s_target - s_cur
     guard, zeta = 0, None
-    while a1_cur != a1_target:
-        if abs(step) > abs(a1_target - a1_cur):
-            step = a1_target - a1_cur
-        trial = a1_cur + step
-        if u_sec is not None and a1_sec != a1_cur:
-            f = (trial - a1_cur) / (a1_cur - a1_sec)
+    while s_cur != s_target:
+        if abs(step) > abs(s_target - s_cur):
+            step = s_target - s_cur
+        trial = s_cur + step
+        if u_sec is not None and s_sec != s_cur:
+            f = (trial - s_cur) / (s_cur - s_sec)
             pred = [u0 + (u0 - u_sec[0]) * f, u1 + (u1 - u_sec[1]) * f]
         else:
             pred = [u0, u1]
@@ -844,28 +877,34 @@ def _solve_R1_at(p: FluidParams, a1_target: float, a1_from: float, u_from: Seque
         except NumericsError:
             ok = False
         if ok:
-            u_sec, a1_sec = (u0, u1), a1_cur
-            (u0, u1), a1_cur, zeta = u_new, trial, z_new
+            u_sec, s_sec = (u0, u1), s_cur
+            (u0, u1), s_cur, zeta = u_new, trial, z_new
         else:
             step *= 0.5
             guard += 1
-            if abs(step) < 1e-12 * max(abs(a1_target), 1.0) or guard > 200:
+            if abs(step) < 1e-12 * max(abs(s_target), 1.0) or guard > 200:
                 raise ContinuationStallError(
-                    f"continuation stalled near alpha1 = {a1_cur:.12g}")
+                    f"continuation stalled near sigma = {s_cur:.12g}")
     return [u0, u1], zeta
 
 
 def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     """The full one-parameter family of steady states through the even one.
 
-    Returns ``n_points`` states ordered by the curve parameter, endpoints
-    snapped to their exact boundary constructions and the even state placed
-    exactly at parameter zero.  Below the small-viscosity threshold the
-    curve is traced in the dual parameters and mapped back.  The even state,
-    from the grid's own radii, is checked in the curve's one batch.
+    Returns ``n_points`` states, an odd number, ordered by the curve
+    parameter sigma = alpha + alpha1 of each state's sextuplet, which the
+    mirror x -> -x sends to -sigma.  The grid is symmetric in sigma: the
+    even state sits at the centre with sigma exactly 0.0, and the endpoints
+    are snapped to their exact boundary constructions at -sigma_end and
+    +sigma_end.  Newton continuation traces the sigma > 0 half at fixed
+    sigma (below the small-viscosity threshold in the dual parameters,
+    mapped back); each state i of the other half is the mirror image of
+    state n - 1 - i, its pieces mirrored, so that ``reflect(curve[i])`` is
+    ``curve[n - 1 - i]`` bitwise.  All states, the even one from the grid's
+    own radii included, are checked in the curve's one batch.
     """
-    if n_points < 5:
-        raise ValueError("n_points must be at least 5")
+    if n_points < 5 or n_points % 2 == 0:
+        raise ValueError(f"n_points must be odd and at least 5, got {n_points}")
     regime = classify_regime(p)
     cont = regime.continuum
     if cont is ContinuumClass.UNIQUE_EVEN:
@@ -879,38 +918,31 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
 
     if cont is ContinuumClass.CONNECTED_ENDPOINTS:
         b1e, ae, be, ge = connected_quadruple(work)
-        zeta_lo = (b1e, b1e, b1e, ae, be, ge)
-        a1_lo, a1_hi = b1e, -ae
+        zeta_end = _traced_end((b1e, b1e, b1e, ae, be, ge), dual)
     else:
-        zeta_lo = boundary_zeta(work)
-        a1_lo, a1_hi = zeta_lo[2], 0.0
+        zeta_end = _traced_end(boundary_zeta(work), dual)
 
-    a1_grid = np.linspace(a1_lo, a1_hi, n_points)
-    i0 = int(np.argmin(np.abs(a1_grid - (-a_even))))
-    i0 = min(max(i0, 1), n_points - 2)
-    a1_grid[i0] = -a_even
-    a1_grid = a1_grid.tolist()
-
+    half = n_points // 2
+    s_end = zeta_end[2] + zeta_end[3]
     newton_cfg = NewtonConfig(tol=max(1e-12, 1e-13 * 9.0 * work.R_mu
                                       * (1.0 + work.R) * (1.0 + work.eta**2)),
                               max_iter=60)
-    zetas: dict[int, tuple[float, ...]] = {0: zeta_lo, n_points - 1: _reflect_zeta(zeta_lo),
-                                           i0: (-g_even, -b_even, -a_even, a_even, b_even, g_even)}
-    for rng in (range(i0 + 1, n_points - 1), range(i0 - 1, 0, -1)):
-        u_cur, a1_cur = [a_even, b_even], -a_even
-        u_prev, a1_prev = None, None
-        for i in rng:
-            u_new, zetas[i] = _solve_R1_at(work, a1_grid[i], a1_cur, u_cur, u_prev,
-                                           a1_prev, newton_cfg)
-            u_prev, a1_prev = u_cur, a1_cur
-            u_cur, a1_cur = u_new, a1_grid[i]
+    zws = [(-g_even, -b_even, -a_even, a_even, b_even, g_even)]
+    u_cur, s_cur, u_prev, s_prev = [a_even, b_even], 0.0, None, None
+    for i in range(1, half):
+        s_new = s_end * (i / half)
+        u_new, zeta = _solve_R1_at(work, s_new, s_cur, u_cur, u_prev, s_prev, newton_cfg)
+        zws.append(zeta)
+        u_prev, s_prev, u_cur, s_cur = u_cur, s_cur, u_new, s_new
+    zws.append(zeta_end)
 
-    # ell = lam (a_even + alpha1) rises with the index and is 0.0 at i0
-    points = _curve_points(p, [zetas[i] for i in range(n_points)], a_even, lam, dual)
-    even, pp = points[i0], points[i0].profile
+    zetas, fields = _p_frame_states(p, zws, lam, dual)
+    low_zetas, low_fields = _mirror_states(zetas[1:], fields[1:])
+    points = _curve_points(p, low_zetas + zetas, low_fields + fields)
+    even, pp = points[half], points[half].profile
     if dual:  # the radii in p, checked as solve_even_case4 checks them
         _require_solved(residuals_eq51_53(p, *even.zeta[3:]), p, "even case-4 system")
-    points[i0] = CurvePoint(even.ell, even.zeta, ProfilePair._checked(
+    points[half] = CurvePoint(even.ell, even.zeta, ProfilePair._checked(
         pp.F, pp.G, p, f"even-case{regime.even_case.value}", pp.zeta))
     return points
 

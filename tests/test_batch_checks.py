@@ -74,12 +74,30 @@ def test_triples_cover_all_four_classes():
     assert len({(p.R_mu > p.R + 1.0, cont) for cont, ps in CLASSES.items() for p in ps}) == 4
 
 
+def _mirrored(q: PiecewiseQuadratic) -> PiecewiseQuadratic:
+    return PiecewiseQuadratic(tuple((-r, -l, c0, c2) for l, r, c0, c2 in reversed(q.pieces)))
+
+
+def _negated_m1(rep):
+    return dataclasses.replace(rep, m1=-rep.m1)
+
+
 @pytest.mark.parametrize("p", TRIPLES, ids=lambda p: f"{p.R}-{p.R_mu}-{p.eta}")
 def test_curve_batch_bitwise_equals_per_state_oracles(p, tmp_path):
+    # the traced half (sigma >= 0) is bitwise the per-state constructions and
+    # reports; each state of the other half is bitwise the mirror image of its
+    # partner, with its partner's report and M1 negated
     n = 21
     curve = continue_curve(p, n)
-    for cp in curve:
-        if cp.ell == 0.0:
+    half = n // 2
+    for i, cp in enumerate(curve):
+        if i < half:
+            twin = curve[n - 1 - i]
+            F, G = _mirrored(twin.profile.F), _mirrored(twin.profile.G)
+            assert cp.zeta == tuple(-z for z in reversed(twin.zeta)) and cp.ell == -twin.ell
+            check_pair_by_state(F, G, p, cp.profile.label)
+        elif i == half:
+            assert cp.ell == 0.0
             F, G = cp.profile.F, cp.profile.G
             check_pair_by_state(F, G, p, cp.profile.label)
         else:
@@ -87,7 +105,8 @@ def test_curve_batch_bitwise_equals_per_state_oracles(p, tmp_path):
         assert cp.profile.zeta == cp.zeta and cp.profile.params is p
         assert cp.profile.F.pieces == F.pieces and cp.profile.G.pieces == G.pieces
     reports = curve_reports(curve)
-    oracle = [fields_report_by_loop(cp.profile.F, cp.profile.G, p) for cp in curve]
+    traced = [fields_report_by_loop(cp.profile.F, cp.profile.G, p) for cp in curve[half:]]
+    oracle = [_negated_m1(rep) for rep in traced[:0:-1]] + traced
     for rep, expect in zip(reports, oracle):
         for name, value in dataclasses.asdict(rep).items():
             assert _bits(value) == _bits(getattr(expect, name)), name
@@ -101,15 +120,52 @@ def test_curve_batch_bitwise_equals_per_state_oracles(p, tmp_path):
         assert cli.main(argv) == 0
     stem = f"curve_R{p.R:g}_Rmu{p.R_mu:g}_eta{p.eta:g}"
     cli._write_csv(tmp_path / "curve.csv",
-                   ["ell", "gamma1", "beta1", "alpha1", "alpha", "beta", "gamma", "E_star"],
+                   ["sigma", "gamma1", "beta1", "alpha1", "alpha", "beta", "gamma", "E_star"],
                    [[cp.ell, *cp.zeta, rep.rescaled_energy] for cp, rep in zip(curve, oracle)])
-    cli._write_csv(tmp_path / "functionals.csv", ["ell", "E", "E_star", "M1", "M2", "H"],
+    cli._write_csv(tmp_path / "functionals.csv", ["sigma", "E", "E_star", "M1", "M2", "H"],
                    [[cp.ell, rep.energy, rep.rescaled_energy, rep.m1, rep.m2, rep.entropy]
                     for cp, rep in zip(curve, oracle)])
     assert (tmp_path / "cli" / f"{stem}.csv").read_bytes() == \
         (tmp_path / "curve.csv").read_bytes()
     assert (tmp_path / "cli" / f"{stem}_functionals.csv").read_bytes() == \
         (tmp_path / "functionals.csv").read_bytes()
+
+
+@pytest.mark.parametrize("p", TRIPLES, ids=lambda p: f"{p.R}-{p.R_mu}-{p.eta}")
+def test_mirrored_reports_match_the_loop_on_the_mirrored_pieces(p):
+    # a report taken over from the mirror partner is the report of the state's
+    # own pieces to 1e-15: E, E_*, M2 and H relative to themselves, and M1,
+    # which vanishes on a steady state, relative to M2
+    n = 21
+    curve = continue_curve(p, n)
+    reports = curve_reports(curve)
+    for i in range(n // 2):
+        rep, own = reports[i], fields_report_by_loop(curve[i].profile.F, curve[i].profile.G, p)
+        assert _bits(rep.m1) == _bits(-reports[n - 1 - i].m1)
+        for name in ("energy", "rescaled_energy", "m2", "entropy"):
+            assert getattr(rep, name) == getattr(reports[n - 1 - i], name)
+            assert abs(getattr(rep, name) - getattr(own, name)) <= 1e-15 * abs(getattr(own, name))
+        assert abs(rep.m1 - own.m1) <= 1e-15 * own.m2
+
+
+def test_a_state_without_its_mirror_partner_is_evaluated_on_its_own():
+    p = FluidParams(1.0, 10.0, 1.0)
+    curve = continue_curve(p, 9)
+
+    def assert_own_reports(states, reports):
+        for cp, rep in zip(states, reports):
+            expect = fields_report_by_loop(cp.profile.F, cp.profile.G, p)
+            for name, value in dataclasses.asdict(rep).items():
+                assert _bits(value) == _bits(getattr(expect, name)), name
+
+    # no state at index i is the mirror image of the one at n - 1 - i
+    for states in (curve[:6], curve[1:], curve[::-1][2:], [curve[0], curve[4], curve[7]]):
+        assert_own_reports(states, curve_reports(states))
+    # state 2 in the place of state 1: neither it nor state 7 has a partner
+    altered = curve[:1] + curve[2:3] + curve[2:]
+    reports = curve_reports(altered)
+    assert_own_reports([altered[1], altered[7]], [reports[1], reports[7]])
+    assert reports[0] == _negated_m1(reports[8]) and reports[2] == _negated_m1(reports[6])
 
 
 def test_mismatch_in_one_state_raises_its_scalar_message():
@@ -122,7 +178,7 @@ def test_mismatch_in_one_state_raises_its_scalar_message():
     closed = curve_energy_closed_form_by_state(p, bad.zeta)
     with pytest.raises(MismatchError) as info:
         curve_reports(curve)
-    assert str(info.value) == (f"energy mismatch at ell = {bad.ell:.6g}: quadrature "
+    assert str(info.value) == (f"energy mismatch at sigma = {bad.ell:.6g}: quadrature "
                                f"{quad:.15g} vs closed form {closed:.15g}")
 
 

@@ -86,16 +86,26 @@ def test_curve_command(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     rep = json.loads(out)
     assert rep["n_points"] == 21
-    assert rep["E_star_min_at_ell"] == 0.0
+    assert rep["E_star_min_at_sigma"] == 0.0
+    assert rep["sigma_minus"] == -rep["sigma_plus"] < 0.0
     assert rep["endpoint_kind"] == "alpha-zero"
     body = (tmp_path / "curve_R1_Rmu10_eta1.csv").read_text().splitlines()
-    assert body[0].startswith("ell,gamma1,beta1,alpha1,alpha,beta,gamma,E_star")
+    assert body[0].startswith("sigma,gamma1,beta1,alpha1,alpha,beta,gamma,E_star")
     assert len(body) == 22
     fn = (tmp_path / "curve_R1_Rmu10_eta1_functionals.csv").read_text().splitlines()
-    assert fn[0] == "ell,E,E_star,M1,M2,H"
+    assert fn[0] == "sigma,E,E_star,M1,M2,H"
     assert len(fn) == 22
     manifest = json.loads((tmp_path / "manifest_curve.json").read_text())
     assert manifest["argv"] == argv
+
+
+@pytest.mark.parametrize("n", ["20", "3", "0"])
+def test_curve_n_points_not_odd_and_at_least_5_is_a_usage_error(tmp_path, capsys, n):
+    code, _, err = run_cli(capsys, "curve", "--R", "1", "--R-mu", "10", "--eta", "1",
+                           "-n", n, "--out-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert f"n_points must be odd and at least 5, got {n}" in err
+    assert not list(tmp_path.glob("curve_*"))
 
 
 def test_curve_regime_error(tmp_path, capsys):
@@ -298,6 +308,55 @@ def test_curve_and_verify_share_one_unimodality_guard():
     assert not _unimodal([-1.0, 2e-12, 1.0], es)
     # two changes of direction
     assert not _unimodal([-2.0, -1.0, 0.0, 1.0], np.array([1.0, 2.0, 0.5, 1.0]))
+
+
+def _unimodal_by_sign_changes(sigmas, es) -> bool:
+    """The guard's earlier form: E* changes direction at most once and is
+    least where |sigma| <= 1e-12."""
+    d = np.diff(es)
+    return (int(np.sum(np.sign(d[:-1]) != np.sign(d[1:]))) <= 1
+            and abs(sigmas[int(np.argmin(es))]) <= 1e-12)
+
+
+def _curve_energies(n: int = 21):
+    from muskat.functionals import curve_reports
+    from muskat.params import FluidParams
+    from muskat.profiles import continue_curve
+    curve = continue_curve(FluidParams(1.0, 10.0, 1.0), n)
+    es = np.array([rep.rescaled_energy for rep in curve_reports(curve)])
+    sigmas = [cp.ell for cp in curve]
+    assert _unimodal(sigmas, es) and _unimodal_by_sign_changes(sigmas, es)
+    return sigmas, es
+
+
+def test_unimodality_guard_rejects_a_bumped_energy():
+    # E* changed at one index: rejected wherever the earlier guard rejects it,
+    # and off the centre always, since E* is no longer even
+    sigmas, es = _curve_energies()
+    c, rejected_before = len(es) // 2, 0
+    for k in range(len(es)):
+        for factor in (1.0 + 1e-12, 0.9, 1.1):
+            bumped = es.copy()
+            bumped[k] *= factor
+            before = _unimodal_by_sign_changes(sigmas, bumped)
+            rejected_before += not before
+            assert _unimodal(sigmas, bumped) <= before
+            assert not _unimodal(sigmas, bumped) or k == c
+    assert rejected_before > 0
+    raised = es.copy()
+    raised[c] *= 1.1  # above its neighbours
+    assert not _unimodal(sigmas, raised) and not _unimodal_by_sign_changes(sigmas, raised)
+
+
+def test_unimodality_guard_rejects_a_minimum_off_the_centre():
+    sigmas, es = _curve_energies()
+    cases = [np.roll(es, k) for k in (-3, -1, 1, 3)]
+    # even, with two minima either side of the centre
+    cases.append(np.array([3.0, 2.0, 1.0, 1.5, 1.0, 2.0, 3.0]))
+    for case in cases:
+        s = sigmas if len(case) == len(sigmas) else [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
+        assert not _unimodal_by_sign_changes(s, case)
+        assert not _unimodal(s, case)
 
 
 def test_verify_passes(capsys):

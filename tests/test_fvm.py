@@ -151,6 +151,25 @@ def test_l2_distance_equals_uncached_formula():
         assert l2_distance(st, ref) == expect  # again, from the stored averages
 
 
+@pytest.mark.parametrize("rmu, R", [(0.7, 4.0), (10.0, 1.0)])
+def test_mirrored_data_is_nearest_to_the_mirrored_curve_state(rmu, R):
+    # the pairing the selection workload relies on, without a run: on a
+    # symmetric grid, cell averages between curve states i and i + 1, and
+    # their mirror image, are nearest to states i and n - 1 - i, at the same
+    # distance up to the rounding of the averages
+    from muskat.profiles import continue_curve
+    curve = continue_curve(FluidParams(R, rmu, 1.0), 41)
+    n, grid = len(curve), Grid(n_cells=200)
+    for i in (3, 12, 27):
+        a, b = (np.stack([cell_averages(cp.profile.F, grid), cell_averages(cp.profile.G, grid)])
+                for cp in (curve[i], curve[i + 1]))
+        u = 0.7 * a + 0.3 * b
+        d, d_mirrored = ([l2_distance(SimState(f, g, 0.0, grid), cp.profile) for cp in curve]
+                         for f, g in ((u[0], u[1]), (u[0, ::-1], u[1, ::-1])))
+        assert int(np.argmin(d)) == i and int(np.argmin(d_mirrored)) == n - 1 - i
+        assert d[i] > 1e-4 and abs(d_mirrored[n - 1 - i] - d[i]) <= 1e-15
+
+
 def test_cell_averages_quadratic_exact():
     # averages of a full parabola integrate back to the exact mass
     p = FluidParams(1.0, 2.0, 1.0)

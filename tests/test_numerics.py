@@ -298,7 +298,8 @@ def test_curve_zetas_bitwise_with_general_elimination(R_mu, cls, monkeypatch):
 ], ids=lambda p: f"{p.R:g}-{p.R_mu:g}-{p.eta:g}")
 def test_curve_bitwise_with_list_oracle_newton(p, monkeypatch):
     # the continuation on Python floats gives the curve of the list loop,
-    # with one newton_solve call per corrector solve in both
+    # with one newton_solve call per corrector solve in both: at least one
+    # for each of the 9 interior states of the traced half
     def counted(solve, calls):
         def run(*args):
             calls.append(None)
@@ -312,7 +313,7 @@ def test_curve_bitwise_with_list_oracle_newton(p, monkeypatch):
     oracle = continue_curve(p, 21)
     assert ([np.array([cp.ell, *cp.zeta]).tobytes() for cp in curve]
             == [np.array([cp.ell, *cp.zeta]).tobytes() for cp in oracle])
-    assert len(shipped) == len(listed) >= 18
+    assert len(shipped) == len(listed) >= 9
 
 
 def test_config_validation():

@@ -720,12 +720,12 @@ def test_newton_converges_fast_near_curve_point():
     assert np.allclose(x, [g1, b1, a, b, g], rtol=1e-9)
 
 
-def _newton_five_unknowns(F, J, x0):
+def _newton_five_unknowns(F, J, x0, tol=1e-13):
     """The oracle's Newton loop on the full five-unknown curve system: newton_solve
     steps one or two unknowns, so here the oracle's general elimination takes the step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_solve_step", solve_step_by_elimination)
-        return newton_solve_by_lists(F, J, x0, NewtonConfig(tol=1e-13))
+        return newton_solve_by_lists(F, J, x0, NewtonConfig(tol=tol))
 
 
 @pytest.mark.parametrize("p, cls", [
@@ -747,7 +747,10 @@ def test_reduced_newton_matches_5x5_oracle(p, cls):
         assert max_abs(residuals_R1(work, zw)) < _system_tol(work)
         F, J = _R1_newton_funcs(work, zw[2])
         u = np.array([zw[0], zw[1], zw[3], zw[4], zw[5]])
-        x = _newton_five_unknowns(F, J, u * (1.0 + 1e-6))
+        # row 5 adds terms as large as 9 R_mu, whose rounding can leave a few
+        # of their ulps: a stop below 8 of them is out of float reach
+        x = _newton_five_unknowns(F, J, u * (1.0 + 1e-6),
+                                  max(1e-13, 8.0 * np.spacing(9.0 * work.R_mu)))
         assert np.max(np.abs(x - u)) <= 1e-10 * np.max(np.abs(u))
 
 
@@ -755,7 +758,7 @@ def test_reduced_jacobian_matches_central_differences():
     p = FluidParams(2.0, 40.0, 0.8)
     for cp in continue_curve(p, 9)[1:-1]:
         g1, b1, a1, a, b, g = cp.zeta
-        F, J, _ = _R1_reduced_funcs(p, a1)
+        F, J, _ = _R1_reduced_funcs(p, a1 + a)
         h = 1e-6
         fd = [[(F([a + h * (i == 0), b + h * (i == 1)])[r]
                 - F([a - h * (i == 0), b - h * (i == 1)])[r]) / (2.0 * h) for i in (0, 1)]
@@ -771,15 +774,17 @@ def test_reduced_jacobian_matches_central_differences():
                          ids=["disconnected", "connected"])
 def test_reduced_funcs_bitwise_equal_residuals_R1(p):
     # F is rows 4 and 5 of residuals_R1 at the completed sextuplet, and the
-    # completion solves the three quadratic rows as the per-call form does,
-    # on the curve and around it
+    # completion solves the three quadratic rows at alpha1 = sigma - alpha as
+    # the per-call form does, on the curve and around it
     rng = np.random.default_rng(3)
     for cp in continue_curve(p, 9)[1:-1]:
         g1, b1, a1, a, b, g = cp.zeta
-        F, J, complete = _R1_reduced_funcs(p, a1)
+        sigma = a1 + a
+        F, J, complete = _R1_reduced_funcs(p, sigma)
         for u in [[a, b], *(np.array([a, b]) * (1.0 + 1e-3 * rng.normal(size=(4, 2)))).tolist()]:
             zeta = complete(u)
-            assert np.array(zeta).tobytes() == np.array(R1_complete_by_rows(p, a1, *u)).tobytes()
+            assert np.array(zeta).tobytes() == np.array(
+                R1_complete_by_rows(p, sigma - u[0], *u)).tobytes()
             assert np.array(F(u)).tobytes() == np.array(residuals_R1(p, zeta)[3:]).tobytes()
     assert R1_complete_by_rows(p, -1.0, 1.0, 0.0) is None and _R1_reduced_funcs(
         p, -1.0)[2]([1.0, 0.0]) is None
@@ -795,6 +800,34 @@ def test_curve_even_point_bitwise_equals_even_profile(rmu):
         assert np.array(q.pieces).tobytes() == np.array(r.pieces).tobytes()
     assert np.array(cp.zeta).tobytes() == np.array(ev.zeta).tobytes()
     assert np.array(cp.profile.zeta).tobytes() == np.array(ev.zeta).tobytes()
+
+
+MIRROR_TRIPLES = [FluidParams(1.0, rmu, 1.0) for rmu in (10.0, 40.0, 0.1, 0.03)] + [
+    FluidParams(4.0, 0.7, 1.0), FluidParams(4.0, 2.0, 1.0)]
+
+
+@pytest.mark.parametrize("n", [21, 101])
+@pytest.mark.parametrize("p", MIRROR_TRIPLES, ids=lambda p: f"{p.R:g}-{p.R_mu:g}-{p.eta:g}")
+def test_reflected_curve_state_is_the_mirrored_index_bitwise(p, n):
+    # the curve is closed under x -> -x state by state: pieces, zeta and -sigma
+    curve = continue_curve(p, n)
+    assert curve[n // 2].ell == 0.0 and curve[0].ell == -curve[-1].ell < 0.0
+    for i, cp in enumerate(curve):
+        image, twin = reflect(cp.profile), curve[n - 1 - i]
+        assert _typed_bits(image.F.pieces) == _typed_bits(twin.profile.F.pieces)
+        assert _typed_bits(image.G.pieces) == _typed_bits(twin.profile.G.pieces)
+        assert np.array(image.zeta).tobytes() == np.array(twin.zeta).tobytes()
+        assert twin.ell == -cp.ell == -(cp.zeta[2] + cp.zeta[3])
+    sigmas = [cp.ell for cp in curve]
+    assert all(a < b for a, b in zip(sigmas, sigmas[1:]))
+
+
+def test_curve_n_points_must_be_odd_and_at_least_5():
+    p = FluidParams(1.0, 10.0, 1.0)
+    for n in (3, 4, 20, 100):
+        with pytest.raises(ValueError, match=f"n_points must be odd and at least 5, got {n}"):
+            continue_curve(p, n)
+    assert len(continue_curve(p, 5)) == 5
 
 
 def test_curve_direct_regime():
@@ -958,7 +991,7 @@ def test_curve_recovers_from_one_newton_failure(monkeypatch):
 
     monkeypatch.setattr(profiles, "newton_solve", flaky)
     curve = continue_curve(p, 11)
-    assert len(calls) >= 10  # the failed solve and the midpoint on top of 8 interior solves
+    assert len(calls) >= 6  # the failed solve and the midpoint on top of 4 interior solves
     assert [cp.ell for cp in curve] == pytest.approx([cp.ell for cp in ref], abs=1e-10)
     for cp, rp in zip(curve, ref):
         assert max_abs(np.subtract(cp.zeta, rp.zeta)) < 1e-10
@@ -969,7 +1002,7 @@ def test_curve_stalls_when_newton_always_fails(monkeypatch):
         raise NumericsError("injected failure")
 
     monkeypatch.setattr(profiles, "newton_solve", broken)
-    with pytest.raises(ContinuationStallError, match="stalled near alpha1"):
+    with pytest.raises(ContinuationStallError, match="stalled near sigma"):
         continue_curve(FluidParams(1.0, 10.0, 1.0), 11)
 
 
