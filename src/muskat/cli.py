@@ -114,7 +114,6 @@ def cmd_thresholds(args) -> int:
 
 def cmd_profile(args) -> int:
     p = _params_from_args(args)
-    out = _out_dir(args)
     if args.kind == "even":
         pp = profiles.even_profile(p)
     elif args.kind == "connected":
@@ -124,6 +123,7 @@ def cmd_profile(args) -> int:
     else:
         return _usage_error(f"unknown kind {args.kind!r}")
 
+    out = _out_dir(args)
     stem = f"profile_{args.kind}_R{args.R:g}_Rmu{args.R_mu:g}_eta{args.eta:g}"
     json_path = out / f"{stem}.json"
     _write_json(json_path, profiles.profile_to_dict(pp))
@@ -151,7 +151,6 @@ def cmd_profile(args) -> int:
 
 def cmd_curve(args) -> int:
     p = _params_from_args(args)
-    out = _out_dir(args)
     curve = profiles.continue_curve(p, n_points=args.n_points)
     reports = functionals.curve_reports(curve)
 
@@ -160,6 +159,7 @@ def cmd_curve(args) -> int:
         raise NumericsError("curve energy is not unimodal with minimum at sigma = 0")
     i_min = int(np.argmin(es))
 
+    out = _out_dir(args)
     stem = f"curve_R{args.R:g}_Rmu{args.R_mu:g}_eta{args.eta:g}"
     csv_path = out / f"{stem}.csv"
     header = ["sigma", "gamma1", "beta1", "alpha1", "alpha", "beta", "gamma", "E_star"]

@@ -1,10 +1,10 @@
-"""Scalar bracketed root finding and damped Newton for one or two unknowns.
+"""The package's two solvers: bracketed scalar roots and a two-unknown damped Newton.
 
 Every profile construction in this package reduces to either a single
 monotone (or unimodal) scalar equation, solved here by Brent's method on a
-sign-change bracket, or to a small polynomial system (two equations once
-the curve system is reduced), solved by Newton iterations in Python floats
-with an analytic Jacobian and a backtracking line search.
+sign-change bracket at one fixed tolerance, or to the curve system reduced
+to two equations in (alpha, beta), solved by Newton iterations in Python
+floats with an analytic Jacobian and a backtracking line search.
 
 The Brent solver is a line-by-line port of scipy's ``brentq``
 (``Zeros/brentq.c``): the same IEEE operations in the same order, so every
@@ -14,14 +14,9 @@ root is bitwise the one ``brentq`` returns, without importing scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 __all__ = [
-    "RootConfig",
-    "NewtonConfig",
     "NumericsError",
     "NoBracketError",
     "MaxIterExceededError",
@@ -53,48 +48,27 @@ class StepTooSmallError(NumericsError):
     pass
 
 
-# scipy's brentq rejects relative tolerances below 4*eps; the port keeps the
-# clamp because the last bits of every root depend on the tolerance used;
-# a Python float, so that no root comes back as a numpy scalar
-_MIN_RTOL = 4.0 * float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class RootConfig:
-    rel_tol: float = 1e-13
-    abs_tol: float = 1e-14
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-# the default tolerances, used by every threshold and profile root in this package
-_ROOT_CFG = RootConfig(rel_tol=4e-16, abs_tol=1e-15, max_iter=200)
-
+# the tolerances of every threshold and profile root in this package: the
+# relative one is 4*eps, the least that scipy's brentq accepts, and the last
+# bits of every root depend on them
+_RTOL = 4.0 * 2.0**-52
+_XTOL = 1e-15
+_BRENT_MAX_ITER = 200
 
 # Newton's line search scales the step by _DAMPING until the residual
 # decreases, and gives up below _MIN_STEP
 _DAMPING = 0.5
 _MIN_STEP = 1e-12
+_NEWTON_MAX_ITER = 60
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol: float = 1e-12
-    max_iter: int = 50
-
-
-def find_root_bracketed(f: Callable[[float], float], a: float, b: float,
-                        cfg: RootConfig = _ROOT_CFG) -> float:
+def find_root_bracketed(f: Callable[[float], float], a: float, b: float) -> float:
     """Root of ``f`` inside the sign-change bracket [a, b] (Brent's method).
 
     Raises NoBracketError when f(a) and f(b) have the same strict sign,
     ValueError when f returns NaN, and MaxIterExceededError when Brent fails
-    to converge within cfg.max_iter.  The result never leaves [a, b].
+    to converge within _BRENT_MAX_ITER iterations.  The result never leaves
+    [a, b].
     """
     a, b = float(a), float(b)
     fa, fb = _value(f, a), _value(f, b)
@@ -104,10 +78,9 @@ def find_root_bracketed(f: Callable[[float], float], a: float, b: float,
         return b
     if (fa < 0.0) == (fb < 0.0):
         raise NoBracketError(f"f({a}) = {fa:.6g} and f({b}) = {fb:.6g} have the same sign")
-    x, converged = _brent(f, a, fa, b, fb, cfg.abs_tol, max(cfg.rel_tol, _MIN_RTOL),
-                          cfg.max_iter)
+    x, converged = _brent(f, a, fa, b, fb, _XTOL, _RTOL, _BRENT_MAX_ITER)
     if not converged:
-        raise MaxIterExceededError(f"no convergence in {cfg.max_iter} iterations")
+        raise MaxIterExceededError(f"no convergence in {_BRENT_MAX_ITER} iterations")
     return x
 
 
@@ -165,10 +138,9 @@ def _brent(f, xpre: float, fpre: float, xcur: float, fcur: float,
 
 def newton_solve(F: Callable[[list[float]], Sequence[float]],
                  J: Callable[[list[float]], Sequence[Sequence[float]]],
-                 x0: Sequence[float],
-                 cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
-    """Damped Newton iteration for F(x) = 0 in one or two unknowns, with
-    analytic Jacobian J.
+                 x0: Sequence[float], tol: float) -> list[float]:
+    """Damped Newton iteration for F(x) = 0 in two unknowns, with analytic
+    Jacobian J, to a max-norm residual of at most ``tol``.
 
     F and J receive the iterate as a list of floats.  F returns a sequence
     of the residual's entries and J a sequence of the Jacobian's rows
@@ -179,22 +151,23 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
     counts as singular when the product of the pivots is below 1e-14 times
     the product of the row norms (the Hadamard bound).  The step is halved
     until the max-norm residual decreases; a residual that is NaN or
-    infinite counts as no decrease.  Returns the root as an array.  Raises
-    SingularJacobianError / StepTooSmallError / MaxIterExceededError on the
-    corresponding failures, and ValueError for more than two unknowns.
+    infinite counts as no decrease.  Returns the root as a list of two
+    floats.  Raises SingularJacobianError / StepTooSmallError /
+    MaxIterExceededError (after _NEWTON_MAX_ITER iterations) on the
+    corresponding failures, and ValueError for other than two unknowns.
     """
     x = [float(v) for v in x0]
-    n = len(x)
-    tol = cfg.tol
+    if len(x) != 2:
+        raise ValueError(f"newton_solve solves two unknowns, not {len(x)}")
     Fx = F(x)
     norm = max_abs(Fx)
-    for _ in range(cfg.max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if norm <= tol:
-            return np.array(x)
+            return x
         dx = _solve_step(J(x), Fx)
         t = 1.0
         while True:
-            x_new = [x[0] + t * dx[0], x[1] + t * dx[1]] if n == 2 else [x[0] + t * dx[0]]
+            x_new = [x[0] + t * dx[0], x[1] + t * dx[1]]
             F_new = F(x_new)
             norm_new = max_abs(F_new)
             if math.isfinite(norm_new) and norm_new < norm:
@@ -205,8 +178,8 @@ def newton_solve(F: Callable[[list[float]], Sequence[float]],
                     f"line search stalled at step {t:.3e} with residual {norm:.3e}")
         x, Fx, norm = x_new, F_new, norm_new
     if norm <= tol:
-        return np.array(x)
-    raise MaxIterExceededError(f"residual {norm:.3e} after {cfg.max_iter} iterations")
+        return x
+    raise MaxIterExceededError(f"residual {norm:.3e} after {_NEWTON_MAX_ITER} iterations")
 
 
 def max_abs(v: Sequence[float]) -> float:
@@ -225,16 +198,11 @@ def max_abs(v: Sequence[float]) -> float:
 
 
 def _solve_step(A: Sequence[Sequence[float]], Fx: Sequence[float]) -> list[float]:
-    """Solve A dx = -Fx for one or two unknowns: Gaussian elimination with
-    partial pivoting, written out.  The determinant is the signed product of
-    the pivots; an elimination that meets a zero pivot stops there."""
-    if len(Fx) == 1:
-        ((a,),), b0 = A, -Fx[0]
-        if not math.isfinite(a) or abs(a) < 1e-14 * max(math.hypot(a), 1e-300):
-            raise SingularJacobianError(f"|det J| = {abs(a):.3e} below 1e-14 * scale")
-        return [b0 / a]
+    """Solve A dx = -Fx for two unknowns: Gaussian elimination with partial
+    pivoting, written out.  The determinant is the signed product of the
+    pivots; an elimination that meets a zero pivot stops there."""
     if len(Fx) != 2:
-        raise ValueError(f"_solve_step solves one or two unknowns, not {len(Fx)}")
+        raise ValueError(f"_solve_step solves two unknowns, not {len(Fx)}")
     ((a, b), (c, d)), b0, b1 = A, -Fx[0], -Fx[1]
     scale = math.hypot(a, b) * math.hypot(c, d)
     det = 1.0

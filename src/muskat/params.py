@@ -126,7 +126,9 @@ def _t_M(R: float, eta: float) -> float:
         if b > 1e30:
             raise RuntimeError("failed to bracket the large-threshold root")
     if fa >= 0.0:
-        # cannot happen for valid parameters (xi2(1+) = -2); defensive only
+        # xi2(1) = -2, but its slope at 1 is about eta^2 / 2: for eta above
+        # about 6e4 xi2(a) is positive (3.0 at eta = 1e5), the root lies in (1, a),
+        # and this bracket misses it
         raise RuntimeError("unexpected sign of xi2 at the left bracket end")
     return find_root_bracketed(lambda t: xi2(t, R, eta), a, b)
 
@@ -140,8 +142,9 @@ def threshold_residual_small(r_m: float, R: float, eta: float) -> float:
 def thresholds(p: FluidParams) -> RegimeThresholds:
     """All five critical viscosity ratios for the parameter pair (R, eta).
 
-    r_m is constructed from r_M of the dual parameters; its residual in the
-    direct defining equation is asserted below 1e-10 as a cross-check.
+    r_m is constructed from r_M of the dual parameters.  As a cross-check,
+    the residuals of r_M and r_m in their defining equations, each divided
+    by the size of its equation's terms, are asserted below 1e-10.
     The result is memoised per (R, eta).
     """
     return _thresholds(float(p.R), float(p.eta))
@@ -156,8 +159,10 @@ def _thresholds(R: float, eta: float) -> RegimeThresholds:
     r_M = R + _t_M(R, eta)
     eta1 = math.sqrt(R / (1.0 + R)) / eta
     r_m = R * (1.0 + R) / (R + _t_M(R, eta1))
-    res_M = xi2(r_M - R, R, eta)
-    res_m = threshold_residual_small(r_m, R, eta)
+    # xi2 ends in -1 - eta^2 and r_m's equation in -1 - c: divided by those,
+    # each residual is relative to terms of order 1 at any R and eta
+    res_M = xi2(r_M - R, R, eta) / (1.0 + e2)
+    res_m = threshold_residual_small(r_m, R, eta) / (1.0 + e2 * (1.0 + R) / R)
     if abs(res_M) > 1e-10 or abs(res_m) > 1e-10:
         raise RuntimeError(f"threshold residuals too large: {res_M:.3e}, {res_m:.3e}")
     return RegimeThresholds(r_m=r_m, r_minus=r_minus, r0=r0, r_plus=r_plus, r_M=r_M)

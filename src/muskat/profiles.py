@@ -37,7 +37,6 @@ import numpy as np
 
 from .checks import Pieces, check_pairs, steady_residuals
 from .numerics import (
-    NewtonConfig,
     NumericsError,
     find_root_bracketed,
     max_abs,
@@ -850,7 +849,7 @@ def _R1_reduced_funcs(p: FluidParams, sigma: float):
 
 def _solve_R1_at(p: FluidParams, s_target: float, s_from: float, u_from: Sequence[float],
                  u_prev: Sequence[float] | None, s_prev: float | None,
-                 cfg: NewtonConfig) -> tuple[list[float], tuple]:
+                 tol: float) -> tuple[list[float], tuple]:
     """Newton solve in (alpha, beta) at sigma = s_target, bisecting the
     parameter step on failure; returns (alpha, beta) and the sextuplet.  The
     secant predictor works on the two Python floats, each entry as an array
@@ -870,7 +869,7 @@ def _solve_R1_at(p: FluidParams, s_target: float, s_from: float, u_from: Sequenc
             pred = [u0, u1]
         F, J, complete = _R1_reduced_funcs(p, trial)
         try:
-            u_new = newton_solve(F, J, pred, cfg).tolist()
+            u_new = newton_solve(F, J, pred, tol)
             z_new = complete(u_new)
             g1, b1, a1, a, b, g = z_new or (math.nan,) * 6
             ok = g1 < b1 < a1 < 0.0 < a < b < g
@@ -924,14 +923,12 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
 
     half = n_points // 2
     s_end = zeta_end[2] + zeta_end[3]
-    newton_cfg = NewtonConfig(tol=max(1e-12, 1e-13 * 9.0 * work.R_mu
-                                      * (1.0 + work.R) * (1.0 + work.eta**2)),
-                              max_iter=60)
+    tol = max(1e-12, 1e-13 * 9.0 * work.R_mu * (1.0 + work.R) * (1.0 + work.eta**2))
     zws = [(-g_even, -b_even, -a_even, a_even, b_even, g_even)]
     u_cur, s_cur, u_prev, s_prev = [a_even, b_even], 0.0, None, None
     for i in range(1, half):
         s_new = s_end * (i / half)
-        u_new, zeta = _solve_R1_at(work, s_new, s_cur, u_cur, u_prev, s_prev, newton_cfg)
+        u_new, zeta = _solve_R1_at(work, s_new, s_cur, u_cur, u_prev, s_prev, tol)
         zws.append(zeta)
         u_prev, s_prev, u_cur, s_cur = u_cur, s_cur, u_new, s_new
     zws.append(zeta_end)

@@ -12,7 +12,6 @@ from muskat.fvm import cell_averages
 from muskat import numerics
 from muskat.numerics import (
     MaxIterExceededError,
-    NewtonConfig,
     SingularJacobianError,
     StepTooSmallError,
     find_root_bracketed,
@@ -389,18 +388,18 @@ def max_abs_by_two_passes(v: Sequence[float]) -> float:
     return max(map(abs, v))
 
 
-def newton_solve_by_lists(F, J, x0: Sequence[float],
-                          cfg: NewtonConfig = NewtonConfig()) -> np.ndarray:
-    """Damped Newton iteration that rebuilds the iterate, the residual and the
-    Jacobian as lists of Python floats at every step (the list form of
-    ``numerics.newton_solve``)."""
+def newton_solve_by_lists(F, J, x0: Sequence[float], tol: float) -> list[float]:
+    """Damped Newton iteration in any number of unknowns that rebuilds the
+    iterate, the residual and the Jacobian as lists of Python floats at every
+    step (the list form of ``numerics.newton_solve``)."""
     x = [float(v) for v in x0]
     n = len(x)
     Fx = [float(v) for v in F(x)]
     norm = max_abs_by_two_passes(Fx)
-    for _ in range(cfg.max_iter):
-        if norm <= cfg.tol:
-            return np.array(x)
+    max_iter = numerics._NEWTON_MAX_ITER
+    for _ in range(max_iter):
+        if norm <= tol:
+            return x
         dx = numerics._solve_step([[float(v) for v in row] for row in J(x)], Fx)
         t = 1.0
         while True:
@@ -414,9 +413,9 @@ def newton_solve_by_lists(F, J, x0: Sequence[float],
                 raise StepTooSmallError(
                     f"line search stalled at step {t:.3e} with residual {norm:.3e}")
         x, Fx, norm = x_new, F_new, norm_new
-    if norm <= cfg.tol:
-        return np.array(x)
-    raise MaxIterExceededError(f"residual {norm:.3e} after {cfg.max_iter} iterations")
+    if norm <= tol:
+        return x
+    raise MaxIterExceededError(f"residual {norm:.3e} after {max_iter} iterations")
 
 
 def clean_pieces_by_sort(pieces) -> tuple:

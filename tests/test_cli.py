@@ -37,6 +37,16 @@ def test_thresholds_ordering_other_eta(capsys):
     assert code == EXIT_OK and vals == sorted(vals)
 
 
+def test_thresholds_of_small_R_large_eta(capsys):
+    # both threshold cross-checks are scaled to their equations' terms, so
+    # this point passes them
+    code, out, _ = run_cli(capsys, "thresholds", "--R", "0.001", "--eta", "15.117750706156615")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    vals = [payload[k] for k in ("r_m", "r_minus", "r0", "r_plus", "r_M")]
+    assert vals == sorted(vals)
+
+
 def test_thresholds_usage_error(capsys):
     code, _, _ = run_cli(capsys, "thresholds", "--R", "0", "--eta", "1")
     assert code == EXIT_USAGE
@@ -76,6 +86,22 @@ def test_profile_regime_error_exit_3(tmp_path, capsys):
                            "--kind", "connected", "--out-dir", str(tmp_path))
     assert code == EXIT_REGIME
     assert "12.258" in err  # names the admissible window
+
+
+def test_profile_regime_error_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "x"
+    code, _, _ = run_cli(capsys, "profile", "--R", "1", "--R-mu", "2", "--eta", "1",
+                         "--kind", "connected", "--out-dir", str(out))
+    assert code == EXIT_REGIME
+    assert not out.exists()
+
+
+def test_curve_usage_error_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "curve_even"
+    code, _, err = run_cli(capsys, "curve", "--R", "1", "--R-mu", "10", "--eta", "1",
+                           "-n", "20", "--out-dir", str(out))
+    assert code == EXIT_USAGE and "odd" in err
+    assert not out.exists()
 
 
 def test_curve_command(tmp_path, capsys, monkeypatch):

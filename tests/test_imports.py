@@ -71,3 +71,11 @@ def test_package_import_leaves_numpy_polynomial_out():
             "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'")
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                    check=True)
+
+
+def test_numerics_imports_only_the_standard_library():
+    # the two solvers run on Python floats; numpy is not needed to import them
+    tree = ast.parse((Path(muskat.__file__).parent / "numerics.py").read_text())
+    names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    names += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert names and all(m.split(".")[0] in sys.stdlib_module_names for m in names), names

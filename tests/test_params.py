@@ -82,6 +82,35 @@ def test_threshold_defining_residuals():
     assert abs(threshold_residual_small(th.r_m, p.R, p.eta)) < 1e-10
 
 
+def test_threshold_cross_checks_pass_on_a_wide_grid():
+    # divided by the size of their equations' terms, the residuals stay far
+    # below 1e-10 from R = 1e-3 to 1e3 and eta = 1e-2 to 1e4
+    for R in np.logspace(-3.0, 3.0, 40):
+        for eta in np.logspace(-2.0, 4.0, 60):
+            th = thresholds(FluidParams(float(R), 1.0, float(eta)))
+            assert th.r_m < th.r_minus < th.r0 < th.r_plus < th.r_M
+
+
+@pytest.mark.parametrize("R, eta", [(1.0, 1.0), (0.001, 15.117750706156615), (1.0, 1000.0)])
+@pytest.mark.parametrize("which", ["r_M", "r_m"])
+def test_threshold_cross_check_rejects_a_perturbed_root(R, eta, which, monkeypatch):
+    # _t_M gives r_M first and then, through the dual, r_m: a root of either
+    # call moved by 1e-8 relative fails the scaled cross-check
+    from muskat import params
+    t_M, calls = params._t_M, []
+
+    def perturbed(R_, eta_):
+        calls.append(None)
+        t = t_M(R_, eta_)
+        return t * (1.0 + 1e-8) if len(calls) == ("r_M", "r_m").index(which) + 1 else t
+
+    monkeypatch.setattr(params, "_t_M", perturbed)
+    params._thresholds.cache_clear()
+    with pytest.raises(RuntimeError, match="threshold residuals too large"):
+        thresholds(FluidParams(R, 1.0, eta))
+    assert len(calls) == 2
+
+
 def test_threshold_ordering_random():
     rng = np.random.default_rng(0)
     for _ in range(1000):

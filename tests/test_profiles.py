@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from muskat import numerics, profiles
-from muskat.numerics import NewtonConfig, NumericsError, max_abs, newton_solve
+from muskat.numerics import NumericsError, max_abs, newton_solve
 from muskat.params import ContinuumClass, FluidParams, classify_regime, dual_params, thresholds
 from muskat.profiles import (
     ContinuationStallError,
@@ -722,10 +722,10 @@ def test_newton_converges_fast_near_curve_point():
 
 def _newton_five_unknowns(F, J, x0, tol=1e-13):
     """The oracle's Newton loop on the full five-unknown curve system: newton_solve
-    steps one or two unknowns, so here the oracle's general elimination takes the step."""
+    steps two unknowns, so here the oracle's general elimination takes the step."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_solve_step", solve_step_by_elimination)
-        return newton_solve_by_lists(F, J, x0, NewtonConfig(tol=tol))
+        return newton_solve_by_lists(F, J, x0, tol)
 
 
 @pytest.mark.parametrize("p, cls", [
