@@ -115,8 +115,13 @@ def xi2(t: float, R: float, eta: float) -> float:
 
 def _t_M(R: float, eta: float) -> float:
     """Unique zero of xi2 on (1, oo), bracketed then solved by Brent."""
-    eps = 1e-9
-    a = 1.0 + eps
+    # xi2(1) = -2 and its slope at 1 is about eta^2 / 2, so xi2 is still near
+    # -1.5 at 1 + 1/eta^2; the left end is 1 + 1e-9 up to eta of about 3.2e4
+    a = 1.0 + min(1e-9, 1.0 / eta**2)
+    if a == 1.0:
+        raise RuntimeError(
+            f"cannot bracket the large-threshold root at eta = {eta:.6g}: "
+            "1 + 1/eta^2 rounds to 1, so eta must stay below about 9.4e7")
     # xi2 decreases up to t2 then increases to +oo; start past the minimum.
     t2 = R ** (2.0 / 3.0) * (1.0 + R) ** (1.0 / 3.0) / eta ** (4.0 / 3.0) - R
     b = max(2.0, t2) + 1.0
@@ -126,9 +131,6 @@ def _t_M(R: float, eta: float) -> float:
         if b > 1e30:
             raise RuntimeError("failed to bracket the large-threshold root")
     if fa >= 0.0:
-        # xi2(1) = -2, but its slope at 1 is about eta^2 / 2: for eta above
-        # about 6e4 xi2(a) is positive (3.0 at eta = 1e5), the root lies in (1, a),
-        # and this bracket misses it
         raise RuntimeError("unexpected sign of xi2 at the left bracket end")
     return find_root_bracketed(lambda t: xi2(t, R, eta), a, b)
 

@@ -25,6 +25,12 @@ beta <= gamma (even with a split film, connected, boundary, curve) gets its
 pieces from the one function ``_zeta_pieces``.  Each returned state is built
 and checked once, all of a curve (its even state too) in one batch of
 ``checks.check_pairs``, and a left connected state mirrored before its batch.
+
+Every one of these states whose even profile has F split (R_mu <= r_minus)
+is built in the dual parameters and mapped back by the duality's dilation
+alone, zeta -> lam * zeta (``_work_frame``, ``_p_frame_states``): such a
+state, a whole curve included, is lam times the same state of its dual
+triple, bitwise.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ __all__ = [
     "ContinuationStallError",
     "even_profile",
     "solve_even_case3",
-    "solve_even_case4",
     "connected_profile",
     "connected_quadruple",
     "boundary_disconnected_profile",
@@ -83,7 +88,6 @@ __all__ = [
     "residuals_d2",
     "residuals_R1",
     "residuals_R2",
-    "curve_energy_closed_form",
     "profile_to_dict",
     "sample_profile",
 ]
@@ -443,21 +447,6 @@ def _checked_case3(p: FluidParams, a: float, b: float, g: float) -> tuple[float,
     return a, b, g
 
 
-def solve_even_case4(p: FluidParams) -> tuple[float, float, float]:
-    """Support radii of the even profile with F split, via the duality map."""
-    th = thresholds(p)
-    if (p.R_mu - th.r_minus) / th.r_minus > _BAND:
-        raise RegimeError(
-            f"even profile with split F needs R_mu <= {th.r_minus:.6g}, got {p.R_mu:.6g}")
-    p1, lam = dual_params(p)
-    a1, b1, g1 = solve_even_case3(p1)
-    a, b, g = lam * a1, lam * b1, lam * g1
-    _require_solved(residuals_eq51_53(p, a, b, g), p, "even case-4 system")
-    if not (0.0 <= a < b < g):
-        raise RuntimeError(f"radii out of order: {a}, {b}, {g}")
-    return a, b, g
-
-
 def even_profile(p: FluidParams) -> ProfilePair:
     """The unique even steady state for the given parameters."""
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
@@ -482,10 +471,12 @@ def even_profile(p: FluidParams) -> ProfilePair:
         return _finish_pair(Fp, Gp, p, "even-case2")
 
     if case in (EvenCase.CASE3, EvenCase.CASE4):
-        a, b, g = solve_even_case3(p) if case is EvenCase.CASE3 else solve_even_case4(p)
-        zeta = (-g, -b, -a, a, b, g)
-        return _finish_pair(*_zeta_pieces(p, zeta), p, f"even-case{case.value}",
-                            zeta=zeta)
+        work, lam, dual = _work_frame(p, regime)
+        a, b, g = solve_even_case3(work)
+        (zeta,), (fields,) = _p_frame_states(p, [(-g, -b, -a, a, b, g)], lam)
+        if dual:
+            _require_solved(residuals_eq51_53(p, *zeta[3:]), p, "even case-4 system")
+        return _finish_pair(*fields, p, f"even-case{case.value}", zeta=zeta)
 
     # CASE5
     b = (4.5 * Rmu / (1.0 + R - Rmu)) ** (1.0 / 3.0)
@@ -553,12 +544,12 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
             "connected non-symmetric profiles exist only for "
             f"R_mu >= {th.r_M:.6g} or R_mu <= {th.r_m:.6g}; got {p.R_mu:.6g}")
     work, lam, dual = _work_frame(p, regime)
-    b1, a, b, g = (lam * v for v in connected_quadruple(work))
-    if dual:
-        _require_solved(residuals_d2(p, b1, a, b, g), p, "dual connected-profile")
-    label = "connected-small" if dual else "connected-large"
+    b1, a, b, g = connected_quadruple(work)
     # the sextuplet with its split support collapsed onto beta1
-    fields = _zeta_pieces(p, (b1, b1, b1, a, b, g))
+    (zeta,), (fields,) = _p_frame_states(p, [(b1, b1, b1, a, b, g)], lam)
+    if dual:
+        _require_solved(residuals_d2(p, *zeta[2:]), p, "dual connected-profile")
+    label = "connected-small" if dual else "connected-large"
     if side == "left":
         fields, label = [_mirror(q) for q in fields], label + "|reflected"
     return _finish_pair(*fields, p, label)
@@ -626,8 +617,8 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
             "alpha = 0 endpoints exist only for R_mu in "
             f"({th.r_plus:.6g}, {th.r_M:.6g}) or ({th.r_m:.6g}, {th.r_minus:.6g}); "
             f"got {p.R_mu:.6g}")
-    work, lam, dual = _work_frame(p, regime)
-    zetas, fields = _p_frame_states(p, [_traced_end(boundary_zeta(work), dual)], lam, dual)
+    work, lam, _ = _work_frame(p, regime)
+    zetas, fields = _p_frame_states(p, [_reflect_zeta(boundary_zeta(work))], lam)
     if side == "right":
         zetas, fields = _mirror_states(zetas, fields)
     return _curve_points(p, zetas, fields)[0]
@@ -754,19 +745,22 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
 
 
 def _work_frame(p: FluidParams, regime: Regime) -> tuple[FluidParams, float, bool]:
-    """(work, lam, dual): non-even states of p are built in p when its even
-    profile has G split (CASE3), else in the dual parameters, whose states
-    map back through the dilation lam."""
+    """(work, lam, dual): the frame in which the non-even states of p, and an
+    even state with a split support, are built.  That is p itself, with
+    lam = 1.0, when its even profile has G split (CASE3), else the dual
+    parameters, with the duality's lam.  A work-frame sextuplet z maps to p
+    as lam * z (``_p_frame_states``), the one map from the work frame to p."""
     if regime.even_case is EvenCase.CASE3:
         return p, 1.0, False
     return (*dual_params(p), True)
 
 
-def _p_frame_states(p: FluidParams, zws: Sequence[Sequence[float]], lam: float,
-                    dual: bool) -> tuple[list, list]:
-    """(zetas, fields): the sextuplets in p of the work-frame ones zws, and
-    each one's (F pieces, G pieces)."""
-    zetas = [tuple([-lam * z for z in reversed(zw)]) if dual else tuple(zw) for zw in zws]
+def _p_frame_states(p: FluidParams, zws: Sequence[Sequence[float]],
+                    lam: float) -> tuple[list, list]:
+    """(zetas, fields): the sextuplets in p of the work-frame ones zws, each
+    dilated by the duality's lam (1.0 when p is the work frame), and each
+    one's (F pieces, G pieces)."""
+    zetas = [tuple([lam * z for z in zw]) for zw in zws]
     return zetas, [_zeta_pieces(p, zeta) for zeta in zetas]
 
 
@@ -781,13 +775,6 @@ def _curve_points(p: FluidParams, zetas: list, fields: list) -> list[CurvePoint]
     a state's curve parameter is sigma = alpha + alpha1 of its sextuplet."""
     return [CurvePoint(ell=zeta[2] + zeta[3], zeta=zeta, profile=pp)
             for zeta, pp in zip(zetas, _zeta_batch(p, zetas, fields))]
-
-
-def _traced_end(zeta_lo: tuple, dual: bool) -> tuple:
-    """The work-frame sextuplet of the curve's end with sigma > 0 in p, given
-    the end zeta_lo with sigma < 0 in the work frame: the map back from the
-    dual frame, x -> -lam x, turns the sign of sigma."""
-    return zeta_lo if dual else _reflect_zeta(zeta_lo)
 
 
 def _R1_reduced_funcs(p: FluidParams, sigma: float):
@@ -896,10 +883,13 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     even state sits at the centre with sigma exactly 0.0, and the endpoints
     are snapped to their exact boundary constructions at -sigma_end and
     +sigma_end.  Newton continuation traces the sigma > 0 half at fixed
-    sigma (below the small-viscosity threshold in the dual parameters,
-    mapped back); each state i of the other half is the mirror image of
-    state n - 1 - i, its pieces mirrored, so that ``reflect(curve[i])`` is
-    ``curve[n - 1 - i]`` bitwise.  All states, the even one from the grid's
+    sigma in the work frame (``_work_frame``), up to the mirror image of the
+    end that ``connected_quadruple`` or ``boundary_zeta`` computes there,
+    and each traced state maps to p as lam * zeta: below r_minus the curve
+    is lam times the curve of the dual parameters, state by state.  Each
+    state i of the other half is the mirror image of state n - 1 - i, its
+    pieces mirrored, so that ``reflect(curve[i])`` is ``curve[n - 1 - i]``
+    bitwise.  All states, the even one from the grid's
     own radii included, are checked in the curve's one batch.
     """
     if n_points < 5 or n_points % 2 == 0:
@@ -917,9 +907,9 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
 
     if cont is ContinuumClass.CONNECTED_ENDPOINTS:
         b1e, ae, be, ge = connected_quadruple(work)
-        zeta_end = _traced_end((b1e, b1e, b1e, ae, be, ge), dual)
+        zeta_end = _reflect_zeta((b1e, b1e, b1e, ae, be, ge))
     else:
-        zeta_end = _traced_end(boundary_zeta(work), dual)
+        zeta_end = _reflect_zeta(boundary_zeta(work))
 
     half = n_points // 2
     s_end = zeta_end[2] + zeta_end[3]
@@ -933,11 +923,11 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
         u_prev, s_prev, u_cur, s_cur = u_cur, s_cur, u_new, s_new
     zws.append(zeta_end)
 
-    zetas, fields = _p_frame_states(p, zws, lam, dual)
+    zetas, fields = _p_frame_states(p, zws, lam)
     low_zetas, low_fields = _mirror_states(zetas[1:], fields[1:])
     points = _curve_points(p, low_zetas + zetas, low_fields + fields)
     even, pp = points[half], points[half].profile
-    if dual:  # the radii in p, checked as solve_even_case4 checks them
+    if dual:  # the radii in p, checked as even_profile checks them
         _require_solved(residuals_eq51_53(p, *even.zeta[3:]), p, "even case-4 system")
     points[half] = CurvePoint(even.ell, even.zeta, ProfilePair._checked(
         pp.F, pp.G, p, f"even-case{regime.even_case.value}", pp.zeta))
@@ -968,19 +958,16 @@ def _fifth_power_energy(p: FluidParams, zetas: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_energies(p: FluidParams, zetas: np.ndarray) -> np.ndarray:
-    """``curve_energy_closed_form`` of each row of an (N, 6) array."""
+    """Rescaled energy E_* of each curve state, a row of an (N, 6) array of
+    sextuplets in p, from fifth powers of its entries (in the dual
+    parameters for R_mu < R, where the state is lam times a dual one)."""
     system = _sextuplet_system(p)
     if system is residuals_R1:
         return _fifth_power_energy(p, zetas)
     if system is residuals_R2:
         p1, lam = dual_params(p)
-        return _fifth_power_energy(p1, -zetas[:, ::-1] / lam) / lam
+        return _fifth_power_energy(p1, zetas / lam) / lam
     raise RegimeError("closed-form curve energy needs R_mu > R + 1 or R_mu < R")
-
-
-def curve_energy_closed_form(p: FluidParams, zeta: Sequence[float]) -> float:
-    """Rescaled energy of a curve state from fifth powers of the sextuplet."""
-    return float(_closed_form_energies(p, np.array([zeta], dtype=float))[0])
 
 
 # ----------------------------------------------------------------------

@@ -337,7 +337,7 @@ def curve_energy_closed_form_by_state(p: FluidParams, zeta: Sequence[float]) -> 
         return _fifth_power_energy_by_state(p, zeta)
     assert system is residuals_R2
     p1, lam = dual_params(p)
-    return _fifth_power_energy_by_state(p1, tuple(-z / lam for z in reversed(tuple(zeta)))) / lam
+    return _fifth_power_energy_by_state(p1, tuple(z / lam for z in zeta)) / lam
 
 
 def solve_step_by_elimination(A: Sequence[Sequence[float]], Fx: Sequence[float]) -> list[float]:

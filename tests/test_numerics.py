@@ -18,7 +18,7 @@ from muskat.numerics import (
     newton_solve,
 )
 from muskat.params import ContinuumClass, FluidParams, classify_regime, thresholds, xi2
-from muskat.profiles import continue_curve, solve_even_case3, solve_even_case4
+from muskat.profiles import continue_curve, solve_even_case3
 from oracles import newton_solve_by_lists, solve_step_by_elimination
 
 
@@ -93,7 +93,7 @@ def test_brent_roots_are_python_floats():
     th = thresholds(FluidParams(1.0, 1.0, 1.0))
     assert [type(v) for v in vars(th).values()] == [float] * len(vars(th))
     for p, solve in ((FluidParams(1.0, 21.0, 1.0), solve_even_case3),
-                     (FluidParams(1.0, 0.05, 1.0), solve_even_case4)):
+                     (FluidParams(1.0, 0.05, 1.0), lambda p: profiles.even_profile(p).zeta[3:])):
         assert [type(v) for v in solve(p)] == [float] * 3
         pp = profiles.even_profile(p)
         assert {type(v) for q in (pp.F, pp.G) for piece in q.pieces for v in piece} == {float}

@@ -91,6 +91,25 @@ def test_threshold_cross_checks_pass_on_a_wide_grid():
             assert th.r_m < th.r_minus < th.r0 < th.r_plus < th.r_M
 
 
+@pytest.mark.parametrize("R, eta", [(1.0, 7e4), (1.0, 1e5), (1.0, 1e6), (1.0, 1e-5), (1.0, 1e-6),
+                                    (0.001, 1e5), (1000.0, 1e5), (0.001, 1e-5), (1000.0, 1e-5)])
+def test_thresholds_at_large_and_small_eta(R, eta):
+    # xi2 rises from -2 at t = 1 with slope about eta^2 / 2, so r_M's bracket
+    # starts at 1 + 1/eta^2 for eta above about 3.2e4; a small eta meets the
+    # same bracket through r_m's dual eta
+    th = thresholds(FluidParams(R, 1.0, eta))
+    assert th.r_m < th.r_minus < th.r0 < th.r_plus < th.r_M
+    assert abs(xi2(th.r_M - R, R, eta)) / (1.0 + eta**2) < 1e-10
+    c = eta**2 * (1.0 + R) / R
+    assert abs(threshold_residual_small(th.r_m, R, eta)) / (1.0 + c) < 1e-10
+
+
+def test_thresholds_name_the_eta_limit():
+    # past eta of about 9.4e7, 1 + 1/eta^2 rounds to 1
+    with pytest.raises(RuntimeError, match="eta must stay below about 9.4e7"):
+        thresholds(FluidParams(1.0, 1.0, 1e8))
+
+
 @pytest.mark.parametrize("R, eta", [(1.0, 1.0), (0.001, 15.117750706156615), (1.0, 1000.0)])
 @pytest.mark.parametrize("which", ["r_M", "r_m"])
 def test_threshold_cross_check_rejects_a_perturbed_root(R, eta, which, monkeypatch):

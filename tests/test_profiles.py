@@ -7,7 +7,14 @@ import pytest
 
 from muskat import numerics, profiles
 from muskat.numerics import NumericsError, max_abs, newton_solve
-from muskat.params import ContinuumClass, FluidParams, classify_regime, dual_params, thresholds
+from muskat.params import (
+    ContinuumClass,
+    EvenCase,
+    FluidParams,
+    classify_regime,
+    dual_params,
+    thresholds,
+)
 from muskat.profiles import (
     ContinuationStallError,
     InvalidZetaError,
@@ -20,7 +27,6 @@ from muskat.profiles import (
     connected_quadruple,
     continue_curve,
     curve_endpoint_kind,
-    curve_energy_closed_form,
     dual_transform,
     even_profile,
     profile_from_zeta,
@@ -34,12 +40,12 @@ from muskat.profiles import (
     residuals_eq51_53,
     sample_profile,
     solve_even_case3,
-    solve_even_case4,
     steady_residual,
     steady_residual_fields,
     xi0,
     xi3,
     _clean_pieces,
+    _closed_form_energies,
     _float_fields,
     _system_tol,
     _R1_reduced_funcs,
@@ -182,17 +188,17 @@ def test_even_case4_dual_window():
     # the dual of the small threshold lands exactly on the dual r_plus
     assert p1.R_mu == pytest.approx(10.0, rel=1e-14)
     assert th1.r_plus == pytest.approx(10.0, rel=1e-14)
-    a, b, g = solve_even_case4(p)
+    a, b, g = even_profile(p).zeta[3:]
     assert a == pytest.approx(0.0, abs=1e-13)
     assert max_abs(residuals_eq51_53(p, a, b, g)) < 1e-10
 
 
 def test_even_case4_interior():
     p = FluidParams(1.0, 0.1, 1.0)
-    a, b, g = solve_even_case4(p)
+    pp = even_profile(p)
+    a, b, g = pp.zeta[3:]
     assert 0.0 < a < b < g
     assert max_abs(residuals_eq51_53(p, a, b, g)) < 1e-10
-    pp = even_profile(p)
     assert len(pp.support_F) == 2
     assert len(pp.support_G) == 1
 
@@ -200,7 +206,7 @@ def test_even_case4_interior():
 def test_even_case4_direct_matches_duality():
     for rmu in (0.05, 0.1, 0.15):
         p = FluidParams(1.0, rmu, 1.0)
-        via_dual = solve_even_case4(p)
+        via_dual = even_profile(p).zeta[3:]
         direct = solve_even_case4_direct(p)
         assert max(abs(x - y) for x, y in zip(via_dual, direct)) < 1e-10
 
@@ -397,7 +403,7 @@ def _connected_zeta(p: FluidParams) -> tuple:
 
 
 def _even_zeta(p: FluidParams) -> tuple:
-    a, b, g = solve_even_case3(p) if p.R_mu > p.R + 1.0 else solve_even_case4(p)
+    a, b, g = solve_even_case3(p) if p.R_mu > p.R + 1.0 else even_profile(p).zeta[3:]
     return (-g, -b, -a, a, b, g)
 
 
@@ -976,6 +982,21 @@ def test_work_frame_is_p_for_split_G_and_the_dual_otherwise():
         assert _work_frame(p, classify_regime(p)) == (*dual_params(p), True)
 
 
+@pytest.mark.parametrize("p", [FluidParams(1.0, 0.1, 1.0), FluidParams(1.0, 0.03, 1.0),
+                               FluidParams(4.0, 0.7, 1.0), FluidParams(4.0, 2.0, 1.0)],
+                         ids=["case4-alpha-zero", "case4-connected", "R4-case4", "R4-alpha-zero"])
+def test_dual_regime_states_are_the_dilation_of_the_dual_states(p):
+    # below r_minus every state is built in the dual parameters and mapped back
+    # by the dilation zeta -> lam * zeta alone, so it is lam times the state of
+    # the dual triple, bitwise, on the whole curve and for the even state
+    p1, lam = dual_params(p)
+    assert classify_regime(p).even_case is EvenCase.CASE4
+    curve, dual_curve = continue_curve(p, 41), continue_curve(p1, 41)
+    for cp, cp1 in zip(curve, dual_curve):
+        assert cp.zeta == tuple(lam * z for z in cp1.zeta)
+    assert even_profile(p).zeta == tuple(lam * z for z in even_profile(p1).zeta)
+
+
 def test_curve_recovers_from_one_newton_failure(monkeypatch):
     p = FluidParams(1.0, 10.0, 1.0)
     ref = continue_curve(p, 11)
@@ -1033,9 +1054,9 @@ def test_curve_energy_closed_form_matches_m2():
     from muskat.functionals import evaluate
     p = FluidParams(1.0, 10.0, 1.0)
     curve = continue_curve(p, 11)
-    for cp in curve:
+    energies = _closed_form_energies(p, np.array([cp.zeta for cp in curve]))
+    for cp, closed in zip(curve, energies):
         rep = evaluate(cp.profile, p)
-        closed = curve_energy_closed_form(p, cp.zeta)
         assert closed == pytest.approx(rep.m2 / 2.0, abs=1e-9)
 
 
