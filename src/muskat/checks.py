@@ -126,12 +126,15 @@ def raise_first(checks) -> None:
         raise next(error(k) for f, error in checks if f[k])
 
 
-def check_pairs(p: FluidParams, Fs, Gs, label: str | None = None, first=()) -> None:
-    """Check every state (F_k, G_k) of a batch at once: the (failed, error)
-    pairs ``first``, then every condition of ``field_failures`` on F_k and
-    on G_k, their unit masses and, given the ``label`` of the
-    construction, the exact steady residual.  Raises what checking one state
+def check_pairs(p: FluidParams, Fs, Gs, label: str | None = None) -> None:
+    """Check every state (F_k, G_k) of a batch at once: every condition of
+    ``field_failures`` on F_k and on G_k, their unit masses and, given the
+    ``label`` of the construction that built the batch, the exact steady
+    residual.  A labelled batch raises its field and mass failures as
+    RuntimeError, since the package built its states; an unlabelled one
+    (a pair built by hand) as ValueError.  Raises what checking one state
     at a time raises (see ``raise_first``)."""
+    kind = ValueError if label is None else RuntimeError
     with np.errstate(all="ignore"):
         pcs = Pieces([q for pair in zip(Fs, Gs) for q in pair])
         failed, error = field_failures(pcs)
@@ -141,12 +144,11 @@ def check_pairs(p: FluidParams, Fs, Gs, label: str | None = None, first=()) -> N
         for l, r, c0, c2 in zip(pcs.l.T, pcs.r.T, pcs.c0.T, pcs.c2.T):
             mass += c0 * (r - l) + c2 * (r * r * r - l * l * l) / 3.0
         mF, mG = mass[0::2], mass[1::2]
-        checks = [*first,
-                  (failed[0::2], lambda k: error(2 * k)),
-                  (failed[1::2], lambda k: error(2 * k + 1)),
+        checks = [(failed[0::2], lambda k: kind(str(error(2 * k)))),
+                  (failed[1::2], lambda k: kind(str(error(2 * k + 1)))),
                   ((np.abs(mF - 1.0) > MASS_TOL) | (np.abs(mG - 1.0) > MASS_TOL),
-                   lambda k: ValueError(f"masses must be 1: got {Fs[k].mass()!r}, "
-                                        f"{Gs[k].mass()!r}"))]
+                   lambda k: kind(f"masses must be 1: got {Fs[k].mass()!r}, "
+                                  f"{Gs[k].mass()!r}"))]
         if label is not None:
             res = steady_residuals(p, pcs)
             checks.append((res > STEADY_TOL, lambda k: RuntimeError(

@@ -12,7 +12,8 @@ space into regimes with qualitatively different steady states:
   (shifted by R),
 * ``r_m`` follows from ``r_M`` of the dual parameter set.
 
-They always order as  r_m < r_minus < r0 < r_plus < r_M.
+They order as  r_m < r_minus < r0 < r_plus < r_M;  ``thresholds`` raises
+where two of them round to one float.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def thresholds(p: FluidParams) -> RegimeThresholds:
 
     r_m is constructed from r_M of the dual parameters.  As a cross-check,
     the residuals of r_M and r_m in their defining equations, each divided
-    by the size of its equation's terms, are asserted below 1e-10.
-    The result is memoised per (R, eta).
+    by the size of its equation's terms, are asserted below 1e-10, and the
+    five must order strictly.  The result is memoised per (R, eta).
     """
     return _thresholds(float(p.R), float(p.eta))
 
@@ -167,7 +168,14 @@ def _thresholds(R: float, eta: float) -> RegimeThresholds:
     res_m = threshold_residual_small(r_m, R, eta) / (1.0 + e2 * (1.0 + R) / R)
     if abs(res_M) > 1e-10 or abs(res_m) > 1e-10:
         raise RuntimeError(f"threshold residuals too large: {res_M:.3e}, {res_m:.3e}")
-    return RegimeThresholds(r_m=r_m, r_minus=r_minus, r0=r0, r_plus=r_plus, r_M=r_M)
+    th = RegimeThresholds(r_m=r_m, r_minus=r_minus, r0=r0, r_plus=r_plus, r_M=r_M)
+    # two neighbours closer than R's ulp round to one value
+    pairs = list(vars(th).items())
+    for (lo, a), (hi, b) in zip(pairs, pairs[1:]):
+        if not a < b:
+            raise RuntimeError(f"thresholds not strictly ordered at R = {R!r}, eta = {eta!r}: "
+                               f"{lo} = {a!r}, {hi} = {b!r}")
+    return th
 
 
 def classify_regime(p: FluidParams) -> Regime:

@@ -23,8 +23,11 @@ The constructions follow three routes:
 Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
 beta <= gamma (even with a split film, connected, boundary, curve) gets its
 pieces from the one function ``_zeta_pieces``.  Each returned state is built
-and checked once, all of a curve (its even state too) in one batch of
-``checks.check_pairs``, and a left connected state mirrored before its batch.
+and checked once: its algebraic system by the solver that computes it, in the
+frame that solves it, then its fields in p by ``checks.check_pairs``, a whole
+curve (its even state too) in one batch and a left connected state mirrored
+before its batch.  Only ``profile_from_zeta``, given a sextuplet from outside,
+checks a sextuplet's order and system residual in p.
 
 Every one of these states whose even profile has F split (R_mu <= r_minus)
 is built in the dual parameters and mapped back by the duality's dilation
@@ -83,9 +86,7 @@ __all__ = [
     "xi0",
     "xi3",
     "residuals_eq41_43",
-    "residuals_eq51_53",
     "residuals_d1",
-    "residuals_d2",
     "residuals_R1",
     "residuals_R2",
     "profile_to_dict",
@@ -274,14 +275,6 @@ def residuals_eq41_43(p: FluidParams, a: float, b: float, g: float) -> tuple[flo
             g**2 - s * b**2 + q * a**2)
 
 
-def residuals_eq51_53(p: FluidParams, a: float, b: float, g: float) -> tuple[float, ...]:
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-    return ((1.0 + R - Rmu) * b**3 - (R - Rmu) * a**3 - 4.5 * Rmu,
-            Rmu * g**3 - R * (1.0 + R - Rmu) * b**3 + (1.0 + R) * (R - Rmu) * a**3
-            - 4.5 * Rmu * (1.0 + R) * e2,
-            Rmu * g**2 - R * (1.0 + R - Rmu) * b**2 + (1.0 + R) * (R - Rmu) * a**2)
-
-
 def residuals_d1(p: FluidParams, b1: float, a: float, b: float, g: float) -> tuple[float, ...]:
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     s, q = Rmu - R, Rmu - R - 1.0
@@ -289,15 +282,6 @@ def residuals_d1(p: FluidParams, b1: float, a: float, b: float, g: float) -> tup
             g**3 - s * b**3 + q * a**3 - 9.0 * Rmu,
             g**2 - s * b**2 + q * a**2,
             Rmu * b1**2 - (1.0 + R) * s * b**2 + R * q * a**2)
-
-
-def residuals_d2(p: FluidParams, b1: float, a: float, b: float, g: float) -> tuple[float, ...]:
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-    return (Rmu * g**3 + (1.0 + R) * (R - Rmu) * a**3 - R * (1.0 + R - Rmu) * b**3
-            - 9.0 * e2 * Rmu * (1.0 + R),
-            -(b1**3) - (R - Rmu) * a**3 + (1.0 + R - Rmu) * b**3 - 9.0 * Rmu,
-            Rmu * g**2 + (1.0 + R) * (R - Rmu) * a**2 - R * (1.0 + R - Rmu) * b**2,
-            b1**2 + (R - Rmu) * a**2 - (1.0 + R - Rmu) * b**2)
 
 
 def residuals_R1(p: FluidParams, zeta: Sequence[float]) -> tuple[float, ...]:
@@ -373,11 +357,11 @@ def _float_fields(fields) -> tuple[list, list]:
     return Fs, Gs
 
 
-def _finish_pairs(p: FluidParams, fields, label: str, zetas=None, first=()) -> list[ProfilePair]:
+def _finish_pairs(p: FluidParams, fields, label: str, zetas=None) -> list[ProfilePair]:
     """The pairs of p with each state's (F pieces, G pieces) and zeta, every
     state checked in one batch (see ``check_pairs``)."""
     Fs, Gs = _float_fields(fields)
-    check_pairs(p, Fs, Gs, label, first)
+    check_pairs(p, Fs, Gs, label)
     return [ProfilePair._checked(F, G, p, label, zeta)
             for F, G, zeta in zip(Fs, Gs, zetas or [None] * len(Fs))]
 
@@ -471,11 +455,9 @@ def even_profile(p: FluidParams) -> ProfilePair:
         return _finish_pair(Fp, Gp, p, "even-case2")
 
     if case in (EvenCase.CASE3, EvenCase.CASE4):
-        work, lam, dual = _work_frame(p, regime)
+        work, lam = _work_frame(p, regime)
         a, b, g = solve_even_case3(work)
         (zeta,), (fields,) = _p_frame_states(p, [(-g, -b, -a, a, b, g)], lam)
-        if dual:
-            _require_solved(residuals_eq51_53(p, *zeta[3:]), p, "even case-4 system")
         return _finish_pair(*fields, p, f"even-case{case.value}", zeta=zeta)
 
     # CASE5
@@ -543,13 +525,11 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
         raise RegimeError(
             "connected non-symmetric profiles exist only for "
             f"R_mu >= {th.r_M:.6g} or R_mu <= {th.r_m:.6g}; got {p.R_mu:.6g}")
-    work, lam, dual = _work_frame(p, regime)
+    work, lam = _work_frame(p, regime)
     b1, a, b, g = connected_quadruple(work)
     # the sextuplet with its split support collapsed onto beta1
-    (zeta,), (fields,) = _p_frame_states(p, [(b1, b1, b1, a, b, g)], lam)
-    if dual:
-        _require_solved(residuals_d2(p, *zeta[2:]), p, "dual connected-profile")
-    label = "connected-small" if dual else "connected-large"
+    _, (fields,) = _p_frame_states(p, [(b1, b1, b1, a, b, g)], lam)
+    label = "connected-large" if work is p else "connected-small"
     if side == "left":
         fields, label = [_mirror(q) for q in fields], label + "|reflected"
     return _finish_pair(*fields, p, label)
@@ -617,11 +597,11 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
             "alpha = 0 endpoints exist only for R_mu in "
             f"({th.r_plus:.6g}, {th.r_M:.6g}) or ({th.r_m:.6g}, {th.r_minus:.6g}); "
             f"got {p.R_mu:.6g}")
-    work, lam, _ = _work_frame(p, regime)
+    work, lam = _work_frame(p, regime)
     zetas, fields = _p_frame_states(p, [_reflect_zeta(boundary_zeta(work))], lam)
     if side == "right":
         zetas, fields = _mirror_states(zetas, fields)
-    return _curve_points(p, zetas, fields)[0]
+    return _curve_points(p, work, zetas, fields)[0]
 
 
 # ----------------------------------------------------------------------
@@ -661,44 +641,26 @@ def _zeta_pieces(p: FluidParams, zeta: Sequence[float]) -> tuple[list, list]:
 def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
     """Assemble the piecewise formulas attached to a disconnected sextuplet.
 
-    The sextuplet must be weakly ordered and satisfy the five-equation system
-    of its regime (large R_mu: G split; small R_mu: F split) to within
+    The sextuplet must be finite, weakly ordered and satisfy the five-equation
+    system of its regime (large R_mu: G split; small R_mu: F split) to within
     max(1e-8, 1e-12 * 9 R_mu (1 + R)(1 + eta^2)); degenerate entries (collapsed
     or zero-width intervals) produce the corresponding boundary profiles.
     """
     zeta = tuple(float(z) for z in zeta)
-    if len(zeta) != 6:
+    if len(zeta) != 6 or not all(map(math.isfinite, zeta)):
         raise InvalidZetaError(f"bad sextuplet {zeta!r}")
-    return _sextuplet_pairs(p, [zeta])[0]
-
-
-def _sextuplet_pairs(p: FluidParams, zetas) -> list[ProfilePair]:
-    """``profile_from_zeta`` of each sextuplet, all checked in one batch."""
-    zetas = [tuple(map(float, zeta)) for zeta in zetas]
-    return _zeta_batch(p, zetas, [_zeta_pieces(p, zeta) for zeta in zetas])
-
-
-def _zeta_batch(p: FluidParams, zetas, fields) -> list[ProfilePair]:
-    """The pairs of sextuplets (tuples of floats) with their (F pieces, G
-    pieces), all checked in one batch: each sextuplet must be finite and
-    weakly ordered, p must have a sextuplet system, and the sextuplet's
-    residual in it must be small."""
+    tol = 1e-12 * max(abs(zeta[0]), abs(zeta[5]), 1.0)
+    if not (all(b - a >= -tol for a, b in zip(zeta, zeta[1:]))
+            and zeta[2] <= tol and zeta[3] >= -tol):
+        raise InvalidZetaError(f"ordering violated: {zeta}")
     system = _sextuplet_system(p)
-    with np.errstate(all="ignore"):
-        z = np.array(zetas).reshape(-1, 6)
-        tol = 1e-12 * np.maximum(np.maximum(np.abs(z[:, 0]), np.abs(z[:, 5])), 1.0)
-        ordered = ((np.diff(z, axis=1) >= -tol[:, None]).all(axis=1)
-                   & (z[:, 2] <= tol) & (z[:, 3] >= -tol))
-        res = np.zeros(len(z)) if system is None else np.max(np.abs(system(p, z.T)), axis=0)
-    bound = max(1e-8, 1e-12 * 9.0 * p.R_mu * (1.0 + p.R) * (1.0 + p.eta**2))
-    checks = [(~np.isfinite(z).all(axis=1), lambda k: InvalidZetaError(
-                  f"bad sextuplet {zetas[k]!r}")),
-              (~ordered, lambda k: InvalidZetaError(f"ordering violated: {zetas[k]}")),
-              (np.full(len(z), system is None), lambda k: InvalidZetaError(
-                  "disconnected-support sextuplets require R_mu > R + 1 or R_mu < R")),
-              (res > bound, lambda k: InvalidZetaError(f"system residual {res[k]:.3e} too large"))]
+    if system is None:
+        raise InvalidZetaError("disconnected-support sextuplets require R_mu > R + 1 or R_mu < R")
+    res = max_abs(system(p, zeta))
+    if res > max(1e-8, 1e-12 * 9.0 * p.R_mu * (1.0 + p.R) * (1.0 + p.eta**2)):
+        raise InvalidZetaError(f"system residual {res:.3e} too large")
     label = "zeta-large" if system is residuals_R1 else "zeta-small"
-    return _finish_pairs(p, fields, label, zetas, checks)
+    return _finish_pair(*_zeta_pieces(p, zeta), p, label, zeta)
 
 
 # ----------------------------------------------------------------------
@@ -744,15 +706,17 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
 # ----------------------------------------------------------------------
 
 
-def _work_frame(p: FluidParams, regime: Regime) -> tuple[FluidParams, float, bool]:
-    """(work, lam, dual): the frame in which the non-even states of p, and an
-    even state with a split support, are built.  That is p itself, with
-    lam = 1.0, when its even profile has G split (CASE3), else the dual
-    parameters, with the duality's lam.  A work-frame sextuplet z maps to p
-    as lam * z (``_p_frame_states``), the one map from the work frame to p."""
+def _work_frame(p: FluidParams, regime: Regime) -> tuple[FluidParams, float]:
+    """(work, lam): the frame in which the non-even states of p, and an even
+    state with a split support, are built and their algebraic systems solved
+    and checked.  That is p itself, with lam = 1.0, when its even profile has
+    G split (CASE3), else the dual parameters, with the duality's lam, which
+    can be 1.0 too: ``work is p`` tells the frames apart.  A work-frame
+    sextuplet z maps to p as lam * z (``_p_frame_states``), the one map from
+    the work frame to p."""
     if regime.even_case is EvenCase.CASE3:
-        return p, 1.0, False
-    return (*dual_params(p), True)
+        return p, 1.0
+    return dual_params(p)
 
 
 def _p_frame_states(p: FluidParams, zws: Sequence[Sequence[float]],
@@ -770,11 +734,14 @@ def _mirror_states(zetas: list, fields: list) -> tuple[list, list]:
             [(_mirror(F), _mirror(G)) for F, G in reversed(fields)])
 
 
-def _curve_points(p: FluidParams, zetas: list, fields: list) -> list[CurvePoint]:
-    """The states of p with these sextuplets and pieces, checked as one batch;
-    a state's curve parameter is sigma = alpha + alpha1 of its sextuplet."""
+def _curve_points(p: FluidParams, work: FluidParams, zetas: list,
+                  fields: list) -> list[CurvePoint]:
+    """The states of p with these sextuplets and pieces, solved in ``work``
+    and checked as one batch; a state's curve parameter is sigma = alpha +
+    alpha1 of its sextuplet."""
+    label = "zeta-large" if work is p else "zeta-small"
     return [CurvePoint(ell=zeta[2] + zeta[3], zeta=zeta, profile=pp)
-            for zeta, pp in zip(zetas, _zeta_batch(p, zetas, fields))]
+            for zeta, pp in zip(zetas, _finish_pairs(p, fields, label, zetas))]
 
 
 def _R1_reduced_funcs(p: FluidParams, sigma: float):
@@ -902,7 +869,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
             f"only the even steady state exists for R_mu in [{th.r_minus:.6g}, "
             f"{th.r_plus:.6g}]; got {p.R_mu:.6g}")
 
-    work, lam, dual = _work_frame(p, regime)
+    work, lam = _work_frame(p, regime)
     a_even, b_even, g_even = _split_G_radii(work)
 
     if cont is ContinuumClass.CONNECTED_ENDPOINTS:
@@ -925,10 +892,8 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
 
     zetas, fields = _p_frame_states(p, zws, lam)
     low_zetas, low_fields = _mirror_states(zetas[1:], fields[1:])
-    points = _curve_points(p, low_zetas + zetas, low_fields + fields)
+    points = _curve_points(p, work, low_zetas + zetas, low_fields + fields)
     even, pp = points[half], points[half].profile
-    if dual:  # the radii in p, checked as even_profile checks them
-        _require_solved(residuals_eq51_53(p, *even.zeta[3:]), p, "even case-4 system")
     points[half] = CurvePoint(even.ell, even.zeta, ProfilePair._checked(
         pp.F, pp.G, p, f"even-case{regime.even_case.value}", pp.zeta))
     return points

@@ -28,9 +28,29 @@ from muskat.profiles import (
     _zeta_pieces,
     residuals_R1,
     residuals_R2,
-    residuals_eq51_53,
     steady_residual,
 )
+
+
+def residuals_eq51_53(p: FluidParams, a: float, b: float, g: float) -> tuple[float, ...]:
+    """The three equations of the even radii with F split, written in p (the
+    package solves the case-3 system of the dual parameters instead)."""
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    return ((1.0 + R - Rmu) * b**3 - (R - Rmu) * a**3 - 4.5 * Rmu,
+            Rmu * g**3 - R * (1.0 + R - Rmu) * b**3 + (1.0 + R) * (R - Rmu) * a**3
+            - 4.5 * Rmu * (1.0 + R) * e2,
+            Rmu * g**2 - R * (1.0 + R - Rmu) * b**2 + (1.0 + R) * (R - Rmu) * a**2)
+
+
+def residuals_d2(p: FluidParams, b1: float, a: float, b: float, g: float) -> tuple[float, ...]:
+    """The four equations of the connected quadruple below r_m, written in p
+    (the package solves ``residuals_d1`` of the dual parameters instead)."""
+    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    return (Rmu * g**3 + (1.0 + R) * (R - Rmu) * a**3 - R * (1.0 + R - Rmu) * b**3
+            - 9.0 * e2 * Rmu * (1.0 + R),
+            -(b1**3) - (R - Rmu) * a**3 + (1.0 + R - Rmu) * b**3 - 9.0 * Rmu,
+            Rmu * g**2 + (1.0 + R) * (R - Rmu) * a**2 - R * (1.0 + R - Rmu) * b**2,
+            b1**2 + (R - Rmu) * a**2 - (1.0 + R - Rmu) * b**2)
 
 
 def solve_even_case4_direct(p: FluidParams) -> tuple[float, float, float]:
@@ -242,12 +262,18 @@ def check_pair_by_state(F: PiecewiseQuadratic, G: PiecewiseQuadratic, p: FluidPa
                         label: str | None = None) -> None:
     """The checks of one construction on one state: validate F and G, their
     unit masses and, given the construction's ``label``, the exact steady
-    residual (the scalar form of ``profiles._check_pairs``)."""
-    validate_by_loop(F)
-    validate_by_loop(G)
-    mF, mG = F.mass(), G.mass()
-    if abs(mF - 1.0) > 1e-10 or abs(mG - 1.0) > 1e-10:
-        raise ValueError(f"masses must be 1: got {mF!r}, {mG!r}")
+    residual (the scalar form of ``checks.check_pairs``).  With a label, the
+    field and mass failures raise as RuntimeError."""
+    try:
+        validate_by_loop(F)
+        validate_by_loop(G)
+        mF, mG = F.mass(), G.mass()
+        if abs(mF - 1.0) > 1e-10 or abs(mG - 1.0) > 1e-10:
+            raise ValueError(f"masses must be 1: got {mF!r}, {mG!r}")
+    except ValueError as exc:
+        if label is None:
+            raise
+        raise RuntimeError(str(exc)) from None
     if label is not None:
         res = steady_residual_fields_by_scan(F, G, p)
         if res > STEADY_TOL:

@@ -26,15 +26,13 @@ from muskat.profiles import (
     residuals_R1,
     residuals_R2,
     residuals_d1,
-    residuals_d2,
     residuals_eq41_43,
-    residuals_eq51_53,
     solve_even_case3,
     steady_residual,
     xi0,
     xi3,
 )
-from oracles import solve_even_case4_direct
+from oracles import residuals_d2, residuals_eq51_53, solve_even_case4_direct
 
 TH = thresholds(FluidParams(1.0, 1.0, 1.0))
 

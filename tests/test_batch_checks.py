@@ -23,11 +23,11 @@ from muskat.profiles import (
     PiecewiseQuadratic,
     ProfilePair,
     _closed_form_energies,
-    _sextuplet_pairs,
     boundary_disconnected_profile,
     connected_profile,
     continue_curve,
     even_profile,
+    profile_from_zeta,
     steady_residual,
 )
 from oracles import (
@@ -258,16 +258,19 @@ BREAKS = {
 def test_each_broken_condition_raises_as_the_scalar_check(case, k):
     pp = _state()
     F, G = BREAKS[case](pp.F, pp.G)
+    # a labelled batch was built by the package, so every failure is RuntimeError
     expect = _raised(lambda: check_pair_by_state(F, G, P, "zeta-large"))
-    assert expect is not None and expect[0] in (ValueError, RuntimeError)
+    assert expect is not None and expect[0] is RuntimeError
     Fs, Gs = [F], [G]
     if k is not None:
         states = [cp.profile for cp in continue_curve(P, BATCH + 1) if cp.ell != 0.0]
         Fs, Gs = [s.F for s in states], [s.G for s in states]
         Fs[k], Gs[k] = F, G
     assert _raised(lambda: check_pairs(P, Fs, Gs, "zeta-large")) == expect
-    if case != "steady residual":
-        assert _raised(lambda: ProfilePair(F=F, G=G, params=P)) == expect
+    if case != "steady residual":  # a pair built by hand: the same message, ValueError
+        by_hand = _raised(lambda: check_pair_by_state(F, G, P))
+        assert by_hand == (ValueError, expect[1])
+        assert _raised(lambda: ProfilePair(F=F, G=G, params=P)) == by_hand
     for q in (F, G):
         assert _raised(lambda: _raise_field_failure(q)) == _raised(lambda: validate_by_loop(q))
 
@@ -291,15 +294,11 @@ ZETA_BREAKS = {
 }
 
 
-@pytest.mark.parametrize("k", [None, 0, 4], ids=lambda k: f"k={k}")
+@pytest.mark.parametrize("p", TRIPLES, ids=lambda p: f"{p.R}-{p.R_mu}-{p.eta}")
 @pytest.mark.parametrize("case", ZETA_BREAKS)
-def test_each_broken_sextuplet_raises_as_the_scalar_check(case, k):
-    zetas = [cp.zeta for cp in continue_curve(P, 7) if cp.ell != 0.0]
+def test_each_broken_sextuplet_raises_as_the_scalar_check(case, p):
+    zetas = [cp.zeta for cp in continue_curve(p, 7) if cp.ell != 0.0]
     bad = ZETA_BREAKS[case](zetas[2])
-    expect = _raised(lambda: profile_from_zeta_by_state(P, bad))
+    expect = _raised(lambda: profile_from_zeta_by_state(p, bad))
     assert expect[0] is InvalidZetaError
-    if k is None:
-        zetas = [bad]
-    else:
-        zetas[k] = bad
-    assert _raised(lambda: _sextuplet_pairs(P, zetas)) == expect
+    assert _raised(lambda: profile_from_zeta(p, bad)) == expect

@@ -96,6 +96,24 @@ def test_profile_regime_error_leaves_no_out_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["curve", "-n", "7"], ["profile", "--kind", "connected"]], ids=["curve", "connected"])
+def test_a_built_state_that_fails_its_mass_check_is_a_numerical_failure(tmp_path, capsys, argv):
+    # G's mass misses 1 by 1.04e-10 on this connected endpoint: the package
+    # built the state, so this is exit 4, not the usage code 2
+    code, _, err = run_cli(capsys, *argv, "--R", "20", "--R-mu", "21.010048977205354",
+                           "--eta", "20", "--out-dir", str(tmp_path / "out"))
+    assert code == EXIT_NUMERICAL and "masses must be 1" in err
+
+
+@pytest.mark.parametrize("eta, pair", [("5011872.336272735", "r_plus = 1001.0000000000001, r_M"),
+                                       ("1.9952623149688787e-07", "r_m = 999.9999999999999, r_minus")])
+def test_thresholds_that_round_to_one_value_are_a_numerical_failure(capsys, eta, pair):
+    code, out, err = run_cli(capsys, "thresholds", "--R", "1000", "--eta", eta)
+    assert code == EXIT_NUMERICAL and out == ""
+    assert "not strictly ordered" in err and pair in err
+
+
 def test_curve_usage_error_leaves_no_out_dir(tmp_path, capsys):
     out = tmp_path / "curve_even"
     code, _, err = run_cli(capsys, "curve", "--R", "1", "--R-mu", "10", "--eta", "1",

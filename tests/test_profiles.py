@@ -35,9 +35,7 @@ from muskat.profiles import (
     residuals_R1,
     residuals_R2,
     residuals_d1,
-    residuals_d2,
     residuals_eq41_43,
-    residuals_eq51_53,
     sample_profile,
     solve_even_case3,
     steady_residual,
@@ -61,6 +59,8 @@ from oracles import (
     moment_by_loop,
     newton_solve_by_lists,
     reflect_by_constructor,
+    residuals_d2,
+    residuals_eq51_53,
     solve_even_case4_direct,
     solve_step_by_elimination,
     steady_residual_fields_by_scan,
@@ -397,7 +397,7 @@ def _typed_bits(pieces) -> list:
 
 
 def _connected_zeta(p: FluidParams) -> tuple:
-    work, lam, _ = _work_frame(p, classify_regime(p))
+    work, lam = _work_frame(p, classify_regime(p))
     b1, a, b, g = (lam * v for v in connected_quadruple(work))
     return (b1, b1, b1, a, b, g)
 
@@ -961,6 +961,20 @@ def test_constructions_exist_exactly_where_classify_regime_says():
                     assert bool(z[0] == z[1] == z[2] or z[3] == z[4] == z[5]) is connected, (p, z)
 
 
+# R_mu = r_m (1 + 9e-14), r_m (1 - 9e-14), r_minus (1 - 9e-14) and r_minus (1 - 5e-14)
+@pytest.mark.parametrize("build, R_mu", [
+    (connected_profile, 8.327001008230983), (connected_profile, 8.327001008229484),
+    (even_profile, 8.416803803789826), (even_profile, 8.416803803790163)])
+def test_dual_regime_states_beside_r_m_and_r_minus_build(build, R_mu):
+    # each state's algebraic system is checked once, in the dual frame that
+    # solves it; judged again in p after the dilation, these raised
+    # "dual connected-profile residual" 1.2e-10 and "even case-4 system
+    # residual" 1.4e-10 to 2.5e-10
+    pp = build(FluidParams(8.497812409839359, R_mu, 0.2))
+    assert steady_residual(pp) < 1e-9
+    assert abs(pp.F.mass() - 1.0) < 1e-10 and abs(pp.G.mass() - 1.0) < 1e-10
+
+
 def test_constructions_follow_the_callers_regime_at_the_r_m_band_edge():
     # just outside the r_m band the dual triple lies just inside the r_M band;
     # each construction must decide by p's own regime, not by the dual's
@@ -976,10 +990,16 @@ def test_constructions_follow_the_callers_regime_at_the_r_m_band_edge():
 def test_work_frame_is_p_for_split_G_and_the_dual_otherwise():
     for R_mu in (10.0, 40.0):
         p = FluidParams(1.0, R_mu, 1.0)
-        assert _work_frame(p, classify_regime(p)) == (p, 1.0, False)
+        work, lam = _work_frame(p, classify_regime(p))
+        assert work is p and lam == 1.0
     for R_mu in (0.1, 0.03, 0.05798649200835198):
         p = FluidParams(1.0, R_mu, 1.0)
-        assert _work_frame(p, classify_regime(p)) == (*dual_params(p), True)
+        assert _work_frame(p, classify_regime(p)) == dual_params(p)
+    # eta^2 R_mu = R makes lam exactly 1.0 below r_minus: the frame, and with
+    # it the labels, follow from ``work is p``, not from lam
+    p = FluidParams(10.0, 2.0, math.sqrt(5.0))
+    assert _work_frame(p, classify_regime(p)) == dual_params(p) and dual_params(p)[1] == 1.0
+    assert {cp.profile.label for cp in continue_curve(p, 5)} == {"zeta-small", "even-case4"}
 
 
 @pytest.mark.parametrize("p", [FluidParams(1.0, 0.1, 1.0), FluidParams(1.0, 0.03, 1.0),
