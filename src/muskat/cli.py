@@ -185,8 +185,9 @@ def cmd_curve(args) -> int:
         },
     }
     json_path = out / f"{stem}_endpoints.json"
-    _write_json(json_path, report)
-    print(json.dumps(report, indent=2))
+    text = json.dumps(report, indent=2) + "\n"  # the file's bytes are stdout's
+    json_path.write_text(text)
+    print(text, end="")
     _write_manifest(args, out, [csv_path, fn_path, json_path], p)
     return EXIT_OK
 

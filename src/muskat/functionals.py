@@ -96,12 +96,15 @@ def _products_and_moments(pcs: Pieces):
     """The L2 products F.F, F.G and G.G and the moments 1 and 2 of F and of G
     of each pair of a batch whose fields alternate F, G in ``pcs``, bitwise
     those of the scalar loops over pieces: powers by Python's float power,
-    overlaps [max(la, lb), min(ra, rb)] with Python's tie rule, each term in
-    the scalar expression's order and exactly 0.0 where two pieces do not
-    overlap, and the terms added in the loop's (a-piece, b-piece) order."""
+    taken once per end distinct by its bits (so -0.0 keeps its own powers)
+    and gathered to every piece end that holds it, overlaps [max(la, lb),
+    min(ra, rb)] with Python's tie rule, each term in the scalar
+    expression's order and exactly 0.0 where two pieces do not overlap, and
+    the terms added in the loop's (a-piece, b-piece) order."""
     ends = np.stack([pcs.l, pcs.r])
-    xs = ends.ravel().tolist()
-    pw = {k: np.array([x**k for x in xs]).reshape(ends.shape) for k in (2, 3, 4, 5)}
+    bits, at = np.unique(ends.view(np.int64).ravel(), return_inverse=True)
+    xs = bits.view(np.float64).tolist()
+    pw = {k: np.array([x**k for x in xs])[at].reshape(ends.shape) for k in (2, 3, 4, 5)}
     real, c0, c2 = pcs.real, pcs.c0, pcs.c2
 
     def moment(k: int) -> np.ndarray:
@@ -264,9 +267,11 @@ def curve_reports(curve: list[CurvePoint], tol: float = 1e-9) -> list[Functional
     reports = []
     for i, j in enumerate(source):
         rep = own[at[j]]
-        reports.append(rep if i == j else FunctionalReport(
-            energy=rep.energy, rescaled_energy=rep.rescaled_energy, m1=-rep.m1, m2=rep.m2,
-            entropy=rep.entropy))
+        if i != j:  # the partner's report with M1 negated, made without the initializer
+            image = object.__new__(FunctionalReport)
+            image.__dict__.update(rep.__dict__, m1=-rep.m1)
+            rep = image
+        reports.append(rep)
     negative = negative[[at[j] for j in source]]
     quad = [rep.rescaled_energy for rep in reports]
     closed = _closed_form_energies(p, np.array([cp.zeta for cp in curve], dtype=float)).tolist()

@@ -339,21 +339,28 @@ def steady_residual(pp: ProfilePair) -> float:
     return steady_residual_fields(pp.F, pp.G, pp.params)
 
 
+def _field(pieces: tuple) -> PiecewiseQuadratic:
+    """The field of these finished pieces, made without the dataclass's
+    initializer."""
+    q = object.__new__(PiecewiseQuadratic)
+    q.__dict__["pieces"] = pieces
+    return q
+
+
 def _float_fields(fields) -> tuple[list, list]:
-    """(Fs, Gs), each state's F pieces and G pieces made fields in one pass.
-    Every piece is a tuple of floats, as ``_zeta_pieces``, the even forms and
-    the symmetry maps build them, so the kept tuples serve as they are: each
-    field holds the pieces of ``PiecewiseQuadratic.from_pieces``, whose
-    float() of a Python float is that float (other entries, from parameters
-    given as numpy scalars or a pair built by hand, keep their type and
-    bits), and is made without the dataclass's initializer."""
+    """(Fs, Gs), each state's F pieces and G pieces made fields in one pass,
+    the one ``_kept_pieces`` pass a state's pieces get; a curve sends only
+    its traced states here and mirrors the other half from their fields
+    (``_mirror_finished``).  Every piece is a
+    tuple of floats, as ``_zeta_pieces``, the even forms and the symmetry
+    maps build them, so the kept tuples serve as they are: each field holds
+    the pieces of ``PiecewiseQuadratic.from_pieces``, whose float() of a
+    Python float is that float (other entries, from parameters given as
+    numpy scalars or a pair built by hand, keep their type and bits)."""
     Fs, Gs = out = ([], [])
-    new = object.__new__
     for state in fields:
         for pieces, dest in zip(state, out):
-            q = new(PiecewiseQuadratic)
-            q.__dict__.update(pieces=tuple(_kept_pieces(pieces)))
-            dest.append(q)
+            dest.append(_field(tuple(_kept_pieces(pieces))))
     return Fs, Gs
 
 
@@ -599,9 +606,10 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
             f"got {p.R_mu:.6g}")
     work, lam = _work_frame(p, regime)
     zetas, fields = _p_frame_states(p, [_reflect_zeta(boundary_zeta(work))], lam)
+    Fs, Gs = _float_fields(fields)
     if side == "right":
-        zetas, fields = _mirror_states(zetas, fields)
-    return _curve_points(p, work, zetas, fields)[0]
+        zetas, Fs, Gs = _mirror_finished(zetas, Fs, Gs)
+    return _curve_points(p, work, zetas, Fs, Gs)[0]
 
 
 # ----------------------------------------------------------------------
@@ -728,20 +736,35 @@ def _p_frame_states(p: FluidParams, zws: Sequence[Sequence[float]],
     return zetas, [_zeta_pieces(p, zeta) for zeta in zetas]
 
 
-def _mirror_states(zetas: list, fields: list) -> tuple[list, list]:
-    """The mirror images of the states (zetas, fields), in reverse order."""
-    return ([_reflect_zeta(zeta) for zeta in reversed(zetas)],
-            [(_mirror(F), _mirror(G)) for F, G in reversed(fields)])
+def _mirror_finished(zetas: list, Fs: list, Gs: list) -> tuple[list, list, list]:
+    """The mirror images of the states with these sextuplets and finished
+    fields, in reverse order.  Each field is made from the mirror of the
+    kept pieces as they are: those are the kept pieces of the mirror, since
+    a piece's width and the |ends| that scale the width test do not change
+    under the mirror, and ordered pieces stay ordered."""
+    Fs, Gs = ([_field(tuple(_mirror(q.pieces))) for q in reversed(qs)] for qs in (Fs, Gs))
+    return [_reflect_zeta(zeta) for zeta in reversed(zetas)], Fs, Gs
 
 
-def _curve_points(p: FluidParams, work: FluidParams, zetas: list,
-                  fields: list) -> list[CurvePoint]:
-    """The states of p with these sextuplets and pieces, solved in ``work``
-    and checked as one batch; a state's curve parameter is sigma = alpha +
-    alpha1 of its sextuplet."""
+def _curve_points(p: FluidParams, work: FluidParams, zetas: list, Fs: list, Gs: list,
+                  even_label: str | None = None) -> list[CurvePoint]:
+    """The states of p with these sextuplets and finished fields, solved in
+    ``work`` and checked as one batch (see ``check_pairs``), the centre one
+    labelled ``even_label`` when that is given; a state's curve parameter is
+    sigma = alpha + alpha1 of its sextuplet.  Each point is made without the
+    dataclass's initializer, as ``ProfilePair._checked`` makes pairs."""
     label = "zeta-large" if work is p else "zeta-small"
-    return [CurvePoint(ell=zeta[2] + zeta[3], zeta=zeta, profile=pp)
-            for zeta, pp in zip(zetas, _finish_pairs(p, fields, label, zetas))]
+    check_pairs(p, Fs, Gs, label)
+    labels = [label] * len(zetas)
+    if even_label is not None:
+        labels[len(labels) // 2] = even_label
+    points = []
+    for zeta, F, G, own in zip(zetas, Fs, Gs, labels):
+        cp = object.__new__(CurvePoint)
+        cp.__dict__.update(ell=zeta[2] + zeta[3], zeta=zeta,
+                           profile=ProfilePair._checked(F, G, p, own, zeta))
+        points.append(cp)
+    return points
 
 
 def _R1_reduced_funcs(p: FluidParams, sigma: float):
@@ -853,11 +876,14 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     sigma in the work frame (``_work_frame``), up to the mirror image of the
     end that ``connected_quadruple`` or ``boundary_zeta`` computes there,
     and each traced state maps to p as lam * zeta: below r_minus the curve
-    is lam times the curve of the dual parameters, state by state.  Each
+    is lam times the curve of the dual parameters, state by state.  Only
+    the traced states' pieces are made fields (``_float_fields``); each
     state i of the other half is the mirror image of state n - 1 - i, its
-    pieces mirrored, so that ``reflect(curve[i])`` is ``curve[n - 1 - i]``
-    bitwise.  All states, the even one from the grid's
-    own radii included, are checked in the curve's one batch.
+    fields made from the mirrors of those fields' pieces
+    (``_mirror_finished``), so that ``reflect(curve[i])`` is ``curve[n - 1 -
+    i]`` bitwise.  All n states, the even one from the grid's own radii
+    included and labelled as such from the start, are checked in the
+    curve's one batch.
     """
     if n_points < 5 or n_points % 2 == 0:
         raise ValueError(f"n_points must be odd and at least 5, got {n_points}")
@@ -891,12 +917,10 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     zws.append(zeta_end)
 
     zetas, fields = _p_frame_states(p, zws, lam)
-    low_zetas, low_fields = _mirror_states(zetas[1:], fields[1:])
-    points = _curve_points(p, work, low_zetas + zetas, low_fields + fields)
-    even, pp = points[half], points[half].profile
-    points[half] = CurvePoint(even.ell, even.zeta, ProfilePair._checked(
-        pp.F, pp.G, p, f"even-case{regime.even_case.value}", pp.zeta))
-    return points
+    Fs, Gs = _float_fields(fields)
+    low_zetas, low_Fs, low_Gs = _mirror_finished(zetas[1:], Fs[1:], Gs[1:])
+    return _curve_points(p, work, low_zetas + zetas, low_Fs + Fs, low_Gs + Gs,
+                         f"even-case{regime.even_case.value}")
 
 
 def curve_endpoint_kind(p: FluidParams) -> str:

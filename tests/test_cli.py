@@ -143,6 +143,14 @@ def test_curve_command(tmp_path, capsys, monkeypatch):
     assert manifest["argv"] == argv
 
 
+@pytest.mark.parametrize("rmu", ["10", "40", "0.1", "0.03"])
+def test_curve_stdout_is_the_endpoints_file_byte_for_byte(tmp_path, capsys, rmu):
+    code, out, _ = run_cli(capsys, "curve", "--R", "1", "--R-mu", rmu, "--eta", "1",
+                           "-n", "21", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert out.encode() == (tmp_path / f"curve_R1_Rmu{rmu}_eta1_endpoints.json").read_bytes()
+
+
 @pytest.mark.parametrize("n", ["20", "3", "0"])
 def test_curve_n_points_not_odd_and_at_least_5_is_a_usage_error(tmp_path, capsys, n):
     code, _, err = run_cli(capsys, "curve", "--R", "1", "--R-mu", "10", "--eta", "1",

@@ -10,6 +10,7 @@ from muskat.checks import Pieces
 from muskat.functionals import (
     MismatchError,
     _entropy_piecewise,
+    _fields_reports,
     _products_and_moments,
     NegativeInputError,
     dissipation,
@@ -20,6 +21,7 @@ from muskat.fvm import Grid, SimState, init_state, l2_distance
 from muskat.params import FluidParams
 from muskat.profiles import (
     PiecewiseQuadratic,
+    boundary_disconnected_profile,
     connected_profile,
     continue_curve,
     even_profile,
@@ -220,6 +222,30 @@ def test_products_and_moments_bitwise_equal_scalar_loops_on_hand_built_fields():
                                   for l, r in lr)))
         pairs = list(zip(fields[::2], fields[1::2]))
         assert _products_and_moments_batched(pairs) == _products_and_moments_by_loop(pairs)
+
+
+def _bits_of_report(rep) -> list[bytes]:
+    return [np.float64(v).tobytes() for v in dataclasses.astuple(rep)[:5]]
+
+
+@pytest.mark.parametrize("p", [FluidParams(1.0, 10.0, 1.0), FluidParams(1.0, 0.1, 1.0)],
+                         ids=["disconnected-large", "disconnected-small"])
+def test_products_and_moments_bitwise_equal_loops_on_signed_zeros_and_padding(p):
+    # the alpha-zero endpoint and its mirror share one batch, so -0.0 and 0.0
+    # breakpoints (and the 0.0 that pads short fields) are all present; the
+    # even fields of one and three pieces, of other triples, are padded to four
+    ends = [boundary_disconnected_profile(p, side).profile for side in ("left", "right")]
+    zeros = {np.float64(x).tobytes() for pp in ends for q in (pp.F, pp.G)
+             for piece in q.pieces for x in piece[:2] if x == 0.0}
+    assert zeros == {np.float64(0.0).tobytes(), np.float64(-0.0).tobytes()}
+    short = [even_profile(FluidParams(1.0, rmu, 1.0)) for rmu in (1.5, 2.0, 1.2)]
+    assert [pp.label for pp in short] == ["even-case1", "even-case2", "even-case5"]
+    assert max(len(q.pieces) for pp in ends for q in (pp.F, pp.G)) == 4
+    pairs = [(pp.F, pp.G) for pp in ends + short + ends[::-1]]
+    assert _products_and_moments_batched(pairs) == _products_and_moments_by_loop(pairs)
+    reports, _ = _fields_reports(p, pairs)
+    assert [_bits_of_report(rep) for rep in reports] == [
+        _bits_of_report(fields_report_by_loop(F, G, p)) for F, G in pairs]
 
 
 def test_evaluate_bitwise_equals_fields_report_by_loop():

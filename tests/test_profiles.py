@@ -828,6 +828,31 @@ def test_reflected_curve_state_is_the_mirrored_index_bitwise(p, n):
     assert all(a < b for a, b in zip(sigmas, sigmas[1:]))
 
 
+@pytest.mark.parametrize("rmu", [10.0, 40.0, 0.1, 0.03])
+def test_curve_keeps_only_traced_pieces_and_checks_every_state_once(rmu, monkeypatch):
+    # only the traced half (sigma >= 0) goes through _kept_pieces, one call per
+    # field; the mirrored half is made from its kept fields, and all n states
+    # go to check_pairs in one batch
+    kept, batches = [], []
+    keep, check = profiles._kept_pieces, profiles.check_pairs
+
+    def counting_keep(pieces):
+        kept.append(1)
+        return keep(pieces)
+
+    def counting_check(p, Fs, Gs, label=None):
+        batches.append((len(Fs), len(Gs)))
+        return check(p, Fs, Gs, label)
+
+    monkeypatch.setattr(profiles, "_kept_pieces", counting_keep)
+    monkeypatch.setattr(profiles, "check_pairs", counting_check)
+    n = 101
+    curve = continue_curve(FluidParams(1.0, rmu, 1.0), n)
+    assert len(curve) == n
+    assert len(kept) == 2 * (n // 2 + 1)  # F and G of the even, traced and end states
+    assert batches == [(n, n)]
+
+
 def test_curve_n_points_must_be_odd_and_at_least_5():
     p = FluidParams(1.0, 10.0, 1.0)
     for n in (3, 4, 20, 100):
