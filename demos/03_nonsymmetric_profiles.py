@@ -4,7 +4,8 @@
 Outside the central band of viscosity ratios the even profile is not alone.
 This script constructs the connected-support profiles at and beyond the
 outer thresholds, plus a boundary profile with one support touching the
-origin, and verifies the algebraic systems behind each.
+origin and a state halfway along the continuum between it and the even one,
+and verifies the algebraic systems behind each.
 """
 
 import numpy as np
@@ -16,7 +17,9 @@ from muskat.profiles import (
     boundary_disconnected_profile,
     connected_profile,
     residuals_R1,
+    sigma_end,
     steady_residual,
+    steady_state,
 )
 
 TH = thresholds(FluidParams(1.0, 1.0, 1.0))
@@ -41,3 +44,10 @@ print(f"zeta = {np.round(cp.zeta, 6)}")
 print(f"system residual = {max_abs(residuals_R1(p, cp.zeta)):.1e}")
 print(f"support G = {[(round(a, 4), round(b, 4)) for a, b in cp.profile.support_G]}")
 print("G vanishes at x = 0 from the right component: the contact point alpha = 0.")
+
+print("\n=== a state inside the continuum, halfway to its end ===")
+end = sigma_end(p)
+cp = steady_state(p, 0.5 * end)
+print(f"sigma = {cp.ell:.12f} (asked {0.5 * end:.12f}; the ends sit at +-{end:.6f})")
+print(f"system residual = {max_abs(residuals_R1(p, cp.zeta)):.1e}")
+print(f"steady residual = {steady_residual(cp.profile):.1e}")

@@ -36,7 +36,9 @@ from .profiles import (
     even_profile,
     profile_from_zeta,
     reflect,
+    sigma_end,
     steady_residual,
+    steady_state,
 )
 
 __version__ = "0.1.0"

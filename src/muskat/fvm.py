@@ -83,7 +83,6 @@ __all__ = [
     "face_velocities",
     "step",
     "run",
-    "support_components",
     "l2_distance",
     "cell_averages",
 ]
@@ -502,7 +501,7 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     return SimState._of(u_new.copy(), t, grid, state.step_count + 1)
 
 
-def support_components(u: np.ndarray) -> int:
+def _support_components(u: np.ndarray) -> int:
     """Number of contiguous runs of cells above _SUPPORT_REL_THRESHOLD * max."""
     peak = float(np.max(u)) if u.size else 0.0
     if peak <= 0.0:
@@ -552,7 +551,7 @@ def run(cfg: SimConfig, initial: SimState) -> TrajectoryReport:
         mass_f, mass_g = np.add.reduce(s.u, axis=1).tolist()
         rows.append((s.t, h * mass_f, h * mass_g, rep.m1, rep.m2,
                      rep.energy, rep.rescaled_energy, rep.entropy, rep.dissipation,
-                     support_components(s.f), support_components(s.g),
+                     _support_components(s.f), _support_components(s.g),
                      math.nan if cfg.reference is None else l2_distance(s, cfg.reference)))
         states.append(s)  # a fresh array that no later step writes, so kept uncopied
 

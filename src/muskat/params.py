@@ -110,7 +110,7 @@ class Regime:
 
 
 def xi2(t: float, R: float, eta: float) -> float:
-    """Scalar function whose unique zero on (1, oo) locates r_M - R."""
+    """The paper's xi_2(t), whose unique zero t on (1, oo) is r_M - R."""
     return math.sqrt(t) * (eta**2 - math.sqrt((1.0 + R) / (t + R))) - 1.0 - eta**2
 
 
@@ -137,7 +137,8 @@ def _t_M(R: float, eta: float) -> float:
 
 
 def threshold_residual_small(r_m: float, R: float, eta: float) -> float:
-    """Residual of r_m in its defining equation."""
+    """Residual of r_m in its defining equation sqrt(1 + R - r_m) (sqrt(R / r_m) - c)
+    = 1 + c, c = eta^2 (1 + R) / R: c xi_2(R (1 + R) / r_m - R) at the dual eta."""
     c = eta**2 * (1.0 + R) / R
     return math.sqrt(1.0 + R - r_m) * (math.sqrt(R / r_m) - c) - 1.0 - c
 

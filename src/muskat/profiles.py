@@ -20,6 +20,10 @@ The constructions follow three routes:
   solved in closed form.  The mirror x -> -x sends sigma to -sigma, so only
   the sigma > 0 half is traced and the other half is its mirror image.
 
+``steady_state(p, sigma)`` builds any one state of that continuum, up to
++-``sigma_end(p)``; it, the curve and its ends share one set-up of p
+(``_continuum_setup``).
+
 Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
 beta <= gamma (even with a split film, connected, boundary, curve) gets its
 pieces from the one function ``_zeta_pieces``.  Each returned state is built
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,11 +75,10 @@ __all__ = [
     "InvalidZetaError",
     "ContinuationStallError",
     "even_profile",
-    "solve_even_case3",
     "connected_profile",
-    "connected_quadruple",
     "boundary_disconnected_profile",
-    "boundary_zeta",
+    "steady_state",
+    "sigma_end",
     "continue_curve",
     "curve_endpoint_kind",
     "profile_from_zeta",
@@ -105,7 +108,7 @@ def _system_tol(p: FluidParams) -> float:
 
 def _require_solved(rows: Sequence[float], p: FluidParams, what: str) -> None:
     res = max_abs(rows)
-    if res > _system_tol(p):
+    if not res <= _system_tol(p):  # a NaN residual fails too
         raise RuntimeError(f"{what} residual {res:.3e}")
 
 
@@ -387,19 +390,16 @@ def _xi_even(y: float, A1: float, B1: float, A2: float, B2: float, q: float) -> 
     return np.cbrt(A1 * y - B1) ** 2 - np.cbrt(A2 * y + B2) ** 2 + q
 
 
-def solve_even_case3(p: FluidParams) -> tuple[float, float, float]:
+def _solve_even_case3(p: FluidParams) -> tuple[float, float, float]:
     """Support radii (alpha, beta, gamma) of the even profile with G split.
 
-    Exists for R_mu >= r_plus.  At the threshold alpha = 0 with closed-form
-    beta, gamma; above it, the radii of ``_split_G_radii``.
+    Exists for R_mu >= r_plus (the caller's check: CASE3 compares exactly).
+    At the threshold alpha = 0 with closed-form beta, gamma; above it, the
+    radii of ``_split_G_radii``.
     """
     Rmu, e2 = p.R_mu, p.eta**2
     th = thresholds(p)
-    rel = (Rmu - th.r_plus) / th.r_plus
-    if rel < -_BAND:
-        raise RegimeError(
-            f"even profile with split G needs R_mu >= {th.r_plus:.6g}, got {Rmu:.6g}")
-    if rel > _BAND:
+    if (Rmu - th.r_plus) / th.r_plus > _BAND:
         return _split_G_radii(p)
     b = (4.5 * Rmu * e2**3 / (1.0 + e2) ** 2) ** (1.0 / 3.0)
     g = (4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
@@ -463,7 +463,7 @@ def even_profile(p: FluidParams) -> ProfilePair:
 
     if case in (EvenCase.CASE3, EvenCase.CASE4):
         work, lam = _work_frame(p, regime)
-        a, b, g = solve_even_case3(work)
+        a, b, g = _solve_even_case3(work)
         (zeta,), (fields,) = _p_frame_states(p, [(-g, -b, -a, a, b, g)], lam)
         return _finish_pair(*fields, p, f"even-case{case.value}", zeta=zeta)
 
@@ -486,7 +486,8 @@ def even_profile(p: FluidParams) -> ProfilePair:
 
 
 def xi0(R_mu: float, z, R: float, eta: float):
-    """Scalar reduction for the connected non-symmetric quadruple."""
+    """The paper's xi_0(z): its zero z = alpha / beta in [0, 1) reduces the
+    connected quadruple's system (``residuals_d1``); none below r_M."""
     e2 = eta**2
     s, q = R_mu - R, R_mu - R - 1.0
     return (-(1.0 + e2) * (1.0 + R) * s
@@ -495,7 +496,7 @@ def xi0(R_mu: float, z, R: float, eta: float):
             + q * (R + e2 * (1.0 + R)) * z**3)
 
 
-def connected_quadruple(p: FluidParams) -> tuple[float, float, float, float]:
+def _connected_quadruple(p: FluidParams) -> tuple[float, float, float, float]:
     """(beta1, alpha, beta, gamma) for the connected profile.
 
     The caller has checked R_mu >= r_M (band included), in p or in its dual.
@@ -526,16 +527,9 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    regime = classify_regime(p)
-    if regime.continuum is not ContinuumClass.CONNECTED_ENDPOINTS:
-        th = thresholds(p)
-        raise RegimeError(
-            "connected non-symmetric profiles exist only for "
-            f"R_mu >= {th.r_M:.6g} or R_mu <= {th.r_m:.6g}; got {p.R_mu:.6g}")
-    work, lam = _work_frame(p, regime)
-    b1, a, b, g = connected_quadruple(work)
-    # the sextuplet with its split support collapsed onto beta1
-    _, (fields,) = _p_frame_states(p, [(b1, b1, b1, a, b, g)], lam)
+    _, work, lam, zeta_end, _, _ = _continuum_setup(p, ContinuumClass.CONNECTED_ENDPOINTS)
+    # the sextuplet with its split support collapsed onto beta1, unmirrored
+    _, (fields,) = _p_frame_states(p, [_reflect_zeta(zeta_end)], lam)
     label = "connected-large" if work is p else "connected-small"
     if side == "left":
         fields, label = [_mirror(q) for q in fields], label + "|reflected"
@@ -548,7 +542,8 @@ def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
 
 
 def xi3(R_mu: float, y, R: float, eta: float):
-    """Scalar reduction for the alpha = 0 disconnected sextuplet."""
+    """The paper's xi_3(y): its zero y = beta1 / beta reduces the alpha = 0
+    sextuplet's system (``residuals_R1``); none outside (r_plus, r_M)."""
     e2 = eta**2
     s, q = R_mu - R, R_mu - R - 1.0
     c = (s / R) ** 1.5
@@ -559,7 +554,7 @@ def xi3(R_mu: float, y, R: float, eta: float):
             + e2 * s**1.5 - (1.0 + e2) * s)
 
 
-def boundary_zeta(p: FluidParams) -> tuple[float, ...]:
+def _boundary_zeta(p: FluidParams) -> tuple[float, ...]:
     """Sextuplet with alpha = 0 solving the five-equation system directly.
 
     The caller has checked r_plus < R_mu < r_M (bands excluded), in p or in
@@ -593,23 +588,13 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
     r_minus where it is obtained by the fluid-swap transform.  ``side``
     picks one of the two mirror-image endpoints: 'right' is the first state
     of ``continue_curve`` (sigma < 0), built as the mirror image of 'left',
-    the last one (sigma > 0), as the curve builds them.
+    the last one (sigma > 0), as the curve builds them.  'right' is
+    ``steady_state`` at -``sigma_end``, 'left' at +``sigma_end``.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    regime = classify_regime(p)
-    if regime.continuum is not ContinuumClass.DISCONNECTED_ENDPOINTS:
-        th = thresholds(p)
-        raise RegimeError(
-            "alpha = 0 endpoints exist only for R_mu in "
-            f"({th.r_plus:.6g}, {th.r_M:.6g}) or ({th.r_m:.6g}, {th.r_minus:.6g}); "
-            f"got {p.R_mu:.6g}")
-    work, lam = _work_frame(p, regime)
-    zetas, fields = _p_frame_states(p, [_reflect_zeta(boundary_zeta(work))], lam)
-    Fs, Gs = _float_fields(fields)
-    if side == "right":
-        zetas, Fs, Gs = _mirror_finished(zetas, Fs, Gs)
-    return _curve_points(p, work, zetas, Fs, Gs)[0]
+    cont = _continuum_setup(p, ContinuumClass.DISCONNECTED_ENDPOINTS)
+    return _continuum_state(p, cont, -cont.sigma_end if side == "right" else cont.sigma_end)
 
 
 # ----------------------------------------------------------------------
@@ -767,6 +752,87 @@ def _curve_points(p: FluidParams, work: FluidParams, zetas: list, Fs: list, Gs: 
     return points
 
 
+# where the non-even states exist (None: any of them), for RegimeError
+_EXIST = {
+    None: "only the even steady state exists for R_mu in [{th.r_minus:.6g}, {th.r_plus:.6g}]",
+    ContinuumClass.CONNECTED_ENDPOINTS: "connected non-symmetric profiles exist only for "
+                                        "R_mu >= {th.r_M:.6g} or R_mu <= {th.r_m:.6g}",
+    ContinuumClass.DISCONNECTED_ENDPOINTS: "alpha = 0 endpoints exist only for R_mu in "
+                                           "({th.r_plus:.6g}, {th.r_M:.6g}) or "
+                                           "({th.r_m:.6g}, {th.r_minus:.6g})",
+}
+
+
+class _Continuum(NamedTuple):
+    """The set-up of p's continuum that all of its states share."""
+
+    even_label: str  # "even-caseN", the label of its state at sigma = 0
+    work: FluidParams  # the frame that solves its states (``_work_frame``)
+    lam: float  # the dilation from that frame to p
+    zeta_end: tuple  # its end at sigma > 0, in the work frame
+    sigma_end: float  # that end's sigma in p
+    tol: float  # the Newton tolerance of its states
+
+
+def _continuum_setup(p: FluidParams, ends: ContinuumClass | None = None) -> _Continuum:
+    """p's continuum set-up, its end at sigma > 0 the mirror of the connected
+    quadruple collapsed onto beta1, or of the alpha = 0 sextuplet.
+    RegimeError in the unique-even regime, or where the ends are not of the
+    class ``ends``."""
+    regime = classify_regime(p)
+    if regime.continuum is ContinuumClass.UNIQUE_EVEN or ends not in (None, regime.continuum):
+        raise RegimeError(_EXIST[ends].format(th=thresholds(p)) + f"; got {p.R_mu:.6g}")
+    work, lam = _work_frame(p, regime)
+    if regime.continuum is ContinuumClass.CONNECTED_ENDPOINTS:
+        b1, a, b, g = _connected_quadruple(work)
+        zeta_end = _reflect_zeta((b1, b1, b1, a, b, g))
+    else:
+        zeta_end = _reflect_zeta(_boundary_zeta(work))
+    tol = max(1e-12, 1e-13 * 9.0 * work.R_mu * (1.0 + work.R) * (1.0 + work.eta**2))
+    return _Continuum(f"even-case{regime.even_case.value}", work, lam, zeta_end,
+                      lam * zeta_end[2] + lam * zeta_end[3], tol)
+
+
+def _continuum_state(p: FluidParams, cont: _Continuum, sigma: float) -> CurvePoint:
+    """``steady_state(p, sigma)`` on p's set-up ``cont``."""
+    if not abs(sigma) <= cont.sigma_end:
+        raise RegimeError(f"sigma must lie in [-sigma_end, sigma_end], sigma_end = "
+                          f"{cont.sigma_end!r}; got {sigma!r}")
+    work, lam = cont.work, cont.lam
+    if abs(sigma) == cont.sigma_end:
+        zw = cont.zeta_end
+    else:
+        a, b, g = _split_G_radii(work)
+        zw = ((-g, -b, -a, a, b, g) if sigma == 0.0
+              else _solve_R1_at(work, abs(sigma) / lam, 0.0, [a, b], None, None, cont.tol)[1])
+    zetas, fields = _p_frame_states(p, [zw], lam)
+    Fs, Gs = _float_fields(fields)
+    if sigma < 0.0:
+        zetas, Fs, Gs = _mirror_finished(zetas, Fs, Gs)
+    return _curve_points(p, work, zetas, Fs, Gs, cont.even_label if sigma == 0.0 else None)[0]
+
+
+def steady_state(p: FluidParams, sigma: float = 0.0) -> CurvePoint:
+    """The checked steady state of p at sigma = alpha + alpha1, any state of
+    the continuum that ``continue_curve`` samples, built as the curve builds
+    its states: the even one from the curve's radii at 0, the curve's ends
+    bitwise at +-``sigma_end(p)``, else one Newton solve at |sigma| from the
+    even radii in the work frame, with its bisection.  The state at sigma < 0
+    is the mirror image of the one at -sigma, its fields made as the curve
+    makes them.  RegimeError for |sigma| > sigma_end, and in the unique-even
+    regime, whose one steady state is ``even_profile(p)``."""
+    return _continuum_state(p, _continuum_setup(p), sigma)
+
+
+def sigma_end(p: FluidParams) -> float:
+    """sigma of the sigma > 0 end of p's continuum, ``continue_curve(p)[-1].ell``;
+    0.0 in the unique-even regime, where the continuum is the even state."""
+    try:
+        return _continuum_setup(p).sigma_end
+    except RegimeError:  # the unique-even regime
+        return 0.0
+
+
 def _R1_reduced_funcs(p: FluidParams, sigma: float):
     """Rows 4 and 5 of R1 and their Jacobian in (alpha, beta) at fixed
     sigma = alpha + alpha1, with alpha1 = sigma - alpha and the other
@@ -874,7 +940,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     are snapped to their exact boundary constructions at -sigma_end and
     +sigma_end.  Newton continuation traces the sigma > 0 half at fixed
     sigma in the work frame (``_work_frame``), up to the mirror image of the
-    end that ``connected_quadruple`` or ``boundary_zeta`` computes there,
+    end that ``_connected_quadruple`` or ``_boundary_zeta`` computes there,
     and each traced state maps to p as lam * zeta: below r_minus the curve
     is lam times the curve of the dual parameters, state by state.  Only
     the traced states' pieces are made fields (``_float_fields``); each
@@ -887,26 +953,11 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     """
     if n_points < 5 or n_points % 2 == 0:
         raise ValueError(f"n_points must be odd and at least 5, got {n_points}")
-    regime = classify_regime(p)
-    cont = regime.continuum
-    if cont is ContinuumClass.UNIQUE_EVEN:
-        th = thresholds(p)
-        raise RegimeError(
-            f"only the even steady state exists for R_mu in [{th.r_minus:.6g}, "
-            f"{th.r_plus:.6g}]; got {p.R_mu:.6g}")
-
-    work, lam = _work_frame(p, regime)
+    even_label, work, lam, zeta_end, _, tol = _continuum_setup(p)
     a_even, b_even, g_even = _split_G_radii(work)
-
-    if cont is ContinuumClass.CONNECTED_ENDPOINTS:
-        b1e, ae, be, ge = connected_quadruple(work)
-        zeta_end = _reflect_zeta((b1e, b1e, b1e, ae, be, ge))
-    else:
-        zeta_end = _reflect_zeta(boundary_zeta(work))
 
     half = n_points // 2
     s_end = zeta_end[2] + zeta_end[3]
-    tol = max(1e-12, 1e-13 * 9.0 * work.R_mu * (1.0 + work.R) * (1.0 + work.eta**2))
     zws = [(-g_even, -b_even, -a_even, a_even, b_even, g_even)]
     u_cur, s_cur, u_prev, s_prev = [a_even, b_even], 0.0, None, None
     for i in range(1, half):
@@ -919,8 +970,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     zetas, fields = _p_frame_states(p, zws, lam)
     Fs, Gs = _float_fields(fields)
     low_zetas, low_Fs, low_Gs = _mirror_finished(zetas[1:], Fs[1:], Gs[1:])
-    return _curve_points(p, work, low_zetas + zetas, low_Fs + Fs, low_Gs + Gs,
-                         f"even-case{regime.even_case.value}")
+    return _curve_points(p, work, low_zetas + zetas, low_Fs + Fs, low_Gs + Gs, even_label)
 
 
 def curve_endpoint_kind(p: FluidParams) -> str:

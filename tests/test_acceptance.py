@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from muskat.functionals import energy_along_curve, evaluate
-from muskat.fvm import Grid, SimConfig, init_state, run, support_components
+from muskat.fvm import Grid, SimConfig, init_state, run
 from muskat.numerics import max_abs
 from muskat.params import FluidParams, thresholds
 from muskat.profiles import (
     PiecewiseQuadratic,
     boundary_disconnected_profile,
     connected_profile,
-    connected_quadruple,
     continue_curve,
     dual_transform,
     even_profile,
@@ -27,10 +26,11 @@ from muskat.profiles import (
     residuals_R2,
     residuals_d1,
     residuals_eq41_43,
-    solve_even_case3,
     steady_residual,
     xi0,
     xi3,
+    _connected_quadruple,
+    _solve_even_case3,
 )
 from oracles import residuals_d2, residuals_eq51_53, solve_even_case4_direct
 
@@ -55,7 +55,7 @@ def _system_residual(pp) -> float:
                        else residuals_R2(p, pp.zeta))
     th = thresholds(p)
     if pp.label.startswith("even-case3"):
-        a, b, g = solve_even_case3(p)
+        a, b, g = _solve_even_case3(p)
         return max_abs(residuals_eq41_43(p, a, b, g))
     if pp.label.startswith("even-case4"):
         a, b, g = even_profile(p).zeta[3:]
@@ -93,8 +93,8 @@ def test_criterion_2_regime_atlas():
     assert topo[1.5] == (1, 1, True)  # fully overlapping supports
     for rmu in (5.0, 10.0):
         assert topo[rmu][0] == 1 and topo[rmu][1] == 2  # G disconnected
-    assert solve_even_case3(FluidParams(1.0, 5.0, 1.0))[0] == 0.0
-    assert solve_even_case3(FluidParams(1.0, 10.0, 1.0))[0] > 0.0
+    assert _solve_even_case3(FluidParams(1.0, 5.0, 1.0))[0] == 0.0
+    assert _solve_even_case3(FluidParams(1.0, 10.0, 1.0))[0] > 0.0
     for rmu in (1.0 / 3.0, 1.0, 1.25, 5.0 / 3.0, 2.0, 3.0):
         n_f, n_g, same = topo[rmu]
         assert n_f == 1 and n_g == 1 and not same  # connected, distinct
@@ -111,12 +111,12 @@ def test_criterion_3_connected_profiles():
         pp = connected_profile(p, "right")
         assert steady_residual(pp) < 1e-9
         if rmu >= TH.r_M:
-            b1, a, b, g = connected_quadruple(p)
+            b1, a, b, g = _connected_quadruple(p)
             assert max_abs(residuals_d1(p, b1, a, b, g)) < 1e-10
         else:
             from muskat.params import dual_params
             p1, lam = dual_params(p)
-            b1, a, b, g = (lam * v for v in connected_quadruple(p1))
+            b1, a, b, g = (lam * v for v in _connected_quadruple(p1))
             assert max_abs(residuals_d2(p, b1, a, b, g)) < 1e-10
         assert -b1 > a  # the off-center lobe dominates the contact point
         at_threshold = rmu in (TH.r_M, TH.r_m)
@@ -154,7 +154,7 @@ def _check_curve(p, n_points, endpoint_kind):
         match_hi = np.max(np.abs(z_hi + ref[::-1]))
         assert min(match_lo, match_hi) < 1e-9 and max(match_lo, match_hi) < 1e-9
     else:
-        b1, a, b, g = connected_quadruple(p)
+        b1, a, b, g = _connected_quadruple(p)
         ref = np.array([b1, b1, b1, a, b, g])
         assert np.max(np.abs(z_lo - ref)) < 1e-9
     elapsed = time.time() - t0

@@ -23,7 +23,7 @@ from muskat.fvm import (
     l2_distance,
     run,
     step,
-    support_components,
+    _support_components,
 )
 from muskat.params import FluidParams
 from muskat.profiles import PiecewiseQuadratic, even_profile
@@ -741,9 +741,9 @@ def test_l2_distance_and_components():
     g = Grid(n_cells=200)
     st = init_state(pp, g)
     assert l2_distance(st, pp) == pytest.approx(0.0, abs=1e-13)
-    assert support_components(st.f) == 1
+    assert _support_components(st.f) == 1
     two = np.zeros(200)
     two[40:60] = 1.0
     two[120:140] = 0.5
-    assert support_components(two) == 2
-    assert support_components(np.zeros(4)) == 0
+    assert _support_components(two) == 2
+    assert _support_components(np.zeros(4)) == 0

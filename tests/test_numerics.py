@@ -18,7 +18,7 @@ from muskat.numerics import (
     newton_solve,
 )
 from muskat.params import ContinuumClass, FluidParams, classify_regime, thresholds, xi2
-from muskat.profiles import continue_curve, solve_even_case3
+from muskat.profiles import _solve_even_case3, continue_curve
 from oracles import newton_solve_by_lists, solve_step_by_elimination
 
 
@@ -76,7 +76,7 @@ def test_brent_bitwise_equals_scipy_brentq(monkeypatch):
     # xi2 brackets of the large threshold, _xi_even brackets of the split-G profile
     for R, eta, over in ((1.0, 1.0, 1.5), (2.5, 0.8, 1.1), (0.6, 1.3, 3.0)):
         r_plus = thresholds(FluidParams(R, 1.0, eta)).r_plus
-        solve_even_case3(FluidParams(R, over * r_plus, eta))
+        _solve_even_case3(FluidParams(R, over * r_plus, eta))
 
     sites = [f.__qualname__.split(".")[0] for (f, *_), _ in solves]
     assert sites.count("_split_G_radii") == 3 and sites.count("_t_M") >= 3
@@ -92,7 +92,7 @@ def test_brent_roots_are_python_floats():
     assert type(find_root_bracketed(lambda t: t**3, -1.0, 2.0)) is float
     th = thresholds(FluidParams(1.0, 1.0, 1.0))
     assert [type(v) for v in vars(th).values()] == [float] * len(vars(th))
-    for p, solve in ((FluidParams(1.0, 21.0, 1.0), solve_even_case3),
+    for p, solve in ((FluidParams(1.0, 21.0, 1.0), _solve_even_case3),
                      (FluidParams(1.0, 0.05, 1.0), lambda p: profiles.even_profile(p).zeta[3:])):
         assert [type(v) for v in solve(p)] == [float] * 3
         pp = profiles.even_profile(p)

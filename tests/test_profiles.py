@@ -22,9 +22,7 @@ from muskat.profiles import (
     ProfilePair,
     RegimeError,
     boundary_disconnected_profile,
-    boundary_zeta,
     connected_profile,
-    connected_quadruple,
     continue_curve,
     curve_endpoint_kind,
     dual_transform,
@@ -37,9 +35,10 @@ from muskat.profiles import (
     residuals_d1,
     residuals_eq41_43,
     sample_profile,
-    solve_even_case3,
+    sigma_end,
     steady_residual,
     steady_residual_fields,
+    steady_state,
     xi0,
     xi3,
     _clean_pieces,
@@ -47,6 +46,10 @@ from muskat.profiles import (
     _float_fields,
     _system_tol,
     _R1_reduced_funcs,
+    _boundary_zeta,
+    _connected_quadruple,
+    _require_solved,
+    _solve_even_case3,
     _work_frame,
     _zeta_pieces,
 )
@@ -139,7 +142,7 @@ def test_even_case5_nested():
 
 
 def test_even_case3_at_threshold_closed_form():
-    a, b, g = solve_even_case3(FluidParams(1.0, 5.0, 1.0))
+    a, b, g = _solve_even_case3(FluidParams(1.0, 5.0, 1.0))
     assert a == 0.0
     assert b == pytest.approx(CBRT_5_625, rel=1e-14)
     assert g == pytest.approx(CBRT_45, rel=1e-14)
@@ -148,7 +151,7 @@ def test_even_case3_at_threshold_closed_form():
 
 def test_even_case3_interior():
     p = FluidParams(1.0, 10.0, 1.0)
-    a, b, g = solve_even_case3(p)
+    a, b, g = _solve_even_case3(p)
     assert 0.0 < a < b < g
     assert max_abs(residuals_eq41_43(p, a, b, g)) < 1e-10
 
@@ -164,11 +167,6 @@ def test_even_case3_interior():
     sgn = np.sign(vals)
     assert int(np.sum(sgn[:-1] != sgn[1:])) == 1
     assert y2 < a ** (-3) < 50 * y2
-
-
-def test_even_case3_regime_guard():
-    with pytest.raises(RegimeError):
-        solve_even_case3(FluidParams(1.0, 2.0, 1.0))
 
 
 def test_even_case3_support_topology():
@@ -252,7 +250,7 @@ def test_degenerate_parameter_lines():
 
 def test_connected_alpha_zero_exactly_at_threshold():
     p = FluidParams(1.0, TH1.r_M, 1.0)
-    b1, a, b, g = connected_quadruple(p)
+    b1, a, b, g = _connected_quadruple(p)
     assert a == 0.0
     assert -b1 > a
     assert max_abs(residuals_d1(p, b1, a, b, g)) < 1e-10
@@ -260,7 +258,7 @@ def test_connected_alpha_zero_exactly_at_threshold():
 
 def test_connected_large_interior():
     p = FluidParams(1.0, 21.0, 1.0)
-    b1, a, b, g = connected_quadruple(p)
+    b1, a, b, g = _connected_quadruple(p)
     assert 0.0 < a and b1 < 0.0 and -b1 > a
     assert max_abs(residuals_d1(p, b1, a, b, g)) < 1e-10
     pp = connected_profile(p, "right")
@@ -304,14 +302,23 @@ def test_connected_sides_mirror():
 
 def test_boundary_zeta_direct_window():
     p = FluidParams(1.0, 10.0, 1.0)
-    z = boundary_zeta(p)
+    z = _boundary_zeta(p)
     g1, b1, a1, a, b, g = z
     assert g1 < b1 < a1 < 0.0 == a < b < g
     assert max_abs(residuals_R1(p, z)) < 1e-10
 
 
+def test_require_solved_rejects_nan_residual():
+    # a system whose residual is NaN is not solved, whatever the tolerance
+    p = FluidParams(1.0, 10.0, 1.0)
+    _require_solved((0.0, -1e-13), p, "test system")
+    for rows in ((0.0, math.nan), (math.nan, 1e-13), (1.0,)):
+        with pytest.raises(RuntimeError, match="test system residual"):
+            _require_solved(rows, p, "test system")
+
+
 def test_boundary_zeta_t_value():
-    z = boundary_zeta(FluidParams(1.0, 6.0, 1.0))
+    z = _boundary_zeta(FluidParams(1.0, 6.0, 1.0))
     assert z[5] / z[4] == pytest.approx(math.sqrt(5.0), rel=1e-13)
 
 
@@ -373,7 +380,7 @@ def test_nonexistence_scan_xi0():
 
 def test_zeta_symmetric_equals_even():
     p = FluidParams(1.0, 10.0, 1.0)
-    a, b, g = solve_even_case3(p)
+    a, b, g = _solve_even_case3(p)
     pp = profile_from_zeta(p, (-g, -b, -a, a, b, g))
     ev = even_profile(p)
     x = np.linspace(-6, 6, 2001)
@@ -383,7 +390,7 @@ def test_zeta_symmetric_equals_even():
 
 def test_zeta_collapsed_equals_connected():
     p = FluidParams(1.0, 21.0, 1.0)
-    b1, a, b, g = connected_quadruple(p)
+    b1, a, b, g = _connected_quadruple(p)
     pp = profile_from_zeta(p, (b1, b1, b1, a, b, g))
     cn = connected_profile(p, "right")
     x = np.linspace(-8, 8, 2001)
@@ -398,12 +405,12 @@ def _typed_bits(pieces) -> list:
 
 def _connected_zeta(p: FluidParams) -> tuple:
     work, lam = _work_frame(p, classify_regime(p))
-    b1, a, b, g = (lam * v for v in connected_quadruple(work))
+    b1, a, b, g = (lam * v for v in _connected_quadruple(work))
     return (b1, b1, b1, a, b, g)
 
 
 def _even_zeta(p: FluidParams) -> tuple:
-    a, b, g = solve_even_case3(p) if p.R_mu > p.R + 1.0 else even_profile(p).zeta[3:]
+    a, b, g = _solve_even_case3(p) if p.R_mu > p.R + 1.0 else even_profile(p).zeta[3:]
     return (-g, -b, -a, a, b, g)
 
 
@@ -888,7 +895,7 @@ def test_curve_direct_regime():
 def test_curve_connected_endpoints():
     p = FluidParams(1.0, 21.0, 1.0)
     curve = continue_curve(p, 51)
-    b1, a, b, g = connected_quadruple(p)
+    b1, a, b, g = _connected_quadruple(p)
     z = curve[0].zeta
     assert max(abs(z[0] - b1), abs(z[1] - b1), abs(z[2] - b1),
                abs(z[3] - a), abs(z[4] - b), abs(z[5] - g)) < 1e-9
@@ -926,6 +933,73 @@ def test_boundary_sides_match_curve_ends():
             assert end.ell == cp.ell and end.zeta == cp.zeta
             assert end.profile.F.pieces == cp.profile.F.pieces
             assert end.profile.G.pieces == cp.profile.G.pieces
+
+
+# the four CI curve triples, one per continuum class, and the eight triples
+# that the benchmark's `curves` workload draws with seed 1
+STATE_TRIPLES = [FluidParams(1.0, rmu, 1.0) for rmu in (10.0, 40.0, 0.1, 0.03)] + [
+    FluidParams(*t) for t in (
+        (0.6611697993211959, 5.360737219056424, 1.259508243102017),
+        (0.8498069674196521, 19.20475630407312, 0.9868220889328079),
+        (1.938282584329332, 0.20328958157914323, 1.2092815502540002),
+        (0.5303594682917347, 0.003801424183874422, 1.249362325381287),
+        (2.439930826963744, 28.38791148464174, 0.7010226096834358),
+        (2.2417417634321373, 51.83601975379535, 0.820280392379457),
+        (3.2586679957046316, 1.4607277428913659, 0.7150008242828492),
+        (1.5413958570132293, 0.028538669284977176, 1.3421779768589837))]
+
+
+def _same_state(a, b) -> bool:
+    """Pieces (with their types), zeta, sigma and label all bitwise equal."""
+    return (_typed_bits(a.profile.F.pieces) == _typed_bits(b.profile.F.pieces)
+            and _typed_bits(a.profile.G.pieces) == _typed_bits(b.profile.G.pieces)
+            and np.array(a.zeta).tobytes() == np.array(b.zeta).tobytes()
+            and np.float64(a.ell).tobytes() == np.float64(b.ell).tobytes()
+            and a.profile.label == b.profile.label)
+
+
+@pytest.mark.parametrize("p", STATE_TRIPLES, ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
+def test_steady_state_is_the_curve_state_at_its_sigma(p):
+    n = 101
+    curve = continue_curve(p, n)
+    assert sigma_end(p) == curve[-1].ell == -curve[0].ell
+    # the even state and both exact ends, bitwise
+    for i in (0, n // 2, n - 1):
+        assert _same_state(steady_state(p, curve[i].ell), curve[i])
+    assert _same_state(steady_state(p), curve[n // 2])
+    # the interior states, each from one Newton solve, to the corrector's tolerance
+    for cp in curve[1:n // 2] + curve[n // 2 + 1:-1]:
+        state = steady_state(p, cp.ell)
+        scale = max(abs(z) for z in cp.zeta)
+        assert max(abs(a - b) for a, b in zip(state.zeta, cp.zeta)) <= 1e-12 * scale
+        assert state.ell == state.zeta[2] + state.zeta[3]
+        assert state.profile.label == cp.profile.label
+
+
+@pytest.mark.parametrize("p", STATE_TRIPLES[:4], ids=lambda p: f"{p.R:g}-{p.R_mu:g}-{p.eta:g}")
+def test_steady_state_at_minus_sigma_is_the_mirror_image(p):
+    end = sigma_end(p)
+    for sigma in (0.1 * end, 0.5 * end, 0.93 * end, end):
+        state, image = steady_state(p, sigma), steady_state(p, -sigma)
+        mirror = reflect(state.profile)
+        assert _typed_bits(image.profile.F.pieces) == _typed_bits(mirror.F.pieces)
+        assert _typed_bits(image.profile.G.pieces) == _typed_bits(mirror.G.pieces)
+        assert np.array(image.zeta).tobytes() == np.array(mirror.zeta).tobytes()
+        assert image.ell == -state.ell
+
+
+def test_steady_state_outside_the_continuum_raises():
+    for p in STATE_TRIPLES[:4]:
+        end = sigma_end(p)
+        for sigma in (np.nextafter(end, math.inf), -1.01 * end, math.inf, math.nan):
+            with pytest.raises(RegimeError, match="sigma must lie in"):
+                steady_state(p, sigma)
+    # the unique-even regime, whose one steady state is even_profile(p)
+    p = FluidParams(1.0, 2.0, 1.0)
+    assert sigma_end(p) == 0.0
+    for sigma in (0.0, 1e-12, -0.5):
+        with pytest.raises(RegimeError, match="only the even steady state exists"):
+            steady_state(p, sigma)
 
 
 def test_curve_near_thresholds():
@@ -1086,7 +1160,7 @@ def test_curve_reflection_symmetry_interior():
 
 def test_jacobian_determinant_formula_matches_numeric():
     p = FluidParams(1.0, 10.0, 1.0)
-    a, b, g = solve_even_case3(p)
+    a, b, g = _solve_even_case3(p)
     zeta = (-g, -b, -a, a, b, g)
     formula = curve_jacobian_det(p, zeta)
     assert formula > 0.0
