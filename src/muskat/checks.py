@@ -34,11 +34,18 @@ class Pieces:
         cols[:, self.real] = flat.reshape(-1, 4).T
         self.finite = np.isfinite(cols).all(axis=0)
         self.l, self.r, self.c0, self.c2 = cols
-        self.left = self.c0 + self.c2 * (self.l * self.l)
-        self.right = self.c0 + self.c2 * (self.r * self.r)
-        around_0 = (self.l < 0.0) & (0.0 < self.r)
-        self.low = np.minimum(np.minimum(self.left, self.right),
-                              np.where(around_0, self.c0, np.inf))
+        with np.errstate(all="ignore"):  # a non-finite piece, which the checks report
+            self.left = self.c0 + self.c2 * (self.l * self.l)
+            self.right = self.c0 + self.c2 * (self.r * self.r)
+            around_0 = (self.l < 0.0) & (0.0 < self.r)
+            self.low = np.minimum(np.minimum(self.left, self.right),
+                                  np.where(around_0, self.c0, np.inf))
+
+    def take(self, rows) -> "Pieces":
+        """The table of the fields at ``rows``, as wide as this one."""
+        sub = object.__new__(Pieces)
+        sub.__dict__.update({name: a[rows] for name, a in vars(self).items()})
+        return sub
 
 
 def field_failures(pcs: Pieces):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -36,8 +35,8 @@ EXIT_REGIME = 3
 EXIT_NUMERICAL = 4
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    row_fmt = ",".join([_FMT] * len(header)) + "\n"
+def _write_csv(path: Path, header: list[str], rows, row_fmt: str | None = None) -> None:
+    row_fmt = row_fmt or ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write("".join([",".join(header) + "\n", *[row_fmt % tuple(row) for row in rows]]))
 
@@ -163,13 +162,16 @@ def cmd_curve(args) -> int:
     stem = f"curve_R{args.R:g}_Rmu{args.R_mu:g}_eta{args.eta:g}"
     csv_path = out / f"{stem}.csv"
     header = ["sigma", "gamma1", "beta1", "alpha1", "alpha", "beta", "gamma", "E_star"]
-    rows = [[cp.ell, *cp.zeta, rep.rescaled_energy] for cp, rep in zip(curve, reports)]
-    _write_csv(csv_path, header, rows)
+    # sigma and E_* are in both CSVs: each is formatted once, and written by %s
+    both = [(_FMT % cp.ell, _FMT % rep.rescaled_energy) for cp, rep in zip(curve, reports)]
+    _write_csv(csv_path, header, [(s, *cp.zeta, e) for (s, e), cp in zip(both, curve)],
+               "%s," + ",".join([_FMT] * 6) + ",%s\n")
 
     fn_path = out / f"{stem}_functionals.csv"
-    fn_rows = [[cp.ell, rep.energy, rep.rescaled_energy, rep.m1, rep.m2, rep.entropy]
-               for cp, rep in zip(curve, reports)]
-    _write_csv(fn_path, ["sigma", "E", "E_star", "M1", "M2", "H"], fn_rows)
+    _write_csv(fn_path, ["sigma", "E", "E_star", "M1", "M2", "H"],
+               [(s, rep.energy, e, rep.m1, rep.m2, rep.entropy)
+                for (s, e), rep in zip(both, reports)],
+               f"%s,{_FMT},%s,{_FMT},{_FMT},{_FMT}\n")
 
     kind = profiles.curve_endpoint_kind(p)
     report = {
@@ -289,6 +291,7 @@ def cmd_simulate(args) -> int:
                    np.column_stack([sim_cfg.grid.centers, s.f, s.g, e2 * s.f + s.g]))
         outputs.append(path)
 
+    import hashlib  # here, not at the top: only simulate maps OpenSSL's libcrypto
     _write_manifest(args, out, outputs, sim_cfg.params, config=cfg,
                     config_sha256=hashlib.sha256(raw).hexdigest(),
                     **({} if error is None else {"error": str(error)}))

@@ -4,19 +4,19 @@ The energy E drives the dynamics as a gradient flow; in self-similar
 variables the relevant Liapunov functional is the rescaled energy
 E_* = E + M2/6.  On steady states E_* = M2/2 = (3/2) E and the weighted
 first moment M1 vanishes; along the continuation curve E_* is strictly
-unimodal with its minimum at the even state.
+unimodal with its minimum at the even state.  On piecewise-quadratic
+fields every functional, the entropy included, is a closed form per piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .params import FluidParams
 from .checks import Pieces, raise_first
-from .profiles import CurvePoint, ProfilePair, _closed_form_energies, _mirror
+from .profiles import CurvePoint, ProfilePair, _closed_form_energies
 
 __all__ = [
     "FunctionalReport",
@@ -27,17 +27,6 @@ __all__ = [
     "curve_reports",
     "energy_along_curve",
 ]
-
-
-@cache
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 64-point Gauss-Legendre quadrature on [-1, 1],
-    read-only, computed on first use: importing numpy.polynomial for them
-    would add milliseconds to every import of the package."""
-    rule = np.polynomial.legendre.leggauss(64)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
 
 
 class NegativeInputError(Exception):
@@ -58,30 +47,46 @@ class FunctionalReport:
     dissipation: float | None = None
 
 
-# q ln q is taken as 0 where q is at most this, so 0 ln 0 = 0
+# a grid state's q ln q is taken as 0 where q is at most this, so 0 ln 0 = 0
 _ENTROPY_FLOOR = 1e-300
 
 
 def _entropy_piecewise(pcs: Pieces) -> list[float]:
-    """Gauss-Legendre quadrature of q ln q for each field, with 0 ln 0 = 0.
-
-    The pieces of all fields are evaluated as (pieces, nodes) arrays of at
-    most 64 pieces, which bounds their memory; each field's per-piece totals
-    are then added in piece order.
-    """
-    l, r, c0, c2 = (a[pcs.real][:, None] for a in (pcs.l, pcs.r, pcs.c0, pcs.c2))
-    gauss_x, gauss_w = _gauss_rule()
-    half, mid = 0.5 * (r - l), 0.5 * (l + r)
-    h = np.empty(len(l))
-    for b in range(0, len(l), 64):
-        s = slice(b, b + 64)
-        v = half[s] * gauss_x + mid[s]
-        v = c0[s] + c2[s] * v**2
-        v[~(v > _ENTROPY_FLOOR)] = 1.0  # v ln v -> 0 there
-        h[s] = half[s, 0] * np.sum(gauss_w * v * np.log(v), axis=1)
-    per_piece = np.zeros(pcs.real.shape)
-    per_piece[pcs.real] = h
-    return _column_sums(per_piece).tolist()
+    """The integral of q ln q over each field, with 0 ln 0 = 0 (q ln|q| where
+    rounding takes q below 0), in closed form on each piece q = c0 + c2 x^2
+    over [l, r], its per-piece totals added in piece order.  With P' = q, no
+    term is much larger than the piece's own integral: P(r) - P(l) is taken
+    in factored form, and each log at the end farther from its argument's
+    root, the other end's by log1p.  With real roots +-x0 (c0 c2 <= 0),
+    ln|q| = ln|c2| + ln|x - x0| + ln|x + x0| and (P - P(rho)) ln|x - rho|
+    vanishes at each root rho; else q = c2 (x^2 + a^2) brings in
+    (4/3) c0 a arctan(x / a).  A piece with l + r < 0 is taken as its mirror
+    (-r, -l, c0, c2), so mirrored fields get the same terms, bit for bit."""
+    c0, c2 = pcs.c0, pcs.c2
+    flip = pcs.l + pcs.r < 0.0
+    l, r = np.where(flip, -pcs.r, pcs.l), np.where(flip, -pcs.l, pcs.r)
+    w = r - l
+    cubes = w * (r * r + r * l + l * l)  # r^3 - l^3
+    mass = c0 * w + c2 * cubes / 3.0
+    with np.errstate(all="ignore"):
+        a2 = c0 / c2
+        a, q_r = np.sqrt(a2), c0 + c2 * r * r
+        no_root = (mass * np.log(np.abs(q_r))
+                   - (c0 * l + c2 * l * l * l / 3.0) * np.log1p(-c2 * w * (r + l) / q_r)
+                   + (4.0 / 3.0) * c0 * a * np.arctan2(a * w, a2 + r * l))
+        q_e, tails = c2, 0.0  # q_e: c2 times each root's factor x - rho at its far end
+        for rho in (np.sqrt(-a2), -np.sqrt(-a2)):
+            far_r = np.abs(r - rho) >= np.abs(l - rho)
+            g_e, g_o = np.where(far_r, r - rho, l - rho), np.where(far_r, l - rho, r - rho)
+            t = np.where(far_r, -w, w) / g_e  # g_o / g_e - 1
+            log_ratio = np.where(t > -0.5, np.log1p(t), np.log(np.abs(g_o / g_e)))
+            p_o = c2 * g_o * g_o * (g_o + 3.0 * rho) / 3.0  # P - P(rho) at the near end
+            q_e = q_e * g_e
+            tails = tails + np.where(p_o == 0.0, 0.0, np.where(far_r, -p_o, p_o) * log_ratio)
+        h = np.where(a2 > 0.0, no_root, mass * np.log(np.abs(q_e)) + tails)
+        h += -(2.0 / 9.0) * c2 * cubes - (4.0 / 3.0) * c0 * w
+        h = np.where(c2 == 0.0, np.where(c0 == 0.0, 0.0, mass * np.log(np.abs(c0))), h)
+    return _column_sums(h).tolist()
 
 
 def _column_sums(terms: np.ndarray) -> np.ndarray:
@@ -143,14 +148,13 @@ def _report(p: FluidParams, iFF: float, iFG: float, iGG: float, m1: float, m2: f
                             entropy=entropy, dissipation=dissipation)
 
 
-def _fields_reports(p: FluidParams, pairs) -> tuple[list[FunctionalReport], np.ndarray]:
-    """Report of each (F, G) pair, and whether the pair dips below -1e-12
-    anywhere: the entropy of all fields in one quadrature, the L2 products
-    and moments exact, all from one table of the pieces."""
+def _fields_reports(p: FluidParams, pcs: Pieces) -> tuple[list[FunctionalReport], np.ndarray]:
+    """Report of each (F, G) pair of a batch whose fields alternate F, G in
+    ``pcs``, and whether the pair dips below -1e-12 anywhere: the entropy,
+    the L2 products and the moments all exact, and all from the one table."""
     with np.errstate(all="ignore"):
-        pcs = Pieces([q for pair in pairs for q in pair])
         columns = [v.tolist() for v in _products_and_moments(pcs)]
-    negative = (pcs.low < -1e-12).reshape(len(pairs), -1).any(axis=1)
+    negative = (pcs.low < -1e-12).any(axis=1).reshape(-1, 2).any(axis=1)
     theta = p.theta
     h = _entropy_piecewise(pcs)
     return [_report(p, iFF, iFG, iGG, m1=m1F + theta * m1G, m2=m2F + theta * m2G,
@@ -193,7 +197,7 @@ def evaluate(obj, p: FluidParams) -> FunctionalReport:
     if isinstance(obj, ProfilePair):
         obj = (obj.F, obj.G)
     if isinstance(obj, (tuple, list)) and len(obj) == 2:
-        (rep,), (negative,) = _fields_reports(p, [obj])
+        (rep,), (negative,) = _fields_reports(p, Pieces(obj))
         if negative:
             raise NegativeInputError("fields must be non-negative")
         return rep
@@ -232,9 +236,15 @@ def dissipation(state, p: FluidParams) -> float:
     return 0.5 * h * (s_f + p.theta * s_g)
 
 
-def _mirror_images(a: ProfilePair, b: ProfilePair) -> bool:
-    """Whether the fields of a are those of b mirrored about x = 0."""
-    return list(a.F.pieces) == _mirror(b.F.pieces) and list(a.G.pieces) == _mirror(b.G.pieces)
+def _mirrored(pcs: Pieces) -> np.ndarray:
+    """Whether the fields of each state i of a batch whose fields alternate
+    F, G in ``pcs`` are those of state n - 1 - i mirrored about x = 0, piece
+    k the (-r, -l, c0, c2) of the partner's last but k, as ``profiles._mirror``."""
+    j = np.arange(len(pcs.count)).reshape(-1, 2)[::-1].ravel()  # each field's partner
+    k = np.maximum(pcs.count[j, None] - 1 - np.arange(pcs.real.shape[1]), 0)
+    partner = np.stack([-pcs.r, -pcs.l, pcs.c0, pcs.c2])[:, j[:, None], k]
+    same = (np.stack([pcs.l, pcs.r, pcs.c0, pcs.c2]) == partner).all(axis=0) | ~pcs.real
+    return ((pcs.count == pcs.count[j]) & same.all(axis=1)).reshape(-1, 2).all(axis=1)
 
 
 def curve_reports(curve: list[CurvePoint], tol: float = 1e-9) -> list[FunctionalReport]:
@@ -256,23 +266,22 @@ def curve_reports(curve: list[CurvePoint], tol: float = 1e-9) -> list[Functional
     if any(cp.profile.params != p for cp in curve):
         raise ValueError("curve states must share one parameter triple")
     n = len(curve)
-    # source[i]: the state whose report state i takes, its mirror partner or itself
-    source = [n - 1 - i if i < n - 1 - i and _mirror_images(curve[i].profile,
-                                                            curve[n - 1 - i].profile) else i
-              for i in range(n)]
-    evaluated = sorted(set(source))
-    at = {i: k for k, i in enumerate(evaluated)}
-    own, negative = _fields_reports(
-        p, [(curve[i].profile.F, curve[i].profile.G) for i in evaluated])
+    pcs = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)])
+    mirrored = _mirrored(pcs).tolist()
+    # source[i]: the state whose report state i takes, its mirror partner or
+    # itself; at[i]: that state's place among the evaluated ones
+    source = [n - 1 - i if i < n - 1 - i and mirrored[i] else i for i in range(n)]
+    evaluated, at = np.unique(source, return_inverse=True)
+    own, negative = _fields_reports(p, pcs.take((2 * evaluated[:, None] + [0, 1]).ravel()))
     reports = []
-    for i, j in enumerate(source):
-        rep = own[at[j]]
+    for i, (j, k) in enumerate(zip(source, at.tolist())):
+        rep = own[k]
         if i != j:  # the partner's report with M1 negated, made without the initializer
             image = object.__new__(FunctionalReport)
             image.__dict__.update(rep.__dict__, m1=-rep.m1)
             rep = image
         reports.append(rep)
-    negative = negative[[at[j] for j in source]]
+    negative = negative[at]
     quad = [rep.rescaled_energy for rep in reports]
     closed = _closed_form_energies(p, np.array([cp.zeta for cp in curve], dtype=float)).tolist()
     raise_first([

@@ -236,19 +236,23 @@ def cell_averages(q: PiecewiseQuadratic, grid: Grid) -> np.ndarray:
     return out / grid.h
 
 
+# numpy's leggauss(5), nodes made exactly antisymmetric and weights (of the
+# centre node, then of each node pair) exactly symmetric
+_GAUSS5_X = (-0.906179845938664, -0.5384693101056831, 0.0,
+             0.5384693101056831, 0.906179845938664)
+_GAUSS5_W = (0.5688888888888887, 0.4786286704993663, 0.23692688505618928)
+
+
 def _gauss_cell_averages(func: Callable, grid: Grid) -> np.ndarray:
     """5-point Gauss-Legendre cell averages, mirror-exact on a symmetric grid.
 
-    The nodes are made exactly antisymmetric and the weights exactly
-    symmetric, and each node pair is summed before weighting, so an even
-    function gets bitwise even averages.
+    Each node pair is summed before weighting, so an even function gets
+    bitwise even averages.
     """
-    gx, gw = np.polynomial.legendre.leggauss(5)
-    gx = 0.5 * (gx - gx[::-1])
-    gw = 0.5 * (gw + gw[::-1])
-    x = grid.centers[:, None] + (0.5 * grid.h) * gx[None, :]
+    x = grid.centers[:, None] + (0.5 * grid.h) * np.array(_GAUSS5_X)
     v = np.asarray(func(x.ravel()), dtype=float).reshape(x.shape)
-    return 0.5 * (gw[2] * v[:, 2] + gw[1] * (v[:, 1] + v[:, 3]) + gw[0] * (v[:, 0] + v[:, 4]))
+    w0, w1, w2 = _GAUSS5_W
+    return 0.5 * (w0 * v[:, 2] + w1 * (v[:, 1] + v[:, 3]) + w2 * (v[:, 0] + v[:, 4]))
 
 
 def init_state(source, grid: Grid, renormalize: bool = False) -> SimState:

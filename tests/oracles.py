@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from muskat.functionals import FunctionalReport, NegativeInputError, _gauss_rule, _report
+from muskat.functionals import FunctionalReport, NegativeInputError, _report
 from muskat.checks import STEADY_TOL
 from muskat.fvm import cell_averages
 from muskat import numerics
@@ -150,17 +150,66 @@ def steady_residual_fields_by_scan(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
     return worst
 
 
-def entropy_piecewise_by_loop(q: PiecewiseQuadratic, floor: float = 1e-300) -> float:
-    """Gauss-Legendre quadrature of q ln q, one piece at a time (the per-piece
-    form of ``functionals._entropy_piecewise``)."""
-    gauss_x, gauss_w = _gauss_rule()
+def entropy_closed_form_by_loop(q: PiecewiseQuadratic) -> float:
+    """The closed form of the integral of q ln q, one piece at a time and
+    with numpy's scalar logarithms (the per-piece form of
+    ``functionals._entropy_piecewise``, operation for operation)."""
     total = 0.0
     for l, r, c0, c2 in q.pieces:
-        xm, half = 0.5 * (l + r), 0.5 * (r - l)
-        x = xm + half * gauss_x
-        v = c0 + c2 * x**2
-        v = np.where(v > floor, v, 1.0)  # v ln v -> 0 there
-        total += half * float(np.sum(gauss_w * v * np.log(v)))
+        if l + r < 0.0:
+            l, r = -r, -l
+        w = r - l
+        cubes = w * (r * r + r * l + l * l)
+        mass = c0 * w + c2 * cubes / 3.0
+        if c2 == 0.0:
+            total += 0.0 if c0 == 0.0 else mass * np.log(np.abs(c0))
+            continue
+        a2 = c0 / c2
+        if a2 > 0.0:
+            a, q_r = np.sqrt(a2), c0 + c2 * r * r
+            h = (mass * np.log(np.abs(q_r))
+                 - (c0 * l + c2 * l * l * l / 3.0) * np.log1p(-c2 * w * (r + l) / q_r)
+                 + (4.0 / 3.0) * c0 * a * np.arctan2(a * w, a2 + r * l))
+        else:
+            q_e, tails = c2, 0.0
+            for rho in (np.sqrt(-a2), -np.sqrt(-a2)):
+                far_r = abs(r - rho) >= abs(l - rho)
+                g_e, g_o = (r - rho, l - rho) if far_r else (l - rho, r - rho)
+                p_o = c2 * g_o * g_o * (g_o + 3.0 * rho) / 3.0
+                q_e = q_e * g_e
+                if p_o != 0.0:  # else g_o = 0, and the term is 0
+                    t = (-w if far_r else w) / g_e
+                    log_ratio = np.log1p(t) if t > -0.5 else np.log(np.abs(g_o / g_e))
+                    tails = tails + (-p_o if far_r else p_o) * log_ratio
+            h = mass * np.log(np.abs(q_e)) + tails
+        total += h + (-(2.0 / 9.0) * c2 * cubes - (4.0 / 3.0) * c0 * w)
+    return total
+
+
+def entropy_by_graded_gauss(q: PiecewiseQuadratic, nodes: int = 20, depth: int = 48) -> float:
+    """The integral of q ln q, with 0 ln 0 = 0, by composite Gauss-Legendre
+    quadrature: each piece is cut at the real roots of c0 + c2 x^2 inside it
+    (or at 0, near complex roots +-ia), and each part's halves are cut at
+    offsets halving towards its ends, where q may vanish and (q ln q)' be
+    singular, down to a last cell 2^-depth of the half wide."""
+    gx, gw = np.polynomial.legendre.leggauss(nodes)
+    offsets = np.append(0.5 ** np.arange(depth + 1), 0.0)  # of a half, from its end
+    total = 0.0
+    for l, r, c0, c2 in q.pieces:
+        cuts = [l, r]
+        if c2 != 0.0 and c0 * c2 <= 0.0:
+            x0 = math.sqrt(-c0 / c2)
+            cuts += [x for x in (-x0, x0) if l < x < r]
+        elif l < 0.0 < r:
+            cuts.append(0.0)
+        cuts.sort()
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            s = 0.5 * (b - a) * offsets
+            half_width, mid = 0.5 * (s[:-1] - s[1:])[:, None], 0.5 * (s[:-1] + s[1:])[:, None]
+            for x in (a + (mid + half_width * gx), b - (mid + half_width * gx)):
+                v = c0 + c2 * x * x
+                f = np.where(v != 0.0, v * np.log(np.abs(np.where(v != 0.0, v, 1.0))), 0.0)
+                total += float(np.sum(half_width * gw * f))
     return total
 
 
@@ -343,7 +392,7 @@ def fields_report_by_loop(F: PiecewiseQuadratic, G: PiecewiseQuadratic,
     return _report(p, inner_by_loop(F), inner_by_loop(F, G), inner_by_loop(G),
                    m1=moment_by_loop(F, 1) + theta * moment_by_loop(G, 1),
                    m2=moment_by_loop(F, 2) + theta * moment_by_loop(G, 2),
-                   entropy=entropy_piecewise_by_loop(F) + theta * entropy_piecewise_by_loop(G))
+                   entropy=entropy_closed_form_by_loop(F) + theta * entropy_closed_form_by_loop(G))
 
 
 def _fifth_power_energy_by_state(p: FluidParams, zeta: Sequence[float]) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, manifest reproducibility."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -206,6 +207,8 @@ def test_simulate_and_manifest_reproducibility(tmp_path, capsys, monkeypatch):
     manifest = json.loads((out1 / "manifest_simulate.json").read_text())
     assert manifest["config_sha256"] == json.loads(
         (out2 / "manifest_simulate.json").read_text())["config_sha256"]
+    # the digest is that of the config file's bytes, computed here independently
+    assert manifest["config_sha256"] == hashlib.sha256(cfg_path.read_bytes()).hexdigest()
     assert manifest["argv"] == argv1
 
 

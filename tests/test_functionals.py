@@ -28,7 +28,8 @@ from muskat.profiles import (
 )
 from oracles import (
     dissipation_by_field,
-    entropy_piecewise_by_loop,
+    entropy_by_graded_gauss,
+    entropy_closed_form_by_loop,
     fields_report_by_loop,
     inner_by_loop,
     l2_distance_by_field,
@@ -171,9 +172,66 @@ def test_entropy_one_array_bitwise_equals_per_piece_loop():
         profiles += [cp.profile for cp in continue_curve(p, 9)]
     for pp in profiles:
         whole = _entropy_piecewise(Pieces([pp.F, pp.G]))
-        loop = [entropy_piecewise_by_loop(pp.F), entropy_piecewise_by_loop(pp.G)]
+        loop = [entropy_closed_form_by_loop(pp.F), entropy_closed_form_by_loop(pp.G)]
         assert np.array(whole).tobytes() == np.array(loop).tobytes()
     assert _entropy_piecewise(Pieces([PiecewiseQuadratic(())])) == [0.0]
+
+
+def _entropy_cases() -> dict[str, list[PiecewiseQuadratic]]:
+    """The fields of every construction kind, R = eta = 1: the five even cases,
+    connected and boundary states on both sides, and curve states built in
+    p's frame (R_mu > R + 1, G split) and in the dual frame (R_mu < R)."""
+    def fields(pps):
+        return [q for pp in pps for q in (pp.F, pp.G)]
+
+    def p(rmu):
+        return FluidParams(1.0, rmu, 1.0)
+
+    even = [even_profile(p(rmu)) for rmu in (1.5, 2.0, 10.0, 0.1, 0.5)]
+    assert [pp.label for pp in even] == [f"even-case{k}" for k in range(1, 6)]
+    sides = ("left", "right")
+    return {
+        "even": fields(even),
+        "connected": fields(connected_profile(p(rmu), side) for rmu in (21.0, 0.01)
+                            for side in sides),
+        "boundary": fields(boundary_disconnected_profile(p(rmu), side).profile
+                           for rmu in (10.0, 0.1) for side in sides),
+        "curve-p-frame": fields(cp.profile for rmu in (10.0, 40.0)
+                                for cp in continue_curve(p(rmu), 9)),
+        "curve-dual-frame": fields(cp.profile for rmu in (0.1, 0.03)
+                                   for cp in continue_curve(p(rmu), 9)),
+    }
+
+
+@pytest.mark.parametrize("case", ["even", "connected", "boundary", "curve-p-frame",
+                                  "curve-dual-frame"])
+def test_entropy_closed_form_meets_graded_gauss_oracle(case):
+    fields = _entropy_cases()[case]
+    closed = _entropy_piecewise(Pieces(fields))
+    oracle = [entropy_by_graded_gauss(q) for q in fields]
+    assert max(abs(c - o) for c, o in zip(closed, oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("b", [0.05, 0.7, 1.0, 3.0, 40.0])
+def test_entropy_of_a_whole_cap_is_exact(b):
+    # a unit-mass cap 3/(4b^3) (b^2 - x^2) on [-b, b] has entropy ln(3/b) - 5/3,
+    # where 64-point Gauss erred by 1.74e-7 for every b
+    cap = PiecewiseQuadratic(((-b, b, 0.75 / b, -0.75 / b**3),))
+    exact = math.log(3.0 / b) - 5.0 / 3.0
+    (closed,) = _entropy_piecewise(Pieces([cap]))
+    assert abs(closed - exact) <= 1e-14
+    assert abs(entropy_by_graded_gauss(cap) - exact) <= 1e-14
+
+
+def test_entropy_of_a_mirrored_piece_is_bitwise_its_own():
+    pieces = [PiecewiseQuadratic((pc,)) for q in _entropy_cases()["curve-dual-frame"]
+              for pc in q.pieces]
+    pieces += [PiecewiseQuadratic(((-1.0, 1.0, 0.0, 2.0),)),  # a double root inside
+               PiecewiseQuadratic(((-0.5, 2.0, 0.7, 0.0),))]  # constant
+    mirrored = [PiecewiseQuadratic(((-r, -l, c0, c2),)) for q in pieces
+                for l, r, c0, c2 in q.pieces]
+    assert np.array(_entropy_piecewise(Pieces(pieces))).tobytes() == \
+        np.array(_entropy_piecewise(Pieces(mirrored))).tobytes()
 
 
 def _products_and_moments_by_loop(pairs) -> list[bytes]:
@@ -243,7 +301,7 @@ def test_products_and_moments_bitwise_equal_loops_on_signed_zeros_and_padding(p)
     assert max(len(q.pieces) for pp in ends for q in (pp.F, pp.G)) == 4
     pairs = [(pp.F, pp.G) for pp in ends + short + ends[::-1]]
     assert _products_and_moments_batched(pairs) == _products_and_moments_by_loop(pairs)
-    reports, _ = _fields_reports(p, pairs)
+    reports, _ = _fields_reports(p, Pieces([q for pair in pairs for q in pair]))
     assert [_bits_of_report(rep) for rep in reports] == [
         _bits_of_report(fields_report_by_loop(F, G, p)) for F, G in pairs]
 
