@@ -449,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except (NumericsError, fvm.CflViolationError, fvm.NegativeCellError,
-            functionals.MismatchError, RuntimeError) as exc:
+            functionals.MismatchError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, fvm.SupportOutsideDomainError) as exc:

@@ -49,6 +49,7 @@ class FunctionalReport:
 
 # a grid state's q ln q is taken as 0 where q is at most this, so 0 ln 0 = 0
 _ENTROPY_FLOOR = 1e-300
+_ENERGY_TOL = 1e-9  # the most that a curve state's two E_* may differ by
 
 
 def _entropy_piecewise(pcs: Pieces) -> list[float]:
@@ -247,12 +248,12 @@ def _mirrored(pcs: Pieces) -> np.ndarray:
     return ((pcs.count == pcs.count[j]) & same.all(axis=1)).reshape(-1, 2).all(axis=1)
 
 
-def curve_reports(curve: list[CurvePoint], tol: float = 1e-9) -> list[FunctionalReport]:
+def curve_reports(curve: list[CurvePoint]) -> list[FunctionalReport]:
     """Functional report of each curve state, in curve order, cross-checked.
 
     E_* is computed by exact quadrature of the profile and independently
     from the closed form in fifth powers of the sextuplet; disagreement
-    beyond ``tol`` raises MismatchError.  The states must share one
+    beyond 1e-9 raises MismatchError.  The states must share one
     parameter triple; they are evaluated as one batch.  A state whose F and
     G are the mirror images of those of the state at the mirrored index
     (i and n - 1 - i, as ``continue_curve`` builds its sigma < 0 half) is
@@ -286,16 +287,15 @@ def curve_reports(curve: list[CurvePoint], tol: float = 1e-9) -> list[Functional
     closed = _closed_form_energies(p, np.array([cp.zeta for cp in curve], dtype=float)).tolist()
     raise_first([
         (negative, lambda k: NegativeInputError("fields must be non-negative")),
-        (np.abs(np.subtract(closed, quad)) > tol, lambda k: MismatchError(
+        (np.abs(np.subtract(closed, quad)) > _ENERGY_TOL, lambda k: MismatchError(
             f"energy mismatch at sigma = {curve[k].ell:.6g}: quadrature "
             f"{quad[k]:.15g} vs closed form {closed[k]:.15g}"))])
     return reports
 
 
-def energy_along_curve(curve: list[CurvePoint],
-                       tol: float = 1e-9) -> list[tuple[float, float]]:
+def energy_along_curve(curve: list[CurvePoint]) -> list[tuple[float, float]]:
     """(sigma, E_*) along a continuation curve, sorted by sigma (``CurvePoint.ell``);
     see curve_reports."""
-    reports = curve_reports(curve, tol)
+    reports = curve_reports(curve)
     return sorted(((cp.ell, rep.rescaled_energy) for cp, rep in zip(curve, reports)),
                   key=lambda t: t[0])

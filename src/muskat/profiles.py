@@ -22,16 +22,16 @@ The constructions follow three routes:
 
 ``steady_state(p, sigma)`` builds any one state of that continuum, up to
 +-``sigma_end(p)``; it, the curve and its ends share one set-up of p
-(``_continuum_setup``).
+(``_continuum_setup``).  Each end, connected or alpha = 0, is one of its
+states: 'left' the traced one at +sigma_end, 'right' its mirror at -sigma_end.
 
 Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
 beta <= gamma (even with a split film, connected, boundary, curve) gets its
 pieces from the one function ``_zeta_pieces``.  Each returned state is built
 and checked once: its algebraic system by the solver that computes it, in the
 frame that solves it, then its fields in p by ``checks.check_pairs``, a whole
-curve (its even state too) in one batch and a left connected state mirrored
-before its batch.  Only ``profile_from_zeta``, given a sextuplet from outside,
-checks a sextuplet's order and system residual in p.
+curve (its even state too) in one batch.  Only ``profile_from_zeta``, given a
+sextuplet from outside, checks a sextuplet's order and system residual in p.
 
 Every one of these states whose even profile has F split (R_mu <= r_minus)
 is built in the dual parameters and mapped back by the duality's dilation
@@ -519,21 +519,15 @@ def _connected_quadruple(p: FluidParams) -> tuple[float, float, float, float]:
 
 
 def connected_profile(p: FluidParams, side: str = "right") -> ProfilePair:
-    """Non-symmetric steady state with both supports connected.
-
-    Exists only for R_mu >= r_M (lighter fluid extremely viscous) or
-    R_mu <= r_m (dual).  ``side='right'`` returns the orientation in which
-    the outer lobe sits at x > 0; 'left' its mirror image.
+    """Non-symmetric steady state with both supports connected, for R_mu >=
+    r_M (lighter fluid extremely viscous) or R_mu <= r_m (dual): an end of
+    p's continuum, the pair of ``steady_state`` at -``sigma_end`` for 'right'
+    (the first state of ``continue_curve``, its outer lobe at x > 0) and at
+    +``sigma_end`` for 'left' (the last, traced one), bitwise, relabelled.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    _, work, lam, zeta_end, _, _ = _continuum_setup(p, ContinuumClass.CONNECTED_ENDPOINTS)
-    # the sextuplet with its split support collapsed onto beta1, unmirrored
-    _, (fields,) = _p_frame_states(p, [_reflect_zeta(zeta_end)], lam)
-    label = "connected-large" if work is p else "connected-small"
-    if side == "left":
-        fields, label = [_mirror(q) for q in fields], label + "|reflected"
-    return _finish_pair(*fields, p, label)
+    pp = _continuum_end(p, ContinuumClass.CONNECTED_ENDPOINTS, side).profile
+    label = pp.label.replace("zeta-", "connected-") + ("|reflected" if side == "left" else "")
+    return ProfilePair._checked(pp.F, pp.G, p, label, None)
 
 
 # ----------------------------------------------------------------------
@@ -591,9 +585,14 @@ def boundary_disconnected_profile(p: FluidParams, side: str = "right") -> CurveP
     the last one (sigma > 0), as the curve builds them.  'right' is
     ``steady_state`` at -``sigma_end``, 'left' at +``sigma_end``.
     """
+    return _continuum_end(p, ContinuumClass.DISCONNECTED_ENDPOINTS, side)
+
+
+def _continuum_end(p: FluidParams, ends: ContinuumClass, side: str) -> CurvePoint:
+    """p's checked end at -sigma_end ('right') or +sigma_end ('left'), of class ``ends``."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    cont = _continuum_setup(p, ContinuumClass.DISCONNECTED_ENDPOINTS)
+    cont = _continuum_setup(p, ends)
     return _continuum_state(p, cont, -cont.sigma_end if side == "right" else cont.sigma_end)
 
 

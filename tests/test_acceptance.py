@@ -134,7 +134,7 @@ def _check_curve(p, n_points, endpoint_kind):
 
     # energy: exact quadrature vs fifth-power closed form within 1e-9,
     # strictly unimodal with minimum at ell = 0
-    pairs = energy_along_curve(curve, tol=1e-9)
+    pairs = energy_along_curve(curve)
     es = np.array([e for _, e in pairs])
     i0 = int(np.argmin(es))
     assert pairs[i0][0] == 0.0

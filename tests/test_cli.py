@@ -82,6 +82,20 @@ def test_profile_connected(tmp_path, capsys):
     assert abs(info["M1"]) < 1e-10
 
 
+@pytest.mark.parametrize("rmu", ["21", "40", "100", "0.03", "0.01"])
+def test_connected_profile_energy_is_the_curve_ends(tmp_path, capsys, rmu):
+    # 'right' is the curve's first state and 'left' its last, so each
+    # prints the E_* of that row of the curve's functionals CSV
+    triple = ["--R", "1", "--R-mu", rmu, "--eta", "1", "--out-dir", str(tmp_path)]
+    assert run_cli(capsys, "curve", *triple, "-n", "21")[0] == EXIT_OK
+    rows = (tmp_path / f"curve_R1_Rmu{rmu}_eta1_functionals.csv").read_text().splitlines()
+    assert rows[0].split(",")[2] == "E_star"
+    for side, row in (("right", rows[1]), ("left", rows[-1])):
+        code, out, _ = run_cli(capsys, "profile", *triple, "--kind", "connected", "--side", side)
+        assert code == EXIT_OK
+        assert json.loads(out)["rescaled_energy"] == float(row.split(",")[2])
+
+
 def test_profile_regime_error_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "profile", "--R", "1", "--R-mu", "3", "--eta", "1",
                            "--kind", "connected", "--out-dir", str(tmp_path))
@@ -105,6 +119,26 @@ def test_a_built_state_that_fails_its_mass_check_is_a_numerical_failure(tmp_path
     code, _, err = run_cli(capsys, *argv, "--R", "20", "--R-mu", "21.010048977205354",
                            "--eta", "20", "--out-dir", str(tmp_path / "out"))
     assert code == EXIT_NUMERICAL and "masses must be 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--R", "1", "--eta", "1e80"],
+    ["thresholds", "--R", "1", "--eta", "1e-80"],
+    ["thresholds", "--R", "1", "--eta", "1e-300"],
+    ["verify", "--R", "1e300", "--R-mu", "1", "--eta", "1"],
+    ["profile", "--R", "1", "--R-mu", "1e300", "--eta", "1", "--kind", "connected"]])
+def test_overflow_on_extreme_parameters_is_a_numerical_failure(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # an OverflowError or ZeroDivisionError is exit 4 with one line, not a
+    # traceback, and no output directory is made
+    out = tmp_path / "out"
+    monkeypatch.setenv("MUSKAT_OUT_DIR", str(out))
+    if argv[0] == "profile":
+        argv = argv + ["--out-dir", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == EXIT_NUMERICAL and stdout == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eta, pair", [("5011872.336272735", "r_plus = 1001.0000000000001, r_M"),

@@ -555,7 +555,8 @@ def _counted(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("rmu, label", [(21.0, "connected-large|reflected"),
                                         (0.01, "connected-small|reflected")])
 def test_left_connected_state_is_reflected_right_in_one_batch(rmu, label, monkeypatch):
-    # mirrored before its one batch, the left state is reflect's image of the right one
+    # the left state is the curve's traced end, checked in one batch, and
+    # reflect's image of the right one, its mirror
     p = FluidParams(1.0, rmu, 1.0)
     batches = _counted(monkeypatch, "check_pairs")
     left = connected_profile(p, "left")
@@ -896,14 +897,39 @@ def test_curve_connected_endpoints():
     p = FluidParams(1.0, 21.0, 1.0)
     curve = continue_curve(p, 51)
     b1, a, b, g = _connected_quadruple(p)
-    z = curve[0].zeta
-    assert max(abs(z[0] - b1), abs(z[1] - b1), abs(z[2] - b1),
-               abs(z[3] - a), abs(z[4] - b), abs(z[5] - g)) < 1e-9
-    # the endpoint profile equals the connected profile
+    assert curve[0].zeta == (b1, b1, b1, a, b, g)
+    # the endpoint profile is the connected profile, bitwise
     cn = connected_profile(p, "right")
-    x = np.linspace(-8, 8, 801)
-    assert np.allclose(curve[0].profile.F(x), cn.F(x), atol=1e-9)
-    assert np.allclose(curve[0].profile.G(x), cn.G(x), atol=1e-9)
+    assert _typed_bits(curve[0].profile.F.pieces) == _typed_bits(cn.F.pieces)
+    assert _typed_bits(curve[0].profile.G.pieces) == _typed_bits(cn.G.pieces)
+
+
+def _connected_triples() -> list:
+    """Connected-end triples at R = eta = 1, both frames, and a seeded
+    sample of both frames across (R, eta)."""
+    rng = np.random.default_rng(7)
+    out = [FluidParams(1.0, rmu, 1.0) for rmu in (21.0, 40.0, 100.0, 0.03, 0.01)]
+    for _ in range(4):
+        R, eta = float(rng.uniform(0.1, 8.0)), float(rng.uniform(0.2, 5.0))
+        th = thresholds(FluidParams(R, 1.0, eta))
+        out += [FluidParams(R, float(rng.uniform(1.05, 5.0) * th.r_M), eta),
+                FluidParams(R, float(rng.uniform(0.05, 0.95) * th.r_m), eta)]
+    return out
+
+
+@pytest.mark.parametrize("p", _connected_triples(),
+                         ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
+def test_connected_profile_is_the_curves_end(p):
+    # 'right' is the curve's first state, 'left' its last, bitwise, each
+    # with its own label and no sextuplet
+    curve = continue_curve(p, 21)
+    frame = "large" if p.R_mu > p.R + 1.0 else "small"
+    for side, cp, label in (("right", curve[0], f"connected-{frame}"),
+                            ("left", curve[-1], f"connected-{frame}|reflected")):
+        pp = connected_profile(p, side)
+        assert _typed_bits(pp.F.pieces) == _typed_bits(cp.profile.F.pieces)
+        assert _typed_bits(pp.G.pieces) == _typed_bits(cp.profile.G.pieces)
+        assert pp.label == label and pp.zeta is None
 
 
 def test_curve_dual_regime():
@@ -1010,7 +1036,7 @@ def test_curve_near_thresholds():
                 0.2 * 0.9999, TH1.r_m * 1.0001, 500.0, 1e-4):
         p = FluidParams(1.0, rmu, 1.0)
         curve = continue_curve(p, 15)
-        pairs = energy_along_curve(curve, tol=1e-8)
+        pairs = energy_along_curve(curve)
         es = np.array([e for _, e in pairs])
         assert pairs[int(np.argmin(es))][0] == 0.0
         assert curve[0].ell < 0.0 < curve[-1].ell

@@ -49,7 +49,7 @@ def test_constructions_across_parameter_space():
             counts["boundary"] += 1
         if trial % 20 == 0 and reg.continuum is not ContinuumClass.UNIQUE_EVEN:
             curve = continue_curve(p, 15)
-            pairs = energy_along_curve(curve, tol=1e-6 * scale)
+            pairs = energy_along_curve(curve)
             es = np.array([e for _, e in pairs])
             assert pairs[int(np.argmin(es))][0] == 0.0
             counts["curve"] += 1
