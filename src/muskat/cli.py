@@ -315,18 +315,24 @@ def cmd_verify(args) -> int:
     regime = classify_regime(p)
     checks: dict[str, bool] = {}
 
-    def check(name: str, fn) -> None:
+    def attempt(fn, *args):
+        """fn(*args), or the exception it raised."""
         try:
-            checks[name] = bool(fn())
+            return fn(*args)
         except Exception as exc:  # report, never crash the battery
-            print(f"  [{name}] raised {type(exc).__name__}: {exc}", file=sys.stderr)
-            checks[name] = False
+            return exc
+
+    def check(name: str, fn, state=None) -> None:
+        # a state that failed to build fails each of its checks with its error
+        result = state if isinstance(state, Exception) else attempt(lambda: bool(fn(state)))
+        if isinstance(result, Exception):
+            print(f"  [{name}] raised {type(result).__name__}: {result}", file=sys.stderr)
+        checks[name] = result is True
 
     check("threshold-ordering",
-          lambda: th.r_m < th.r_minus < th.r0 < th.r_plus < th.r_M)
+          lambda _: th.r_m < th.r_minus < th.r0 < th.r_plus < th.r_M)
 
-    def even_checks():
-        pp = profiles.even_profile(p)
+    def even_checks(pp):
         rep = functionals.evaluate(pp, p)
         return (abs(pp.F.mass() - 1) < 1e-10 and abs(pp.G.mass() - 1) < 1e-10
                 and profiles.steady_residual(pp) < 1e-9
@@ -334,10 +340,7 @@ def cmd_verify(args) -> int:
                 and abs(rep.m2 - 2 * rep.rescaled_energy) < 1e-9
                 and abs(rep.rescaled_energy - 1.5 * rep.energy) < 1e-9)
 
-    check("even-profile", even_checks)
-
-    def dual_checks():
-        pp = profiles.even_profile(p)
+    def dual_checks(pp):
         dd = profiles.dual_transform(profiles.dual_transform(pp))
         return all(
             abs(a - b) < 1e-12
@@ -345,22 +348,25 @@ def cmd_verify(args) -> int:
             for pc, qc in zip(q1.pieces, q2.pieces)
             for a, b in zip(pc, qc))
 
-    check("duality-involution", dual_checks)
+    even = attempt(profiles.even_profile, p)
+    check("even-profile", even_checks, even)
+    check("duality-involution", dual_checks, even)
 
     if regime.continuum is not ContinuumClass.UNIQUE_EVEN:
-        def curve_checks():
-            curve = profiles.continue_curve(p, n_points=21)
+        def curve_checks(curve):
             sigmas, es = zip(*functionals.energy_along_curve(curve))
             return _unimodal(sigmas, np.array(es))
 
-        check("curve-energy-unimodal", curve_checks)
-        if regime.continuum is ContinuumClass.CONNECTED_ENDPOINTS:
-            check("connected-profile",
-                  lambda: profiles.steady_residual(profiles.connected_profile(p)) < 1e-9)
-        else:
-            check("boundary-profile",
-                  lambda: profiles.steady_residual(
-                      profiles.boundary_disconnected_profile(p).profile) < 1e-9)
+        curve = attempt(profiles.continue_curve, p, 21)
+        check("curve-energy-unimodal", curve_checks, curve)
+        connected = regime.continuum is ContinuumClass.CONNECTED_ENDPOINTS
+        # the curve's first state is bitwise the continuum's 'right' end, of
+        # either class; only a curve that failed leaves the end to build
+        end = curve[0].profile if not isinstance(curve, Exception) else attempt(
+            lambda: profiles.connected_profile(p) if connected
+            else profiles.boundary_disconnected_profile(p).profile)
+        check("connected-profile" if connected else "boundary-profile",
+              lambda pp: profiles.steady_residual(pp) < 1e-9, end)
 
     ok = all(checks.values())
     for name, passed in checks.items():
@@ -394,42 +400,36 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    th = sub.add_parser("thresholds", help="print the five critical viscosity ratios")
-    th.add_argument("--R", type=_positive, required=True)
-    th.add_argument("--eta", type=_positive, required=True)
-    th.set_defaults(func=cmd_thresholds)
+    def command(name: str, help: str, func, flags=("--R", "--R-mu", "--eta")):
+        """The subcommand's parser, running func; it takes the parameter flags
+        first, each a positive number ("--R-mu" is stored as R_mu)."""
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(func=func)
+        for flag in flags:
+            cmd.add_argument(flag, type=_positive, required=True)
+        return cmd
 
-    pr = sub.add_parser("profile", help="construct one steady profile")
-    pr.add_argument("--R", type=_positive, required=True)
-    pr.add_argument("--R-mu", dest="R_mu", type=_positive, required=True)
-    pr.add_argument("--eta", type=_positive, required=True)
+    command("thresholds", "print the five critical viscosity ratios", cmd_thresholds,
+            ("--R", "--eta"))
+
+    pr = command("profile", "construct one steady profile", cmd_profile)
     pr.add_argument("--kind", choices=["even", "connected", "curve-endpoint"],
                     default="even")
     pr.add_argument("--side", choices=["left", "right"], default="right")
     pr.add_argument("-n", "--n-samples", type=int, default=1001)
     pr.add_argument("--out-dir", default=None)
-    pr.set_defaults(func=cmd_profile)
 
-    cv = sub.add_parser("curve", help="trace the continuation curve of steady states")
-    cv.add_argument("--R", type=_positive, required=True)
-    cv.add_argument("--R-mu", dest="R_mu", type=_positive, required=True)
-    cv.add_argument("--eta", type=_positive, required=True)
+    cv = command("curve", "trace the continuation curve of steady states", cmd_curve)
     cv.add_argument("-n", "--n-points", type=int, default=101,
                     help="number of states, odd and at least 5 (else a usage error, "
                          "exit 2): the even state at the centre, sigma = 0")
     cv.add_argument("--out-dir", default=None)
-    cv.set_defaults(func=cmd_curve)
 
-    sim = sub.add_parser("simulate", help="run the upwind finite-volume scheme")
+    sim = command("simulate", "run the upwind finite-volume scheme", cmd_simulate, ())
     sim.add_argument("--config", required=True)
     sim.add_argument("--out-dir", default=None)
-    sim.set_defaults(func=cmd_simulate)
 
-    vf = sub.add_parser("verify", help="run the invariant battery for one triple")
-    vf.add_argument("--R", type=_positive, required=True)
-    vf.add_argument("--R-mu", dest="R_mu", type=_positive, required=True)
-    vf.add_argument("--eta", type=_positive, required=True)
-    vf.set_defaults(func=cmd_verify)
+    command("verify", "run the invariant battery for one triple", cmd_verify)
 
     return ap
 

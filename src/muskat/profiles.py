@@ -8,8 +8,8 @@ lets the verification tolerances sit near machine precision.
 The constructions follow three routes:
 
 * even profiles: five parameter regimes, two of them with closed-form
-  support radii, two reduced to a single monotone scalar equation (one
-  directly, one through the fluid-swap duality), and one degenerate;
+  support radii and two reduced to a single monotone scalar equation (one
+  of each pair through the fluid-swap duality), and one degenerate;
 * non-symmetric profiles with connected supports: a scalar equation for the
   support ratio, solved on [0, 1);
 * non-symmetric profiles with one disconnected support: an underdetermined
@@ -27,17 +27,18 @@ states: 'left' the traced one at +sigma_end, 'right' its mirror at -sigma_end.
 
 Every state of sextuplet shape gamma1 <= beta1 <= alpha1 <= 0 <= alpha <=
 beta <= gamma (even with a split film, connected, boundary, curve) gets its
-pieces from the one function ``_zeta_pieces``.  Each returned state is built
-and checked once: its algebraic system by the solver that computes it, in the
-frame that solves it, then its fields in p by ``checks.check_pairs``, a whole
-curve (its even state too) in one batch.  Only ``profile_from_zeta``, given a
-sextuplet from outside, checks a sextuplet's order and system residual in p.
+pieces from the one split-G layout of ``_zeta_layout``.  Each returned state
+is built and checked once: its algebraic system by the solver that computes
+it, in the frame that solves it, then its fields in p by
+``checks.check_pairs``, a whole curve (its even state too) in one batch.
+Only ``profile_from_zeta``, given a sextuplet from outside, checks a
+sextuplet's order and system residual in p.
 
-Every one of these states whose even profile has F split (R_mu <= r_minus)
-is built in the dual parameters and mapped back by the duality's dilation
-alone, zeta -> lam * zeta (``_work_frame``, ``_p_frame_states``): such a
-state, a whole curve included, is lam times the same state of its dual
-triple, bitwise.
+Below r0 (CASE4, CASE5) every state is the dual triple's, dilated
+(``_work_frame``): its sextuplet is lam times the dual one, so a curve is lam
+times the dual curve, bitwise (``_p_frame_states``), and its pieces are the
+dual state's at zeta / lam with the fields swapped, c0 / lam and c2 / lam^3,
+each end p's own (``_zeta_layout``; CASE5 is the dual's CASE2 state).
 """
 
 from __future__ import annotations
@@ -367,18 +368,12 @@ def _float_fields(fields) -> tuple[list, list]:
     return Fs, Gs
 
 
-def _finish_pairs(p: FluidParams, fields, label: str, zetas=None) -> list[ProfilePair]:
-    """The pairs of p with each state's (F pieces, G pieces) and zeta, every
-    state checked in one batch (see ``check_pairs``)."""
-    Fs, Gs = _float_fields(fields)
-    check_pairs(p, Fs, Gs, label)
-    return [ProfilePair._checked(F, G, p, label, zeta)
-            for F, G, zeta in zip(Fs, Gs, zetas or [None] * len(Fs))]
-
-
-def _finish_pair(F, G, p, label, zeta=None) -> ProfilePair:
-    zetas = None if zeta is None else [tuple(float(z) for z in zeta)]
-    return _finish_pairs(p, [(F, G)], label, zetas)[0]
+def _finish_pair(p: FluidParams, fields, label: str, zeta=None) -> ProfilePair:
+    """The pair of p with these (F pieces, G pieces) and zeta, checked as a
+    batch of one (see ``check_pairs``)."""
+    (F,), (G,) = _float_fields([fields])
+    check_pairs(p, [F], [G], label)
+    return ProfilePair._checked(F, G, p, label, zeta)
 
 
 # ----------------------------------------------------------------------
@@ -440,44 +435,36 @@ def _checked_case3(p: FluidParams, a: float, b: float, g: float) -> tuple[float,
 
 def even_profile(p: FluidParams) -> ProfilePair:
     """The unique even steady state for the given parameters."""
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
     regime = classify_regime(p)
     case = regime.even_case
 
     if case is EvenCase.CASE1:
+        R, Rmu, e2 = p.R, p.R_mu, p.eta**2
         b = (4.5 * e2 * Rmu / (Rmu - R)) ** (1.0 / 3.0)
         k = (Rmu - R) / (6.0 * e2 * Rmu)
         Fp = [(-b, b, k * b**2, -k)]
-        return _finish_pair(Fp, Fp, p, "even-case1")
+        return _finish_pair(p, (Fp, Fp), "even-case1")
 
-    if case is EvenCase.CASE2:
-        b = (4.5 * e2 * Rmu / (Rmu - R)) ** (1.0 / 3.0)
-        g = (4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
-        kF = (Rmu - R) / (6.0 * Rmu * e2)
-        Fp = [(-b, b, kF * b**2, -kF)]
-        mid = (g**2 + (R - Rmu) * b**2) / (6.0 * Rmu)
-        Gp = [(-g, -b, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu)),
-              (-b, b, mid, -(1.0 + R - Rmu) / (6.0 * Rmu)),
-              (b, g, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu))]
-        return _finish_pair(Fp, Gp, p, "even-case2")
-
+    work, lam = _work_frame(p, regime)
     if case in (EvenCase.CASE3, EvenCase.CASE4):
-        work, lam = _work_frame(p, regime)
         a, b, g = _solve_even_case3(work)
-        (zeta,), (fields,) = _p_frame_states(p, [(-g, -b, -a, a, b, g)], lam)
-        return _finish_pair(*fields, p, f"even-case{case.value}", zeta=zeta)
+        (zeta,), (fields,) = _p_frame_states(p, [(-g, -b, -a, a, b, g)], work, lam)
+        return _finish_pair(p, fields, f"even-case{case.value}", zeta)
 
-    # CASE5
-    b = (4.5 * Rmu / (1.0 + R - Rmu)) ** (1.0 / 3.0)
-    g = (4.5 * ((1.0 + R) * e2 + R)) ** (1.0 / 3.0)
-    cF = g**2 / (6.0 * (1.0 + R) * e2) \
-        - R * (1.0 + R - Rmu) * b**2 / (6.0 * (1.0 + R) * Rmu * e2)
-    Fp = [(-g, -b, g**2 / (6.0 * (1.0 + R) * e2), -1.0 / (6.0 * (1.0 + R) * e2)),
-          (-b, b, cF, -(Rmu - R) / (6.0 * Rmu * e2)),
-          (b, g, g**2 / (6.0 * (1.0 + R) * e2), -1.0 / (6.0 * (1.0 + R) * e2))]
-    kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-    Gp = [(-b, b, kG * b**2, -kG)]
-    return _finish_pair(Fp, Gp, p, "even-case5")
+    # CASE2; CASE5 is the dual triple's CASE2 state, mapped as ``_zeta_layout`` maps
+    # a state, its radii lam times the dual's (lam = 1.0 for CASE2)
+    R, Rmu, e2 = work.R, work.R_mu, work.eta**2
+    b = (4.5 * e2 * Rmu / (Rmu - R)) ** (1.0 / 3.0)
+    g = (4.5 * Rmu * (1.0 + e2)) ** (1.0 / 3.0)
+    lb, lg, lam3 = lam * b, lam * g, lam**3
+    kF = (Rmu - R) / (6.0 * Rmu * e2)
+    Fw = [(-lb, lb, kF * b**2 / lam, -kF / lam3)]
+    mid = (g**2 + (R - Rmu) * b**2) / (6.0 * Rmu)
+    Gw = [(-lg, -lb, g**2 / (6.0 * Rmu) / lam, -1.0 / (6.0 * Rmu) / lam3),
+          (-lb, lb, mid / lam, -(1.0 + R - Rmu) / (6.0 * Rmu) / lam3),
+          (lb, lg, g**2 / (6.0 * Rmu) / lam, -1.0 / (6.0 * Rmu) / lam3)]
+    Fp, Gp = (Fw, Gw) if work is p else (Gw, Fw)
+    return _finish_pair(p, (Fp, Gp), f"even-case{case.value}")
 
 
 # ----------------------------------------------------------------------
@@ -601,33 +588,43 @@ def _continuum_end(p: FluidParams, ends: ContinuumClass, side: str) -> CurvePoin
 # ----------------------------------------------------------------------
 
 
+def _zeta_layout(p: FluidParams, work: FluidParams, lam: float):
+    """The map zeta -> (F pieces, G pieces) of p's sextuplets g1 <= b1 <= a1
+    <= 0 <= a <= b <= g, in the frame ``(work, lam)`` that solves them
+    (``_work_frame``), taken once for all of them.  The one layout is G
+    split, in p where ``work is p`` (lam = 1.0, and each division by it
+    exact); else p's state is the work frame's at zeta / lam, dilated: the
+    fields swap, and each piece's c0 is divided by lam and its c2 by lam^3.
+    Every piece end is an entry of zeta itself; zero-width pieces are
+    dropped later."""
+    R, Rmu, e2 = work.R, work.R_mu, work.eta**2
+    kF = (Rmu - R) / (6.0 * Rmu * e2)
+    kG = (1.0 + R - Rmu) / (6.0 * Rmu)  # negative: G is split
+    dF, dG, lam3 = 6.0 * (1.0 + R) * Rmu * e2, 6.0 * Rmu, lam**3
+    c2F, c2G = -kF / lam3, -kG / lam3
+    c2m, c2o = -1.0 / (6.0 * (1.0 + R) * e2) / lam3, -1.0 / dG / lam3
+
+    def pieces(zeta: Sequence[float]) -> tuple[list, list]:
+        z0, z1, z2, z3, z4, z5 = zeta
+        g1, b1, a1, a, b, g = zeta if work is p else [z / lam for z in zeta]
+        Fw = [(z1, z2, kF * b1**2 / lam, c2F),
+              (z2, z3, (R * g1**2 + (Rmu - R) * b1**2) / dF / lam, c2m),
+              (z3, z4, kF * b**2 / lam, c2F)]
+        Gw = [(z0, z1, g1**2 / dG / lam, c2o),
+              (z1, z2, kG * a1**2 / lam, c2G),
+              (z3, z4, kG * a**2 / lam, c2G),
+              (z4, z5, g**2 / dG / lam, c2o)]
+        return (Fw, Gw) if work is p else (Gw, Fw)
+
+    return pieces
+
+
 def _zeta_pieces(p: FluidParams, zeta: Sequence[float]) -> tuple[list, list]:
-    """Pieces of F and G for g1 <= b1 <= a1 <= 0 <= a <= b <= g: G split where
-    ``_sextuplet_system`` is R1, else F split; zero-width pieces are dropped later."""
-    g1, b1, a1, a, b, g = zeta
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
-    kF = (Rmu - R) / (6.0 * Rmu * e2)  # negative when F is split
-    kG = (1.0 + R - Rmu) / (6.0 * Rmu)
-    if _sextuplet_system(p) is residuals_R1:
-        c0m = (R * g1**2 + (Rmu - R) * b1**2) / (6.0 * (1.0 + R) * Rmu * e2)
-        Fp = [(b1, a1, kF * b1**2, -kF),
-              (a1, a, c0m, -1.0 / (6.0 * (1.0 + R) * e2)),
-              (a, b, kF * b**2, -kF)]
-        Gp = [(g1, b1, g1**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu)),
-              (b1, a1, kG * a1**2, -kG),
-              (a, b, kG * a**2, -kG),
-              (b, g, g**2 / (6.0 * Rmu), -1.0 / (6.0 * Rmu))]
-        return Fp, Gp
-    cO = 1.0 / (6.0 * (1.0 + R) * e2)
-    Fp = [(g1, b1, cO * g1**2, -cO),
-          (b1, a1, kF * a1**2, -kF),
-          (a, b, kF * a**2, -kF),
-          (b, g, cO * g**2, -cO)]
-    c0m = ((Rmu - R) * a1**2 + (1.0 + R - Rmu) * b1**2) / (6.0 * Rmu)
-    Gp = [(b1, a1, kG * b1**2, -kG),
-          (a1, a, c0m, -1.0 / (6.0 * Rmu)),
-          (a, b, kG * b**2, -kG)]
-    return Fp, Gp
+    """Pieces of F and G for the sextuplet zeta of p (``_zeta_layout``), in
+    ``_work_frame``'s frame: p where its system is R1 (above r0), else the
+    dual parameters (R2, below r0)."""
+    frame = (p, 1.0) if _sextuplet_system(p) is residuals_R1 else dual_params(p)
+    return _zeta_layout(p, *frame)(zeta)
 
 
 def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
@@ -652,7 +649,7 @@ def profile_from_zeta(p: FluidParams, zeta: Sequence[float]) -> ProfilePair:
     if res > max(1e-8, 1e-12 * 9.0 * p.R_mu * (1.0 + p.R) * (1.0 + p.eta**2)):
         raise InvalidZetaError(f"system residual {res:.3e} too large")
     label = "zeta-large" if system is residuals_R1 else "zeta-small"
-    return _finish_pair(*_zeta_pieces(p, zeta), p, label, zeta)
+    return _finish_pair(p, _zeta_pieces(p, zeta), label, zeta)
 
 
 # ----------------------------------------------------------------------
@@ -668,9 +665,8 @@ def _mirror(pieces: Sequence[Piece]) -> list:
 def reflect(pp: ProfilePair) -> ProfilePair:
     """Mirror image about x = 0 (also a steady state)."""
     fields = (_mirror(pp.F.pieces), _mirror(pp.G.pieces))
-    return _finish_pairs(pp.params, [fields],
-                         pp.label + "|reflected" if pp.label else "reflected",
-                         [None if pp.zeta is None else _reflect_zeta(pp.zeta)])[0]
+    return _finish_pair(pp.params, fields, pp.label + "|reflected" if pp.label else "reflected",
+                        None if pp.zeta is None else _reflect_zeta(pp.zeta))
 
 
 def dual_transform(pp: ProfilePair) -> ProfilePair:
@@ -689,8 +685,7 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
     # q -> lam q(lam .), which keeps the mass
     fields = tuple([(l / lam, r / lam, lam * c0, lam**3 * c2) for l, r, c0, c2 in q.pieces]
                    for q in (pp.G, pp.F))
-    return _finish_pairs(p1, [fields], (pp.label + "|dual") if pp.label else "dual",
-                         [zeta1])[0]
+    return _finish_pair(p1, fields, (pp.label + "|dual") if pp.label else "dual", zeta1)
 
 
 # ----------------------------------------------------------------------
@@ -699,25 +694,25 @@ def dual_transform(pp: ProfilePair) -> ProfilePair:
 
 
 def _work_frame(p: FluidParams, regime: Regime) -> tuple[FluidParams, float]:
-    """(work, lam): the frame in which the non-even states of p, and an even
-    state with a split support, are built and their algebraic systems solved
-    and checked.  That is p itself, with lam = 1.0, when its even profile has
-    G split (CASE3), else the dual parameters, with the duality's lam, which
-    can be 1.0 too: ``work is p`` tells the frames apart.  A work-frame
-    sextuplet z maps to p as lam * z (``_p_frame_states``), the one map from
-    the work frame to p."""
-    if regime.even_case is EvenCase.CASE3:
-        return p, 1.0
-    return dual_params(p)
+    """(work, lam): the frame in which the states of p other than CASE1's are
+    built, and their algebraic systems solved and checked.  That is p itself,
+    with lam = 1.0, at or above r0, else (CASE4, CASE5) the dual parameters,
+    with the duality's lam, which can be 1.0 too: ``work is p`` tells the
+    frames apart.  A work-frame sextuplet z maps to p as lam * z
+    (``_p_frame_states``), the one map from the work frame to p, and a
+    state's pieces as ``_zeta_layout`` maps them."""
+    if regime.even_case in (EvenCase.CASE4, EvenCase.CASE5):
+        return dual_params(p)
+    return p, 1.0
 
 
 def _p_frame_states(p: FluidParams, zws: Sequence[Sequence[float]],
-                    lam: float) -> tuple[list, list]:
-    """(zetas, fields): the sextuplets in p of the work-frame ones zws, each
-    dilated by the duality's lam (1.0 when p is the work frame), and each
-    one's (F pieces, G pieces)."""
+                    work: FluidParams, lam: float) -> tuple[list, list]:
+    """(zetas, fields): the sextuplets in p of the sextuplets zws of the work
+    frame ``(work, lam)``, each dilated by lam, and each one's (F pieces,
+    G pieces)."""
     zetas = [tuple([lam * z for z in zw]) for zw in zws]
-    return zetas, [_zeta_pieces(p, zeta) for zeta in zetas]
+    return zetas, list(map(_zeta_layout(p, work, lam), zetas))
 
 
 def _mirror_finished(zetas: list, Fs: list, Gs: list) -> tuple[list, list, list]:
@@ -804,7 +799,7 @@ def _continuum_state(p: FluidParams, cont: _Continuum, sigma: float) -> CurvePoi
         a, b, g = _split_G_radii(work)
         zw = ((-g, -b, -a, a, b, g) if sigma == 0.0
               else _solve_R1_at(work, abs(sigma) / lam, 0.0, [a, b], None, None, cont.tol)[1])
-    zetas, fields = _p_frame_states(p, [zw], lam)
+    zetas, fields = _p_frame_states(p, [zw], work, lam)
     Fs, Gs = _float_fields(fields)
     if sigma < 0.0:
         zetas, Fs, Gs = _mirror_finished(zetas, Fs, Gs)
@@ -966,7 +961,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
         u_prev, s_prev, u_cur, s_cur = u_cur, s_cur, u_new, s_new
     zws.append(zeta_end)
 
-    zetas, fields = _p_frame_states(p, zws, lam)
+    zetas, fields = _p_frame_states(p, zws, work, lam)
     Fs, Gs = _float_fields(fields)
     low_zetas, low_Fs, low_Gs = _mirror_finished(zetas[1:], Fs[1:], Gs[1:])
     return _curve_points(p, work, low_zetas + zetas, low_Fs + Fs, low_Gs + Gs, even_label)
@@ -985,27 +980,22 @@ def curve_endpoint_kind(p: FluidParams) -> str:
 # ----------------------------------------------------------------------
 
 
-def _fifth_power_energy(p: FluidParams, zetas: np.ndarray) -> np.ndarray:
-    R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+def _closed_form_energies(p: FluidParams, zetas: np.ndarray) -> np.ndarray:
+    """Rescaled energy E_* of each curve state, a row of an (N, 6) array of
+    sextuplets in p, from fifth powers of its entries, in the frame that
+    solves it: p for R_mu > R + 1, else the dual parameters, for R_mu < R,
+    where the state is lam times a dual one (dividing by lam = 1.0 is exact)."""
+    system = _sextuplet_system(p)
+    if system is None:
+        raise RegimeError("closed-form curve energy needs R_mu > R + 1 or R_mu < R")
+    work, lam = (p, 1.0) if system is residuals_R1 else dual_params(p)
+    R, Rmu, e2 = work.R, work.R_mu, work.eta**2
     # fifth powers by Python's float power, as the scalar form took them
-    g1, b1, a1, a, b, g = np.reshape([z**5 for z in zetas.ravel().tolist()], zetas.shape).T
+    g1, b1, a1, a, b, g = np.reshape([z**5 for z in (zetas / lam).ravel().tolist()], zetas.shape).T
     return (R * (g - g1)
             + (Rmu - R) ** 2 * (b - b1)
             - R * (Rmu - R - 1.0) ** 2 * (a - a1) / (1.0 + R)
-            ) / (90.0 * e2 * Rmu**2)
-
-
-def _closed_form_energies(p: FluidParams, zetas: np.ndarray) -> np.ndarray:
-    """Rescaled energy E_* of each curve state, a row of an (N, 6) array of
-    sextuplets in p, from fifth powers of its entries (in the dual
-    parameters for R_mu < R, where the state is lam times a dual one)."""
-    system = _sextuplet_system(p)
-    if system is residuals_R1:
-        return _fifth_power_energy(p, zetas)
-    if system is residuals_R2:
-        p1, lam = dual_params(p)
-        return _fifth_power_energy(p1, zetas / lam) / lam
-    raise RegimeError("closed-form curve energy needs R_mu > R + 1 or R_mu < R")
+            ) / (90.0 * e2 * Rmu**2) / lam
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, manifest reproducibility."""
 
+import argparse
+import collections
 import hashlib
 import json
 import math
@@ -8,7 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muskat.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_REGIME, EXIT_USAGE, _unimodal, main
+from muskat import profiles
+from muskat.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_REGIME,
+    EXIT_USAGE,
+    _positive,
+    _unimodal,
+    main,
+)
+from muskat.numerics import NumericsError
 
 
 def run_cli(capsys, *argv):
@@ -474,6 +486,94 @@ def test_verify_just_above_r_plus_is_unique_even(capsys):
     assert code == EXIT_OK
     assert out.count("PASS") == 3 and "FAIL" not in out
     assert '"continuum": "unique-even"' in out
+
+
+def _count_calls(monkeypatch, names, fail=()) -> collections.Counter:
+    """Count the calls of these ``profiles`` functions; those in ``fail`` raise."""
+    calls = collections.Counter()
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(profiles, name)):
+            calls[_name] += 1
+            if _name in fail:
+                raise NumericsError(f"{_name} failed on purpose")
+            return _real(*args)
+        monkeypatch.setattr(profiles, name, counted)
+    return calls
+
+
+def test_verify_builds_each_state_once(capsys, monkeypatch):
+    # one even state serves the even and the duality checks, and the curve's
+    # first state is the connected end: one set-up of the continuum
+    calls = _count_calls(monkeypatch, ("even_profile", "_continuum_setup"))
+    code, out, err = run_cli(capsys, "verify", "--R", "1", "--R-mu", "21", "--eta", "1")
+    assert code == EXIT_OK and out.count("PASS") == 5 and err == ""
+    assert calls == {"even_profile": 1, "_continuum_setup": 1}
+
+
+def test_verify_reports_a_state_that_failed_in_each_of_its_checks(capsys, monkeypatch):
+    # the even state that failed is built once and fails both of its checks with
+    # its error; the curve that failed leaves the end to build on its own
+    calls = _count_calls(monkeypatch, ("even_profile", "continue_curve", "connected_profile"),
+                         fail=("even_profile", "continue_curve"))
+    code, out, err = run_cli(capsys, "verify", "--R", "1", "--R-mu", "21", "--eta", "1")
+    assert code == EXIT_NUMERICAL
+    assert calls == {"even_profile": 1, "continue_curve": 1, "connected_profile": 1}
+    assert err.splitlines() == [
+        f"  [{name}] raised NumericsError: {fn} failed on purpose" for name, fn in (
+            ("even-profile", "even_profile"), ("duality-involution", "even_profile"),
+            ("curve-energy-unimodal", "continue_curve"))]
+    assert out.splitlines()[:5] == ["PASS  threshold-ordering", "FAIL  even-profile",
+                                    "FAIL  duality-involution", "FAIL  curve-energy-unimodal",
+                                    "PASS  connected-profile"]
+
+
+def _parser_written_out() -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand's flags written out in
+    full, the oracle of ``cli.build_parser``'s help."""
+    ap = argparse.ArgumentParser(prog="muskat",
+                                 description="Self-similar profiles and upwind "
+                                             "finite-volume runs for the two-layer "
+                                             "thin-film system")
+    ap.add_argument("--version", action="version", version="0")
+    sub = ap.add_subparsers(dest="command", required=True)
+    th = sub.add_parser("thresholds", help="print the five critical viscosity ratios")
+    th.add_argument("--R", type=_positive, required=True)
+    th.add_argument("--eta", type=_positive, required=True)
+    pr = sub.add_parser("profile", help="construct one steady profile")
+    pr.add_argument("--R", type=_positive, required=True)
+    pr.add_argument("--R-mu", dest="R_mu", type=_positive, required=True)
+    pr.add_argument("--eta", type=_positive, required=True)
+    pr.add_argument("--kind", choices=["even", "connected", "curve-endpoint"],
+                    default="even")
+    pr.add_argument("--side", choices=["left", "right"], default="right")
+    pr.add_argument("-n", "--n-samples", type=int, default=1001)
+    pr.add_argument("--out-dir", default=None)
+    cv = sub.add_parser("curve", help="trace the continuation curve of steady states")
+    cv.add_argument("--R", type=_positive, required=True)
+    cv.add_argument("--R-mu", dest="R_mu", type=_positive, required=True)
+    cv.add_argument("--eta", type=_positive, required=True)
+    cv.add_argument("-n", "--n-points", type=int, default=101,
+                    help="number of states, odd and at least 5 (else a usage error, "
+                         "exit 2): the even state at the centre, sigma = 0")
+    cv.add_argument("--out-dir", default=None)
+    sim = sub.add_parser("simulate", help="run the upwind finite-volume scheme")
+    sim.add_argument("--config", required=True)
+    sim.add_argument("--out-dir", default=None)
+    vf = sub.add_parser("verify", help="run the invariant battery for one triple")
+    vf.add_argument("--R", type=_positive, required=True)
+    vf.add_argument("--R-mu", dest="R_mu", type=_positive, required=True)
+    vf.add_argument("--eta", type=_positive, required=True)
+    return ap
+
+
+@pytest.mark.parametrize("command", [[], ["thresholds"], ["profile"], ["curve"],
+                                     ["simulate"], ["verify"]])
+def test_help_is_byte_identical_to_the_flags_written_out(capsys, command):
+    assert main([*command, "--help"]) == EXIT_OK
+    got = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        _parser_written_out().parse_args([*command, "--help"])
+    assert got == capsys.readouterr().out
 
 
 def test_curve_just_below_r_M_has_alpha_zero_endpoints(tmp_path, capsys):

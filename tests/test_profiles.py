@@ -1142,6 +1142,69 @@ def test_dual_regime_states_are_the_dilation_of_the_dual_states(p):
     assert even_profile(p).zeta == tuple(lam * z for z in even_profile(p1).zeta)
 
 
+def _below_r0_triples() -> list:
+    """Triples below r0: four named ones, then for four seeded (R, eta) one
+    triple each that is connected-small, disconnected-small and CASE5."""
+    out = [FluidParams(1.0, 0.01, 1.0), FluidParams(1.0, 0.1, 1.0), FluidParams(1.0, 1.2, 1.0),
+           FluidParams(10.0, 2.0, math.sqrt(5.0))]  # lam is exactly 1.0 on the last
+    rng = np.random.default_rng(34)
+    for _ in range(4):
+        R, eta = (float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+                  for lo, hi in ((0.2, 5.0), (0.5, 2.0)))
+        th = thresholds(FluidParams(R, 1.0, eta))
+        for lo, hi in ((0.1 * th.r_m, th.r_m), (th.r_m, th.r_minus), (th.r_minus, th.r0)):
+            out.append(FluidParams(R, lo * (hi / lo) ** float(rng.uniform(0.1, 0.9)), eta))
+    return out
+
+
+@pytest.mark.parametrize("p", _below_r0_triples(), ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
+def test_states_below_r0_are_the_dual_states_pieces_dilated(p):
+    # below r0 each state's pieces are, bitwise, those of its dual triple's
+    # state at zeta / lam, dilated: the fields swap, each c0 is divided by lam
+    # and each c2 by lam^3, and each end is the entry of p's own sextuplet
+    # (lam times the dual radii for CASE5, which has none); the sigma < 0 half
+    # of a curve and each 'right' end are the bitwise mirrors of their partners
+    work, lam = dual_params(p)
+    regime = classify_regime(p)
+
+    def dilated(dual, end) -> list:
+        return _typed_bits([(end(l), end(r), c0 / lam, c2 / lam**3) for l, r, c0, c2 in dual])
+
+    def assert_dual_at(pp, zeta):
+        zw = tuple(z / lam for z in zeta)
+        dual, end = profile_from_zeta(work, zw), dict(zip(zw, zeta)).__getitem__
+        assert _typed_bits(pp.F.pieces) == dilated(dual.G.pieces, end)
+        assert _typed_bits(pp.G.pieces) == dilated(dual.F.pieces, end)
+
+    def assert_mirrors(pp, twin):
+        image = reflect_by_constructor(twin)
+        assert _typed_bits(pp.F.pieces) == _typed_bits(image.F.pieces)
+        assert _typed_bits(pp.G.pieces) == _typed_bits(image.G.pieces)
+
+    even = even_profile(p)
+    if regime.even_case is EvenCase.CASE5:
+        dual = even_profile(work)
+        assert dual.label == "even-case2" and even.zeta is None
+        assert _typed_bits(even.F.pieces) == dilated(dual.G.pieces, lambda x: lam * x)
+        assert _typed_bits(even.G.pieces) == dilated(dual.F.pieces, lambda x: lam * x)
+        return
+    assert regime.even_case is EvenCase.CASE4
+    assert_dual_at(even, even.zeta)
+    n = 11
+    curve = continue_curve(p, n)
+    for i, cp in enumerate(curve):
+        if i >= n // 2:
+            assert_dual_at(cp.profile, cp.zeta)
+        else:
+            assert_mirrors(cp.profile, curve[n - 1 - i].profile)
+    if regime.continuum is ContinuumClass.CONNECTED_ENDPOINTS:
+        left, right = (connected_profile(p, side) for side in ("left", "right"))
+    else:
+        left, right = (boundary_disconnected_profile(p, side).profile for side in ("left", "right"))
+    assert_dual_at(left, curve[-1].zeta)
+    assert_mirrors(right, left)
+
+
 def test_curve_recovers_from_one_newton_failure(monkeypatch):
     p = FluidParams(1.0, 10.0, 1.0)
     ref = continue_curve(p, 11)
