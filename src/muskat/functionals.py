@@ -6,6 +6,8 @@ E_* = E + M2/6.  On steady states E_* = M2/2 = (3/2) E and the weighted
 first moment M1 vanishes; along the continuation curve E_* is strictly
 unimodal with its minimum at the even state.  On piecewise-quadratic
 fields every functional, the entropy included, is a closed form per piece.
+A curve is evaluated as one batch, on the ``checks.Pieces`` table that its
+construction checked, each mirror image taking its partner's report.
 """
 
 from __future__ import annotations
@@ -145,8 +147,16 @@ def _report(p: FluidParams, iFF: float, iFG: float, iGG: float, m1: float, m2: f
     """Report from the L2 products of the fields, their moments and entropy."""
     e2, R = p.eta**2, p.R
     energy = 0.5 * e2 * (1.0 + R) * iFF + R * iFG + 0.5 * R / e2 * iGG
-    return FunctionalReport(energy=energy, rescaled_energy=energy + m2 / 6.0, m1=m1, m2=m2,
-                            entropy=entropy, dissipation=dissipation)
+    return _new_report(energy=energy, rescaled_energy=energy + m2 / 6.0, m1=m1, m2=m2,
+                       entropy=entropy, dissipation=dissipation)
+
+
+def _new_report(*fields: dict, **values) -> FunctionalReport:
+    """The report with these field values, made without the frozen dataclass's
+    initializer."""
+    rep = object.__new__(FunctionalReport)
+    rep.__dict__.update(*fields, **values)
+    return rep
 
 
 def _fields_reports(p: FluidParams, pcs: Pieces) -> tuple[list[FunctionalReport], np.ndarray]:
@@ -259,7 +269,10 @@ def curve_reports(curve: list[CurvePoint]) -> list[FunctionalReport]:
     (i and n - 1 - i, as ``continue_curve`` builds its sigma < 0 half) is
     not evaluated: E, E_*, M2 and H are mirror-invariant, so it takes its
     partner's report with M1 negated.  Every state keeps its own closed-form
-    check.
+    check.  A curve as ``profiles.continue_curve`` returns it, whose pairs
+    each keep their row of its table (``ProfilePair._row``), is evaluated on
+    that table and mirror map; any other list of states on a table of all
+    their pieces, its mirror pairs found by comparing them (``_mirrored``).
     """
     if not curve:
         return []
@@ -267,21 +280,26 @@ def curve_reports(curve: list[CurvePoint]) -> list[FunctionalReport]:
     if any(cp.profile.params != p for cp in curve):
         raise ValueError("curve states must share one parameter triple")
     n = len(curve)
-    pcs = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)])
-    mirrored = _mirrored(pcs).tolist()
+    traced, mirrored, _ = curve[0].profile._row or (None, 0, 0)
     # source[i]: the state whose report state i takes, its mirror partner or
-    # itself; at[i]: that state's place among the evaluated ones
-    source = [n - 1 - i if i < n - 1 - i and mirrored[i] else i for i in range(n)]
-    evaluated, at = np.unique(source, return_inverse=True)
-    own, negative = _fields_reports(p, pcs.take((2 * evaluated[:, None] + [0, 1]).ravel()))
-    reports = []
-    for i, (j, k) in enumerate(zip(source, at.tolist())):
-        rep = own[k]
-        if i != j:  # the partner's report with M1 negated, made without the initializer
-            image = object.__new__(FunctionalReport)
-            image.__dict__.update(rep.__dict__, m1=-rep.m1)
-            rep = image
-        reports.append(rep)
+    # itself; at[i]: that state's place among the evaluated ones, the rows of
+    # the table ``traced``
+    if (traced is not None and n == mirrored + len(traced.count) // 2
+            and all(cp.profile._row == (traced, mirrored, i) for i, cp in enumerate(curve))):
+        # the batch that ``_curve_points`` checked, its table that of the states
+        # from ``mirrored`` on, each state before them the mirror of state n - 1 - i
+        source = [n - 1 - i if i < mirrored else i for i in range(n)]
+        at = [j - mirrored for j in source]
+    else:
+        pcs = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)])
+        images = _mirrored(pcs).tolist()
+        source = [n - 1 - i if i < n - 1 - i and images[i] else i for i in range(n)]
+        evaluated, at = np.unique(source, return_inverse=True)
+        traced, at = pcs.take((2 * evaluated[:, None] + [0, 1]).ravel()), at.tolist()
+    own, negative = _fields_reports(p, traced)
+    # a mirror image takes its partner's report with M1 negated
+    reports = [own[k] if i == j else _new_report(own[k].__dict__, m1=-own[k].m1)
+               for i, (j, k) in enumerate(zip(source, at))]
     negative = negative[at]
     quad = [rep.rescaled_energy for rep in reports]
     closed = _closed_form_energies(p, np.array([cp.zeta for cp in curve], dtype=float)).tolist()

@@ -127,9 +127,9 @@ def _t_M(R: float, eta: float) -> float:
     t2 = R ** (2.0 / 3.0) * (1.0 + R) ** (1.0 / 3.0) / eta ** (4.0 / 3.0) - R
     b = max(2.0, t2) + 1.0
     fa = xi2(a, R, eta)
-    while xi2(b, R, eta) <= 0.0:
+    while xi2(b, R, eta) <= 0.0:  # xi2 -> +oo, unless eta^2 underflows
         b *= 2.0
-        if b > 1e30:
+        if b == math.inf:
             raise RuntimeError("failed to bracket the large-threshold root")
     if fa >= 0.0:
         raise RuntimeError("unexpected sign of xi2 at the left bracket end")

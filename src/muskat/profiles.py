@@ -30,7 +30,10 @@ beta <= gamma (even with a split film, connected, boundary, curve) gets its
 pieces from the one split-G layout of ``_zeta_layout``.  Each returned state
 is built and checked once: its algebraic system by the solver that computes
 it, in the frame that solves it, then its fields in p by
-``checks.check_pairs``, a whole curve (its even state too) in one batch.
+``checks.check_pairs``, a whole curve (its even state too) in one batch,
+on one ``Pieces`` table of its traced states from which the rows of the
+sigma < 0 half are mirrored; its pairs keep that table for
+``functionals.curve_reports``.
 Only ``profile_from_zeta``, given a sextuplet from outside, checks a
 sextuplet's order and system residual in p.
 
@@ -234,16 +237,22 @@ class ProfilePair:
     # grid -> read-only (2, n) stack of the exact cell averages of F and G
     _averages: dict = field(init=False, default_factory=dict, compare=False,
                             hash=False, repr=False)
+    # (traced, mirrored, i) when the pair is state i of a batch that
+    # ``_curve_points`` checked: ``traced`` is the ``Pieces`` table of the
+    # batch's states after its first ``mirrored``, which are the mirror images
+    # of its last ones in reverse order (``Pieces.with_mirrors``)
+    _row: tuple | None = field(init=False, default=None, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         check_pairs(self.params, [self.F], [self.G])
 
     @classmethod
-    def _checked(cls, F, G, params, label, zeta) -> "ProfilePair":
+    def _checked(cls, F, G, params, label, zeta, row=None) -> "ProfilePair":
         """A pair whose fields ``check_pairs`` has passed, built without
         running ``__post_init__``'s checks a second time."""
         pp = object.__new__(cls)
-        pp.__dict__.update(F=F, G=G, params=params, label=label, zeta=zeta, _averages={})
+        pp.__dict__.update(F=F, G=G, params=params, label=label, zeta=zeta, _averages={},
+                           _row=row)
         return pp
 
     @property
@@ -726,22 +735,31 @@ def _mirror_finished(zetas: list, Fs: list, Gs: list) -> tuple[list, list, list]
 
 
 def _curve_points(p: FluidParams, work: FluidParams, zetas: list, Fs: list, Gs: list,
-                  even_label: str | None = None) -> list[CurvePoint]:
-    """The states of p with these sextuplets and finished fields, solved in
-    ``work`` and checked as one batch (see ``check_pairs``), the centre one
-    labelled ``even_label`` when that is given; a state's curve parameter is
-    sigma = alpha + alpha1 of its sextuplet.  Each point is made without the
+                  even_label: str | None = None, mirrored: int = 0) -> list[CurvePoint]:
+    """The states of p with these sextuplets and finished fields, preceded by
+    the mirror images of the last ``mirrored`` of them in reverse order
+    (``_mirror_finished``), solved in ``work`` and checked as one batch, the
+    centre one labelled ``even_label`` when that is given; a state's curve
+    parameter is sigma = alpha + alpha1 of its sextuplet.  The batch's one
+    ``Pieces`` table is that of the given states, its mirror rows made from
+    theirs, and every pair keeps its row of it (``ProfilePair._row``) for
+    ``functionals.curve_reports``.  Each point is made without the
     dataclass's initializer, as ``ProfilePair._checked`` makes pairs."""
+    traced = Pieces([q for pair in zip(Fs, Gs) for q in pair])
+    if mirrored:
+        k = len(zetas) - mirrored
+        low_zetas, low_Fs, low_Gs = _mirror_finished(zetas[k:], Fs[k:], Gs[k:])
+        zetas, Fs, Gs = low_zetas + zetas, low_Fs + Fs, low_Gs + Gs
     label = "zeta-large" if work is p else "zeta-small"
-    check_pairs(p, Fs, Gs, label)
+    check_pairs(p, Fs, Gs, label, traced, mirrored)
     labels = [label] * len(zetas)
     if even_label is not None:
         labels[len(labels) // 2] = even_label
     points = []
-    for zeta, F, G, own in zip(zetas, Fs, Gs, labels):
+    for i, (zeta, F, G, own) in enumerate(zip(zetas, Fs, Gs, labels)):
         cp = object.__new__(CurvePoint)
-        cp.__dict__.update(ell=zeta[2] + zeta[3], zeta=zeta,
-                           profile=ProfilePair._checked(F, G, p, own, zeta))
+        cp.__dict__.update(ell=zeta[2] + zeta[3], zeta=zeta, profile=ProfilePair._checked(
+            F, G, p, own, zeta, (traced, mirrored, i)))
         points.append(cp)
     return points
 
@@ -963,8 +981,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
 
     zetas, fields = _p_frame_states(p, zws, work, lam)
     Fs, Gs = _float_fields(fields)
-    low_zetas, low_Fs, low_Gs = _mirror_finished(zetas[1:], Fs[1:], Gs[1:])
-    return _curve_points(p, work, low_zetas + zetas, low_Fs + Fs, low_Gs + Gs, even_label)
+    return _curve_points(p, work, zetas, Fs, Gs, even_label, mirrored=half)
 
 
 def curve_endpoint_kind(p: FluidParams) -> str:

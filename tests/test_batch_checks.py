@@ -14,10 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from muskat import cli
-from muskat.checks import Pieces, check_pairs, field_failures
+from muskat import cli, functionals
+from muskat.checks import Pieces, check_pairs, field_failures, steady_residuals
 from muskat.functionals import MismatchError, curve_reports, evaluate
-from muskat.params import ContinuumClass, FluidParams, classify_regime
+from muskat.params import ContinuumClass, FluidParams, classify_regime, thresholds
 from muskat.profiles import (
     InvalidZetaError,
     PiecewiseQuadratic,
@@ -180,6 +180,111 @@ def test_mismatch_in_one_state_raises_its_scalar_message():
         curve_reports(curve)
     assert str(info.value) == (f"energy mismatch at sigma = {bad.ell:.6g}: quadrature "
                                f"{quad:.15g} vs closed form {closed:.15g}")
+
+
+def _seeded_triples(seed: int) -> list[FluidParams]:
+    """One triple inside the R_mu window of each continuum class, at one seeded
+    (R, eta): disconnected-large, connected-large, disconnected-small,
+    connected-small, each R_mu 20 % to 80 % into its window."""
+    rng = np.random.default_rng(seed)
+    R, eta = (float(np.exp(rng.uniform(np.log(lo), np.log(hi)))) for lo, hi in ((0.5, 4.0),
+                                                                               (0.7, 1.4)))
+    th = thresholds(FluidParams(R, 1.0, eta))
+    u = rng.uniform(0.2, 0.8, size=4)
+    rmus = (th.r_plus + u[0] * (th.r_M - th.r_plus), th.r_M * (1.1 + u[1]),
+            th.r_m + u[2] * (th.r_minus - th.r_m), th.r_m * (0.3 + 0.6 * u[3]))
+    return [FluidParams(R, float(rmu), eta) for rmu in rmus]
+
+
+SEEDED = [p for seed in (1, 2) for p in _seeded_triples(seed)]
+
+
+def test_seeded_triples_cover_all_four_classes():
+    kinds = [(large, cont) for large in (True, False) for cont in (
+        ContinuumClass.DISCONNECTED_ENDPOINTS, ContinuumClass.CONNECTED_ENDPOINTS)]
+    assert [(p.R_mu > p.R + 1.0, classify_regime(p).continuum) for p in SEEDED] == kinds * 2
+
+
+def _same_table(a: Pieces, b: Pieces) -> None:
+    """Every array of the two tables equal, floats compared as int64 views so
+    that signed zeros and NaN payloads count."""
+    assert vars(a).keys() == vars(b).keys()
+    for name, x in vars(b).items():
+        y = getattr(a, name)
+        assert y.dtype == x.dtype and y.shape == x.shape, name
+        if x.dtype == np.float64:
+            x, y = x.view(np.int64), y.view(np.int64)
+        assert np.array_equal(y, x), name
+
+
+@pytest.mark.parametrize("n", [5, 21, 101])
+@pytest.mark.parametrize("p", SEEDED, ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
+def test_curve_table_is_the_pieces_of_all_its_fields(p, n):
+    # the curve keeps the table of its traced states (sigma >= 0), every state
+    # its row; the sigma < 0 rows made from it are bitwise Pieces of every
+    # field, and the residuals taken from the mirror partners bitwise the
+    # residuals of every state
+    curve = continue_curve(p, n)
+    traced, mirrored, _ = curve[0].profile._row
+    assert mirrored == n // 2 and len(traced.count) == 2 * (n // 2 + 1)
+    assert [cp.profile._row for cp in curve] == [(traced, mirrored, i) for i in range(n)]
+    every = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)])
+    _same_table(traced.with_mirrors(mirrored), every)
+    _same_table(traced, every.take(slice(2 * mirrored, None)))
+    with np.errstate(all="ignore"):  # 0 / 0 on padding, as inside check_pairs
+        taken, own = steady_residuals(p, traced, mirrored), steady_residuals(p, every)
+    assert np.array_equal(taken.view(np.int64), own.view(np.int64))
+
+
+@pytest.mark.parametrize("p", SEEDED, ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
+def test_muskat_curve_builds_one_pieces_table(p, tmp_path, monkeypatch):
+    # the curve's check and its reports share the one table of its traced states
+    builds, init = [], Pieces.__init__
+
+    def counting(self, fields):
+        builds.append(len(fields))
+        init(self, fields)
+
+    monkeypatch.setattr(Pieces, "__init__", counting)
+    argv = ["curve", "--R", repr(p.R), "--R-mu", repr(p.R_mu), "--eta", repr(p.eta),
+            "-n", "101", "--out-dir", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert builds == [2 * 51]
+
+
+def _detached(states):
+    """The states with their pairs built anew, through the initializer: no
+    pair keeps a row of its curve's table."""
+    return [dataclasses.replace(cp, profile=ProfilePair(cp.profile.F, cp.profile.G,
+                                                        cp.profile.params, cp.profile.label,
+                                                        cp.profile.zeta)) for cp in states]
+
+
+@pytest.mark.parametrize("p", TRIPLES + SEEDED[:4],
+                         ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
+def test_curve_reports_from_the_table_equal_the_scanned_ones(p, monkeypatch):
+    # the curve as built reads its table and mirror map, without a scan; a
+    # reversed, cut or re-sampled list, or states without rows, is scanned
+    # for mirror pairs, and every report is bitwise that of the scan
+    scans, scan = [], functionals._mirrored
+
+    def counting(pcs):
+        scans.append(len(pcs.count))
+        return scan(pcs)
+
+    monkeypatch.setattr(functionals, "_mirrored", counting)
+    curve = continue_curve(p, 21)
+    for states in (curve, curve[::-1], curve[:15], curve[3:], curve[::2], curve[1::3]):
+        scans.clear()
+        reports = curve_reports(states)
+        assert scans == ([] if states is curve else [2 * len(states)])
+        scans.clear()
+        scanned = curve_reports(_detached(states))
+        assert scans == [2 * len(states)] and len(reports) == len(scanned)
+        for rep, expect in zip(reports, scanned):
+            for name, value in dataclasses.asdict(rep).items():
+                assert _bits(value) == _bits(getattr(expect, name)), name
 
 
 PROFILES = ([("even", p) for p in TRIPLES]

@@ -54,6 +54,13 @@ def test_endpoint_root_returned():
     assert find_root_bracketed(lambda t: t, 0.0, 1.0) == 0.0
 
 
+def test_brent_bisects_where_an_extrapolation_divides_by_zero():
+    # scipy's C brentq gets +-inf or NaN there, which fails its short-step
+    # test, and bisects: it converges in 11 iterations to these bits
+    x = find_root_bracketed(lambda s: xi2(s, 1.0, 1e-40), 1.000000001, 7.968656700005689e+160)
+    assert x.hex() == "0x1.09527e2b59410p+534"
+
+
 def test_brent_bitwise_equals_scipy_brentq(monkeypatch):
     optimize = pytest.importorskip("scipy.optimize")
     solves = []  # arguments and result of every Brent solve
@@ -71,6 +78,9 @@ def test_brent_bitwise_equals_scipy_brentq(monkeypatch):
     # looser tolerances and iteration caps than find_root_bracketed's own,
     # through the port directly; unconverged iterates agree too
     numerics._brent(lambda t: t**3, -1.0, -1.0, 2.0, 8.0, 1e-14, 1e-13, 200)
+    # r_M's bracket at (R, eta) = (1, 1e-40): an extrapolation divides by
+    # zero, where brentq gets +-inf or NaN and bisects
+    find_root_bracketed(lambda s: xi2(s, 1.0, 1e-40), 1.000000001, 7.968656700005689e+160)
     for k in (1, 2, 3):
         assert not numerics._brent(math.cos, 0.0, 1.0, 3.0, math.cos(3.0), 1e-14, 1e-13, k)[1]
     # xi2 brackets of the large threshold, _xi_even brackets of the split-G profile

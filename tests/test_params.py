@@ -110,6 +110,33 @@ def test_thresholds_name_the_eta_limit():
         thresholds(FluidParams(1.0, 1.0, 1e8))
 
 
+@pytest.mark.parametrize("R, eta", [(1e-3, 1e6), (1e-3, 1e7), (1e-3, 3e7)])
+def test_r_M_bracket_doubles_past_1e30(R, eta):
+    # r_m's dual eta puts its xi2 root at or beyond 1e30: the right bracket end
+    # doubles until xi2 turns positive, which it does before b overflows
+    th = thresholds(FluidParams(R, 1.0, eta))
+    assert th.r_m < th.r_minus < th.r0 < th.r_plus < th.r_M
+    assert abs(xi2(th.r_M - R, R, eta)) / (1.0 + eta**2) < 1e-10
+    c = eta**2 * (1.0 + R) / R
+    assert abs(threshold_residual_small(th.r_m, R, eta)) / (1.0 + c) < 1e-10
+
+
+@pytest.mark.parametrize("R, eta, pair", [(1e3, 1e7, "r0 = 1001.0, r_plus = 1001.0"),
+                                          (1e3, 1e-7, "r_m = 1000.0, r_minus = 1000.0")])
+def test_thresholds_that_round_together_are_named_once_bracketed(R, eta, pair):
+    # both brackets are found, and the thresholds collapse onto R's float
+    with pytest.raises(RuntimeError, match=f"not strictly ordered at R = 1000.0, eta = {eta!r}: "
+                                           f"{pair}$"):
+        thresholds(FluidParams(R, 1.0, eta))
+
+
+def test_an_eta_that_rounds_r_m_bracket_to_1_is_named():
+    # r_M's root near 1.1e160 is bracketed and solved; r_m's dual eta of
+    # 7.1e39 then puts the left bracket end 1 + 1/eta^2 at 1
+    with pytest.raises(RuntimeError, match="1 \\+ 1/eta\\^2 rounds to 1"):
+        thresholds(FluidParams(1.0, 1.0, 1e-40))
+
+
 @pytest.mark.parametrize("R, eta", [(1.0, 1.0), (0.001, 15.117750706156615), (1.0, 1000.0)])
 @pytest.mark.parametrize("which", ["r_M", "r_m"])
 def test_threshold_cross_check_rejects_a_perturbed_root(R, eta, which, monkeypatch):
