@@ -25,6 +25,7 @@ from .params import (
     thresholds,
 )
 from .profiles import (
+    Curve,
     CurvePoint,
     PiecewiseQuadratic,
     ProfilePair,

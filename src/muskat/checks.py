@@ -4,7 +4,8 @@ every construction.  A single construction is a batch of one.  A curve's
 batch is one table (``Pieces``) of its traced states, with the rows of its
 mirror images made from theirs (``Pieces.with_mirrors``); the mirror images
 take their partners' steady residuals, and every state gets its field and
-mass checks."""
+mass checks.  The curve keeps that table (``profiles.Curve``), and its
+reports are taken on it."""
 
 from __future__ import annotations
 
@@ -44,12 +45,6 @@ class Pieces:
             around_0 = (self.l < 0.0) & (0.0 < self.r)
             self.low = np.minimum(np.minimum(self.left, self.right),
                                   np.where(around_0, self.c0, np.inf))
-
-    def take(self, rows) -> "Pieces":
-        """The table of the fields at ``rows``, as wide as this one."""
-        sub = object.__new__(Pieces)
-        sub.__dict__.update({name: a[rows] for name, a in vars(self).items()})
-        return sub
 
     def with_mirrors(self, mirrored: int) -> "Pieces":
         """Bitwise the ``Pieces`` of a batch of pairs whose fields alternate

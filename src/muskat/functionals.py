@@ -6,19 +6,22 @@ E_* = E + M2/6.  On steady states E_* = M2/2 = (3/2) E and the weighted
 first moment M1 vanishes; along the continuation curve E_* is strictly
 unimodal with its minimum at the even state.  On piecewise-quadratic
 fields every functional, the entropy included, is a closed form per piece.
-A curve is evaluated as one batch, on the ``checks.Pieces`` table that its
-construction checked, each mirror image taking its partner's report.
+A curve is evaluated as one batch: a ``profiles.Curve`` on the
+``checks.Pieces`` table that its construction checked, each mirror image
+taking its partner's report, and any other sequence of states on a table of
+all their pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .params import FluidParams
 from .checks import Pieces, raise_first
-from .profiles import CurvePoint, ProfilePair, _closed_form_energies
+from .profiles import Curve, CurvePoint, ProfilePair, _closed_form_energies
 
 __all__ = [
     "FunctionalReport",
@@ -247,60 +250,34 @@ def dissipation(state, p: FluidParams) -> float:
     return 0.5 * h * (s_f + p.theta * s_g)
 
 
-def _mirrored(pcs: Pieces) -> np.ndarray:
-    """Whether the fields of each state i of a batch whose fields alternate
-    F, G in ``pcs`` are those of state n - 1 - i mirrored about x = 0, piece
-    k the (-r, -l, c0, c2) of the partner's last but k, as ``profiles._mirror``."""
-    j = np.arange(len(pcs.count)).reshape(-1, 2)[::-1].ravel()  # each field's partner
-    k = np.maximum(pcs.count[j, None] - 1 - np.arange(pcs.real.shape[1]), 0)
-    partner = np.stack([-pcs.r, -pcs.l, pcs.c0, pcs.c2])[:, j[:, None], k]
-    same = (np.stack([pcs.l, pcs.r, pcs.c0, pcs.c2]) == partner).all(axis=0) | ~pcs.real
-    return ((pcs.count == pcs.count[j]) & same.all(axis=1)).reshape(-1, 2).all(axis=1)
-
-
-def curve_reports(curve: list[CurvePoint]) -> list[FunctionalReport]:
+def curve_reports(curve: Sequence[CurvePoint]) -> list[FunctionalReport]:
     """Functional report of each curve state, in curve order, cross-checked.
 
     E_* is computed by exact quadrature of the profile and independently
     from the closed form in fifth powers of the sextuplet; disagreement
     beyond 1e-9 raises MismatchError.  The states must share one
-    parameter triple; they are evaluated as one batch.  A state whose F and
-    G are the mirror images of those of the state at the mirrored index
-    (i and n - 1 - i, as ``continue_curve`` builds its sigma < 0 half) is
-    not evaluated: E, E_*, M2 and H are mirror-invariant, so it takes its
-    partner's report with M1 negated.  Every state keeps its own closed-form
-    check.  A curve as ``profiles.continue_curve`` returns it, whose pairs
-    each keep their row of its table (``ProfilePair._row``), is evaluated on
-    that table and mirror map; any other list of states on a table of all
-    their pieces, its mirror pairs found by comparing them (``_mirrored``).
+    parameter triple; they are evaluated as one batch, on one table.  A
+    ``Curve`` as ``profiles.continue_curve`` returns it brings its own
+    (``Curve.pieces``), that of its states after the first
+    ``Curve.mirrored``: each state i before them is the mirror image of
+    state n - 1 - i and is not evaluated, since E, E_*, M2 and H are
+    mirror-invariant; it takes its partner's report with M1 negated, as
+    ``checks.steady_residuals`` takes residuals.  Any other sequence of
+    states is evaluated on a table of all their pieces, each state on its
+    own.  Every state keeps its own closed-form check.
     """
     if not curve:
         return []
     p = curve[0].profile.params
     if any(cp.profile.params != p for cp in curve):
         raise ValueError("curve states must share one parameter triple")
-    n = len(curve)
-    traced, mirrored, _ = curve[0].profile._row or (None, 0, 0)
-    # source[i]: the state whose report state i takes, its mirror partner or
-    # itself; at[i]: that state's place among the evaluated ones, the rows of
-    # the table ``traced``
-    if (traced is not None and n == mirrored + len(traced.count) // 2
-            and all(cp.profile._row == (traced, mirrored, i) for i, cp in enumerate(curve))):
-        # the batch that ``_curve_points`` checked, its table that of the states
-        # from ``mirrored`` on, each state before them the mirror of state n - 1 - i
-        source = [n - 1 - i if i < mirrored else i for i in range(n)]
-        at = [j - mirrored for j in source]
+    if isinstance(curve, Curve):
+        table, mirrored = curve.pieces, curve.mirrored
     else:
-        pcs = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)])
-        images = _mirrored(pcs).tolist()
-        source = [n - 1 - i if i < n - 1 - i and images[i] else i for i in range(n)]
-        evaluated, at = np.unique(source, return_inverse=True)
-        traced, at = pcs.take((2 * evaluated[:, None] + [0, 1]).ravel()), at.tolist()
-    own, negative = _fields_reports(p, traced)
-    # a mirror image takes its partner's report with M1 negated
-    reports = [own[k] if i == j else _new_report(own[k].__dict__, m1=-own[k].m1)
-               for i, (j, k) in enumerate(zip(source, at))]
-    negative = negative[at]
+        table, mirrored = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)]), 0
+    own, negative = _fields_reports(p, table)
+    reports = [_new_report(rep.__dict__, m1=-rep.m1) for rep in own[::-1][:mirrored]] + own
+    negative = np.concatenate([negative[::-1][:mirrored], negative])
     quad = [rep.rescaled_energy for rep in reports]
     closed = _closed_form_energies(p, np.array([cp.zeta for cp in curve], dtype=float)).tolist()
     raise_first([
@@ -311,7 +288,7 @@ def curve_reports(curve: list[CurvePoint]) -> list[FunctionalReport]:
     return reports
 
 
-def energy_along_curve(curve: list[CurvePoint]) -> list[tuple[float, float]]:
+def energy_along_curve(curve: Sequence[CurvePoint]) -> list[tuple[float, float]]:
     """(sigma, E_*) along a continuation curve, sorted by sigma (``CurvePoint.ell``);
     see curve_reports."""
     reports = curve_reports(curve)

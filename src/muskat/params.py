@@ -115,14 +115,11 @@ def xi2(t: float, R: float, eta: float) -> float:
 
 
 def _t_M(R: float, eta: float) -> float:
-    """Unique zero of xi2 on (1, oo), bracketed then solved by Brent."""
+    """Unique zero of xi2 on (1, oo), bracketed then solved by Brent, for an
+    eta whose left bracket end is above 1 (``_bracket_starts_at_1``)."""
     # xi2(1) = -2 and its slope at 1 is about eta^2 / 2, so xi2 is still near
     # -1.5 at 1 + 1/eta^2; the left end is 1 + 1e-9 up to eta of about 3.2e4
     a = 1.0 + min(1e-9, 1.0 / eta**2)
-    if a == 1.0:
-        raise RuntimeError(
-            f"cannot bracket the large-threshold root at eta = {eta:.6g}: "
-            "1 + 1/eta^2 rounds to 1, so eta must stay below about 9.4e7")
     # xi2 decreases up to t2 then increases to +oo; start past the minimum.
     t2 = R ** (2.0 / 3.0) * (1.0 + R) ** (1.0 / 3.0) / eta ** (4.0 / 3.0) - R
     b = max(2.0, t2) + 1.0
@@ -134,6 +131,13 @@ def _t_M(R: float, eta: float) -> float:
     if fa >= 0.0:
         raise RuntimeError("unexpected sign of xi2 at the left bracket end")
     return find_root_bracketed(lambda t: xi2(t, R, eta), a, b)
+
+
+def _bracket_starts_at_1(eta: float) -> bool:
+    """Whether ``_t_M``'s left bracket end 1 + min(1e-9, 1/eta^2) rounds to
+    1.  It does for every eta >= 1e8 (1/eta^2 <= 1e-16) and for no eta <= 1,
+    so eta^2 is taken only where it can neither overflow nor underflow."""
+    return eta >= 1e8 or (eta > 1.0 and 1.0 + 1.0 / eta**2 == 1.0)
 
 
 def threshold_residual_small(r_m: float, R: float, eta: float) -> float:
@@ -156,12 +160,24 @@ def thresholds(p: FluidParams) -> RegimeThresholds:
 
 @lru_cache(maxsize=256)
 def _thresholds(R: float, eta: float) -> RegimeThresholds:
+    # r_M is xi2's root at eta and r_m its root at the dual eta1; both
+    # brackets are tested before the closed forms, which overflow or divide
+    # by zero at the most extreme eta
+    eta1 = math.sqrt(R / (1.0 + R)) / eta
+    if _bracket_starts_at_1(eta):
+        raise RuntimeError(
+            f"cannot bracket the large-threshold root at eta = {eta:.6g}: "
+            "1 + 1/eta^2 rounds to 1, so eta must stay below about 9.4e7")
+    if _bracket_starts_at_1(eta1):
+        raise RuntimeError(
+            f"cannot bracket the small-threshold root at eta = {eta:.6g}: at its dual "
+            f"sqrt(R/(1+R))/eta = {eta1:.6g}, 1 + 1/eta^2 rounds to 1, so eta must stay "
+            f"above about {math.sqrt(R / (1.0 + R)) / 9.4e7:.2g}")
     e2 = eta**2
     r0 = R + e2 / (1.0 + e2)
     r_plus = R + ((1.0 + e2) / e2) ** 2
     r_minus = R**3 * (1.0 + R) / (R**3 + (e2 * (1.0 + R) + R) ** 2)
     r_M = R + _t_M(R, eta)
-    eta1 = math.sqrt(R / (1.0 + R)) / eta
     r_m = R * (1.0 + R) / (R + _t_M(R, eta1))
     # xi2 ends in -1 - eta^2 and r_m's equation in -1 - c: divided by those,
     # each residual is relative to terms of order 1 at any R and eta

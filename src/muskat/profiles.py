@@ -32,8 +32,8 @@ is built and checked once: its algebraic system by the solver that computes
 it, in the frame that solves it, then its fields in p by
 ``checks.check_pairs``, a whole curve (its even state too) in one batch,
 on one ``Pieces`` table of its traced states from which the rows of the
-sigma < 0 half are mirrored; its pairs keep that table for
-``functionals.curve_reports``.
+sigma < 0 half are mirrored; the ``Curve`` that holds the states keeps that
+table for ``functionals.curve_reports``.
 Only ``profile_from_zeta``, given a sextuplet from outside, checks a
 sextuplet's order and system residual in p.
 
@@ -75,6 +75,7 @@ __all__ = [
     "PiecewiseQuadratic",
     "ProfilePair",
     "CurvePoint",
+    "Curve",
     "RegimeError",
     "InvalidZetaError",
     "ContinuationStallError",
@@ -237,22 +238,16 @@ class ProfilePair:
     # grid -> read-only (2, n) stack of the exact cell averages of F and G
     _averages: dict = field(init=False, default_factory=dict, compare=False,
                             hash=False, repr=False)
-    # (traced, mirrored, i) when the pair is state i of a batch that
-    # ``_curve_points`` checked: ``traced`` is the ``Pieces`` table of the
-    # batch's states after its first ``mirrored``, which are the mirror images
-    # of its last ones in reverse order (``Pieces.with_mirrors``)
-    _row: tuple | None = field(init=False, default=None, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         check_pairs(self.params, [self.F], [self.G])
 
     @classmethod
-    def _checked(cls, F, G, params, label, zeta, row=None) -> "ProfilePair":
+    def _checked(cls, F, G, params, label, zeta) -> "ProfilePair":
         """A pair whose fields ``check_pairs`` has passed, built without
         running ``__post_init__``'s checks a second time."""
         pp = object.__new__(cls)
-        pp.__dict__.update(F=F, G=G, params=params, label=label, zeta=zeta, _averages={},
-                           _row=row)
+        pp.__dict__.update(F=F, G=G, params=params, label=label, zeta=zeta, _averages={})
         return pp
 
     @property
@@ -273,6 +268,18 @@ class CurvePoint:
     ell: float
     zeta: tuple[float, float, float, float, float, float]
     profile: ProfilePair
+
+
+class Curve(tuple):
+    """The ``CurvePoint``s of one batch that ``_curve_points`` checked, in
+    order, with the ``Pieces`` table it was checked on: ``pieces`` holds the
+    fields of the states after the first ``mirrored``, which are the mirror
+    images of the last ones in reverse order (``Pieces.with_mirrors``).  The
+    states cannot change, so the table stays theirs; a slice or a sum of a
+    curve is a plain tuple, without a table."""
+
+    pieces: Pieces
+    mirrored: int
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +371,7 @@ def _float_fields(fields) -> tuple[list, list]:
     """(Fs, Gs), each state's F pieces and G pieces made fields in one pass,
     the one ``_kept_pieces`` pass a state's pieces get; a curve sends only
     its traced states here and mirrors the other half from their fields
-    (``_mirror_finished``).  Every piece is a
+    (``_curve_points``).  Every piece is a
     tuple of floats, as ``_zeta_pieces``, the even forms and the symmetry
     maps build them, so the kept tuples serve as they are: each field holds
     the pieces of ``PiecewiseQuadratic.from_pieces``, whose float() of a
@@ -724,44 +731,39 @@ def _p_frame_states(p: FluidParams, zws: Sequence[Sequence[float]],
     return zetas, list(map(_zeta_layout(p, work, lam), zetas))
 
 
-def _mirror_finished(zetas: list, Fs: list, Gs: list) -> tuple[list, list, list]:
-    """The mirror images of the states with these sextuplets and finished
-    fields, in reverse order.  Each field is made from the mirror of the
-    kept pieces as they are: those are the kept pieces of the mirror, since
-    a piece's width and the |ends| that scale the width test do not change
-    under the mirror, and ordered pieces stay ordered."""
-    Fs, Gs = ([_field(tuple(_mirror(q.pieces))) for q in reversed(qs)] for qs in (Fs, Gs))
-    return [_reflect_zeta(zeta) for zeta in reversed(zetas)], Fs, Gs
-
-
 def _curve_points(p: FluidParams, work: FluidParams, zetas: list, Fs: list, Gs: list,
-                  even_label: str | None = None, mirrored: int = 0) -> list[CurvePoint]:
+                  even_label: str | None = None, mirrored: int = 0) -> Curve:
     """The states of p with these sextuplets and finished fields, preceded by
-    the mirror images of the last ``mirrored`` of them in reverse order
-    (``_mirror_finished``), solved in ``work`` and checked as one batch, the
-    centre one labelled ``even_label`` when that is given; a state's curve
-    parameter is sigma = alpha + alpha1 of its sextuplet.  The batch's one
-    ``Pieces`` table is that of the given states, its mirror rows made from
-    theirs, and every pair keeps its row of it (``ProfilePair._row``) for
-    ``functionals.curve_reports``.  Each point is made without the
-    dataclass's initializer, as ``ProfilePair._checked`` makes pairs."""
+    the mirror images of the last ``mirrored`` of them in reverse order,
+    solved in ``work`` and checked as one batch, the centre one labelled
+    ``even_label`` when that is given; a state's curve parameter is sigma =
+    alpha + alpha1 of its sextuplet.  Each mirror image's fields are made
+    from the mirrors of its partner's kept pieces as they are: those are the
+    kept pieces of the mirror, since a piece's width and the |ends| that
+    scale the width test do not change under the mirror, and ordered pieces
+    stay ordered.  The batch's one ``Pieces`` table is that of the given
+    states, its mirror rows made from theirs, and the returned ``Curve``
+    keeps it.  Each point is made without the dataclass's initializer, as
+    ``ProfilePair._checked`` makes pairs."""
     traced = Pieces([q for pair in zip(Fs, Gs) for q in pair])
-    if mirrored:
-        k = len(zetas) - mirrored
-        low_zetas, low_Fs, low_Gs = _mirror_finished(zetas[k:], Fs[k:], Gs[k:])
-        zetas, Fs, Gs = low_zetas + zetas, low_Fs + Fs, low_Gs + Gs
+    k = len(zetas) - mirrored
+    zetas = [_reflect_zeta(zeta) for zeta in reversed(zetas[k:])] + zetas
+    Fs, Gs = ([_field(tuple(_mirror(q.pieces))) for q in reversed(qs[k:])] + qs
+              for qs in (Fs, Gs))
     label = "zeta-large" if work is p else "zeta-small"
     check_pairs(p, Fs, Gs, label, traced, mirrored)
     labels = [label] * len(zetas)
     if even_label is not None:
         labels[len(labels) // 2] = even_label
     points = []
-    for i, (zeta, F, G, own) in enumerate(zip(zetas, Fs, Gs, labels)):
+    for zeta, F, G, own in zip(zetas, Fs, Gs, labels):
         cp = object.__new__(CurvePoint)
-        cp.__dict__.update(ell=zeta[2] + zeta[3], zeta=zeta, profile=ProfilePair._checked(
-            F, G, p, own, zeta, (traced, mirrored, i)))
+        cp.__dict__.update(ell=zeta[2] + zeta[3], zeta=zeta,
+                           profile=ProfilePair._checked(F, G, p, own, zeta))
         points.append(cp)
-    return points
+    curve = Curve(points)
+    curve.pieces, curve.mirrored = traced, mirrored
+    return curve
 
 
 # where the non-even states exist (None: any of them), for RegimeError
@@ -818,10 +820,9 @@ def _continuum_state(p: FluidParams, cont: _Continuum, sigma: float) -> CurvePoi
         zw = ((-g, -b, -a, a, b, g) if sigma == 0.0
               else _solve_R1_at(work, abs(sigma) / lam, 0.0, [a, b], None, None, cont.tol)[1])
     zetas, fields = _p_frame_states(p, [zw], work, lam)
-    Fs, Gs = _float_fields(fields)
-    if sigma < 0.0:
-        zetas, Fs, Gs = _mirror_finished(zetas, Fs, Gs)
-    return _curve_points(p, work, zetas, Fs, Gs, cont.even_label if sigma == 0.0 else None)[0]
+    # at sigma < 0, the mirror image that precedes the state at -sigma in their batch
+    return _curve_points(p, work, zetas, *_float_fields(fields),
+                         cont.even_label if sigma == 0.0 else None, int(sigma < 0.0))[0]
 
 
 def steady_state(p: FluidParams, sigma: float = 0.0) -> CurvePoint:
@@ -830,9 +831,10 @@ def steady_state(p: FluidParams, sigma: float = 0.0) -> CurvePoint:
     its states: the even one from the curve's radii at 0, the curve's ends
     bitwise at +-``sigma_end(p)``, else one Newton solve at |sigma| from the
     even radii in the work frame, with its bisection.  The state at sigma < 0
-    is the mirror image of the one at -sigma, its fields made as the curve
-    makes them.  RegimeError for |sigma| > sigma_end, and in the unique-even
-    regime, whose one steady state is ``even_profile(p)``."""
+    is the mirror image of the one at -sigma, made as the curve makes its
+    sigma < 0 half (``_curve_points``).  RegimeError for |sigma| >
+    sigma_end, and in the unique-even regime, whose one steady state is
+    ``even_profile(p)``."""
     return _continuum_state(p, _continuum_setup(p), sigma)
 
 
@@ -942,15 +944,15 @@ def _solve_R1_at(p: FluidParams, s_target: float, s_from: float, u_from: Sequenc
     return [u0, u1], zeta
 
 
-def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
+def continue_curve(p: FluidParams, n_points: int = 101) -> Curve:
     """The full one-parameter family of steady states through the even one.
 
-    Returns ``n_points`` states, an odd number, ordered by the curve
-    parameter sigma = alpha + alpha1 of each state's sextuplet, which the
-    mirror x -> -x sends to -sigma.  The grid is symmetric in sigma: the
-    even state sits at the centre with sigma exactly 0.0, and the endpoints
-    are snapped to their exact boundary constructions at -sigma_end and
-    +sigma_end.  Newton continuation traces the sigma > 0 half at fixed
+    Returns a ``Curve`` of ``n_points`` states, an odd number, ordered by
+    the curve parameter sigma = alpha + alpha1 of each state's sextuplet,
+    which the mirror x -> -x sends to -sigma.  The grid is symmetric in
+    sigma: the even state sits at the centre with sigma exactly 0.0, and
+    the endpoints are snapped to their exact boundary constructions at
+    -sigma_end and +sigma_end.  Newton continuation traces the sigma > 0 half at fixed
     sigma in the work frame (``_work_frame``), up to the mirror image of the
     end that ``_connected_quadruple`` or ``_boundary_zeta`` computes there,
     and each traced state maps to p as lam * zeta: below r_minus the curve
@@ -958,10 +960,11 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> list[CurvePoint]:
     the traced states' pieces are made fields (``_float_fields``); each
     state i of the other half is the mirror image of state n - 1 - i, its
     fields made from the mirrors of those fields' pieces
-    (``_mirror_finished``), so that ``reflect(curve[i])`` is ``curve[n - 1 -
+    (``_curve_points``), so that ``reflect(curve[i])`` is ``curve[n - 1 -
     i]`` bitwise.  All n states, the even one from the grid's own radii
     included and labelled as such from the start, are checked in the
-    curve's one batch.
+    curve's one batch, on the table of its traced states that the curve
+    keeps (``Curve.pieces``, with ``Curve.mirrored`` = n // 2).
     """
     if n_points < 5 or n_points % 2 == 0:
         raise ValueError(f"n_points must be odd and at least 5, got {n_points}")

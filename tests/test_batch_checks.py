@@ -14,11 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from muskat import cli, functionals
+from muskat import cli
 from muskat.checks import Pieces, check_pairs, field_failures, steady_residuals
 from muskat.functionals import MismatchError, curve_reports, evaluate
 from muskat.params import ContinuumClass, FluidParams, classify_regime, thresholds
 from muskat.profiles import (
+    Curve,
     InvalidZetaError,
     PiecewiseQuadratic,
     ProfilePair,
@@ -163,14 +164,12 @@ def test_a_state_without_its_mirror_partner_is_evaluated_on_its_own():
         assert_own_reports(states, curve_reports(states))
     # state 2 in the place of state 1: neither it nor state 7 has a partner
     altered = curve[:1] + curve[2:3] + curve[2:]
-    reports = curve_reports(altered)
-    assert_own_reports([altered[1], altered[7]], [reports[1], reports[7]])
-    assert reports[0] == _negated_m1(reports[8]) and reports[2] == _negated_m1(reports[6])
+    assert_own_reports(altered, curve_reports(altered))
 
 
 def test_mismatch_in_one_state_raises_its_scalar_message():
     p = FluidParams(1.0, 10.0, 1.0)
-    curve = continue_curve(p, 9)
+    curve = list(continue_curve(p, 9))
     k = 6
     bad = curve[k] = dataclasses.replace(
         curve[k], zeta=tuple(z * (1 + 2e-4) for z in curve[k].zeta))
@@ -220,20 +219,28 @@ def _same_table(a: Pieces, b: Pieces) -> None:
 @pytest.mark.parametrize("n", [5, 21, 101])
 @pytest.mark.parametrize("p", SEEDED, ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
 def test_curve_table_is_the_pieces_of_all_its_fields(p, n):
-    # the curve keeps the table of its traced states (sigma >= 0), every state
-    # its row; the sigma < 0 rows made from it are bitwise Pieces of every
-    # field, and the residuals taken from the mirror partners bitwise the
-    # residuals of every state
+    # the curve keeps the table of its traced states (sigma >= 0); the sigma < 0
+    # rows made from it are bitwise Pieces of every field, and the residuals
+    # taken from the mirror partners bitwise the residuals of every state
     curve = continue_curve(p, n)
-    traced, mirrored, _ = curve[0].profile._row
+    traced, mirrored = curve.pieces, curve.mirrored
     assert mirrored == n // 2 and len(traced.count) == 2 * (n // 2 + 1)
-    assert [cp.profile._row for cp in curve] == [(traced, mirrored, i) for i in range(n)]
     every = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)])
     _same_table(traced.with_mirrors(mirrored), every)
-    _same_table(traced, every.take(slice(2 * mirrored, None)))
+    _same_table(traced, Pieces([q for cp in curve[mirrored:] for q in (cp.profile.F,
+                                                                       cp.profile.G)]))
     with np.errstate(all="ignore"):  # 0 / 0 on padding, as inside check_pairs
         taken, own = steady_residuals(p, traced, mirrored), steady_residuals(p, every)
     assert np.array_equal(taken.view(np.int64), own.view(np.int64))
+
+
+def test_a_curve_is_an_immutable_tuple_whose_slices_are_plain():
+    curve = continue_curve(FluidParams(1.0, 10.0, 1.0), 9)
+    assert type(curve) is Curve and isinstance(curve, tuple) and curve.mirrored == 4
+    with pytest.raises(TypeError):
+        curve[1] = curve[0]
+    assert type(curve[1:]) is tuple and type(curve + curve) is tuple
+    assert curve[1:] == tuple(curve)[1:]
 
 
 @pytest.mark.parametrize("p", SEEDED, ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
@@ -254,8 +261,8 @@ def test_muskat_curve_builds_one_pieces_table(p, tmp_path, monkeypatch):
 
 
 def _detached(states):
-    """The states with their pairs built anew, through the initializer: no
-    pair keeps a row of its curve's table."""
+    """The states with their pairs built anew, through the initializer, in a
+    list."""
     return [dataclasses.replace(cp, profile=ProfilePair(cp.profile.F, cp.profile.G,
                                                         cp.profile.params, cp.profile.label,
                                                         cp.profile.zeta)) for cp in states]
@@ -263,26 +270,17 @@ def _detached(states):
 
 @pytest.mark.parametrize("p", TRIPLES + SEEDED[:4],
                          ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
-def test_curve_reports_from_the_table_equal_the_scanned_ones(p, monkeypatch):
-    # the curve as built reads its table and mirror map, without a scan; a
-    # reversed, cut or re-sampled list, or states without rows, is scanned
-    # for mirror pairs, and every report is bitwise that of the scan
-    scans, scan = [], functionals._mirrored
-
-    def counting(pcs):
-        scans.append(len(pcs.count))
-        return scan(pcs)
-
-    monkeypatch.setattr(functionals, "_mirrored", counting)
+def test_curve_reports_of_a_plain_sequence_are_each_states_own(p):
+    # only a Curve brings a table and its mirror map; any other sequence of
+    # states (a slice, a reversal, a list of the curve, its states rebuilt)
+    # gets, state by state, the report of its own pieces, bitwise the loop's
     curve = continue_curve(p, 21)
-    for states in (curve, curve[::-1], curve[:15], curve[3:], curve[::2], curve[1::3]):
-        scans.clear()
+    for states in (list(curve), curve[::-1], curve[:15], curve[3:], curve[::2], curve[1::3],
+                   _detached(curve)):
         reports = curve_reports(states)
-        assert scans == ([] if states is curve else [2 * len(states)])
-        scans.clear()
-        scanned = curve_reports(_detached(states))
-        assert scans == [2 * len(states)] and len(reports) == len(scanned)
-        for rep, expect in zip(reports, scanned):
+        assert len(reports) == len(states)
+        for cp, rep in zip(states, reports):
+            expect = fields_report_by_loop(cp.profile.F, cp.profile.G, p)
             for name, value in dataclasses.asdict(rep).items():
                 assert _bits(value) == _bits(getattr(expect, name)), name
 

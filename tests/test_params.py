@@ -131,10 +131,26 @@ def test_thresholds_that_round_together_are_named_once_bracketed(R, eta, pair):
 
 
 def test_an_eta_that_rounds_r_m_bracket_to_1_is_named():
-    # r_M's root near 1.1e160 is bracketed and solved; r_m's dual eta of
-    # 7.1e39 then puts the left bracket end 1 + 1/eta^2 at 1
+    # r_m's dual eta of 7.1e39 puts its left bracket end 1 + 1/eta^2 at 1
     with pytest.raises(RuntimeError, match="1 \\+ 1/eta\\^2 rounds to 1"):
         thresholds(FluidParams(1.0, 1.0, 1e-40))
+
+
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("eta", [1e-9, 1e-40, 1e-100, 1e-200, 1e-300, 5e-324,
+                                 1e8, 1e155, 1e200, 1e300])
+def test_an_extreme_eta_builds_or_names_itself_and_its_limit(R, eta):
+    # both brackets are tested before any closed form, which would overflow
+    # (eta^2 beyond 1e308) or divide by zero (eta^2 rounding to 0)
+    limit = ("below about 9.4e7" if eta > 1.0
+             else f"above about {math.sqrt(R / (1.0 + R)) / 9.4e7:.2g}")
+    try:
+        th = thresholds(FluidParams(R, 1.0, eta))
+    except RuntimeError as exc:
+        assert f"at eta = {eta:.6g}: " in str(exc) and "1 + 1/eta^2 rounds to 1" in str(exc)
+        assert str(exc).endswith(limit)
+    else:
+        assert th.r_m < th.r_minus < th.r0 < th.r_plus < th.r_M
 
 
 @pytest.mark.parametrize("R, eta", [(1.0, 1.0), (0.001, 15.117750706156615), (1.0, 1000.0)])
