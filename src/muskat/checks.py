@@ -1,11 +1,10 @@
 """The checks of a batch of piecewise-quadratic steady states, run at once
 on arrays of their pieces padded to a common count, and the tolerances of
-every construction.  A single construction is a batch of one.  A curve's
-batch is one table (``Pieces``) of its traced states, with the rows of its
-mirror images made from theirs (``Pieces.with_mirrors``); the mirror images
-take their partners' steady residuals, and every state gets its field and
-mass checks.  The curve keeps that table (``profiles.Curve``), and its
-reports are taken on it."""
+every construction.  A single construction is a batch of one.  Every batch
+is checked on one table (``Pieces``) of all its fields, which
+``check_pairs`` returns.  A curve's mirror images take their partners'
+steady residuals, and every state gets its field and mass checks; the curve
+keeps the table (``profiles.Curve``), and its reports are taken on it."""
 
 from __future__ import annotations
 
@@ -46,26 +45,11 @@ class Pieces:
             self.low = np.minimum(np.minimum(self.left, self.right),
                                   np.where(around_0, self.c0, np.inf))
 
-    def with_mirrors(self, mirrored: int) -> "Pieces":
-        """Bitwise the ``Pieces`` of a batch of pairs whose fields alternate
-        F, G: this table's states, preceded by the mirror images x -> -x of
-        its last ``mirrored`` states in reverse order, so that state
-        i < mirrored is the mirror of state n - 1 - i.  A mirrored row holds
-        its partner's pieces in reverse order, each (-r, -l, c0, c2): its end
-        values are the partner's right and left ones, as (-x) * (-x) is
-        x * x, and its least values are taken as ``__init__`` takes them."""
-        m = len(self.count) // 2
-        rows = (2 * np.arange(m - 1, m - 1 - mirrored, -1)[:, None] + [0, 1]).ravel()
-        count, real = self.count[rows], self.real[rows]
-        at = rows[:, None], np.where(real, count[:, None] - 1 - np.arange(real.shape[1]), 0)
-        l, r, c0, c2, left, right = (np.where(real, a, 0.0) for a in (
-            -self.r[at], -self.l[at], self.c0[at], self.c2[at], self.right[at], self.left[at]))
-        low = np.minimum(np.minimum(left, right), np.where((l < 0.0) & (0.0 < r), c0, np.inf))
-        full = object.__new__(Pieces)
-        full.__dict__.update({name: np.concatenate([a, getattr(self, name)]) for name, a in (
-            ("count", count), ("real", real), ("finite", self.finite[at] | ~real), ("l", l),
-            ("r", r), ("c0", c0), ("c2", c2), ("left", left), ("right", right), ("low", low))})
-        return full
+    def rows(self, start: int) -> "Pieces":
+        """The table of the fields from ``start`` on, a view of these arrays."""
+        view = object.__new__(Pieces)
+        view.__dict__.update({name: a[start:] for name, a in vars(self).items()})
+        return view
 
 
 def field_failures(pcs: Pieces):
@@ -114,11 +98,14 @@ def steady_residuals(p: FluidParams, pcs: Pieces, mirrored: int = 0) -> np.ndarr
     """``profiles.steady_residual_fields`` of each pair of a batch whose fields
     alternate F, G in ``pcs``, with the operations of a loop over each pair's
     intervals in that loop's order, so that each value is bitwise the loop's.
-    Given ``mirrored``, the batch is ``pcs.with_mirrors(mirrored)`` and each
-    mirror image takes its partner's residual, bitwise its own: under x -> -x
-    every term |k x (c0 + c2 x^2)| and every interval width stay the same,
-    and the fmax over them does not depend on their order."""
+    Given ``mirrored``, the batch's first ``mirrored`` pairs are the mirror
+    images of its last ones in reverse order; only the pairs after them are
+    evaluated, and each mirror image takes its partner's residual, bitwise
+    its own: under x -> -x every term |k x (c0 + c2 x^2)| and every interval
+    width stay the same, and the fmax over them does not depend on their
+    order."""
     R, Rmu, e2 = p.R, p.R_mu, p.eta**2
+    pcs = pcs.rows(2 * mirrored)
     n = len(pcs.count) // 2
     ends = np.concatenate([pcs.l, pcs.r], axis=1).reshape(n, -1)
     real = np.tile(pcs.real, 2).reshape(n, -1)
@@ -158,24 +145,20 @@ def raise_first(checks) -> None:
 
 
 def check_pairs(p: FluidParams, Fs, Gs, label: str | None = None,
-                traced: Pieces | None = None, mirrored: int = 0) -> None:
-    """Check every state (F_k, G_k) of a batch at once: every condition of
+                mirrored: int = 0) -> Pieces:
+    """Check every state (F_k, G_k) of a batch at once, on the one ``Pieces``
+    table of its fields, and return that table: every condition of
     ``field_failures`` on F_k and on G_k, their unit masses and, given the
     ``label`` of the construction that built the batch, the exact steady
     residual.  A labelled batch raises its field and mass failures as
     RuntimeError, since the package built its states; an unlabelled one
     (a pair built by hand) as ValueError.  Raises what checking one state
-    at a time raises (see ``raise_first``).  A caller that holds the table
-    of the batch's states after its first ``mirrored``, which are the mirror
-    images of its last ones in reverse order, passes it as ``traced``: the
-    batch's table is then ``traced.with_mirrors(mirrored)``, and its mirror
-    images take their partners' steady residuals (``steady_residuals``)."""
+    at a time raises (see ``raise_first``).  When the batch's first
+    ``mirrored`` states are the mirror images of its last ones in reverse
+    order, they take their partners' steady residuals (``steady_residuals``)."""
     kind = ValueError if label is None else RuntimeError
     with np.errstate(all="ignore"):
-        if traced is None:
-            pcs = traced = Pieces([q for pair in zip(Fs, Gs) for q in pair])
-        else:
-            pcs = traced.with_mirrors(mirrored)
+        pcs = Pieces([q for pair in zip(Fs, Gs) for q in pair])
         failed, error = field_failures(pcs)
         # masses piece by piece in order, as mass() sums them; a failing
         # state's message quotes mass() itself
@@ -189,7 +172,8 @@ def check_pairs(p: FluidParams, Fs, Gs, label: str | None = None,
                    lambda k: kind(f"masses must be 1: got {Fs[k].mass()!r}, "
                                   f"{Gs[k].mass()!r}"))]
         if label is not None:
-            res = steady_residuals(p, traced, mirrored)
+            res = steady_residuals(p, pcs, mirrored)
             checks.append((res > STEADY_TOL, lambda k: RuntimeError(
                 f"steady residual {res[k]:.3e} exceeds {STEADY_TOL} for {label}")))
     raise_first(checks)
+    return pcs

@@ -3,9 +3,10 @@
 All numeric output is written with 17 significant digits so that re-running
 a command reproduces byte-identical files.  Exit codes: 0 success, 2 usage
 (including a simulate config that lacks a parameter, holds an unknown key,
-or whose profiles or bumps leave the grid), 3 regime error, 4 numerical
-failure.  A simulation stopped by a step guard still writes the records it
-finished, with a manifest whose "error" names the guard, and exits 4.
+whose t_end is not a whole number of steps, or whose profiles or bumps leave
+the grid), 3 regime error, 4 numerical failure.  A simulation stopped by a
+step guard still writes the records it finished, with a manifest whose
+"error" names the guard, and exits 4.
 """
 
 from __future__ import annotations
@@ -303,7 +304,8 @@ def cmd_simulate(args) -> int:
         "mass_f_drift": float(np.max(np.abs(rep.data["mass_f"] - rep.data["mass_f"][0]))),
         "rupture_f": bool(np.any(ncf > ncf[0])),
         "first_f_split_t": float(rep.times[np.argmax(ncf > ncf[0])]) if np.any(ncf > ncf[0]) else None,
-        "final_l2_dist": float(rep.data["l2_dist"][-1]),
+        "final_l2_dist": (None if sim_cfg.reference is None  # NaN is not JSON
+                          else float(rep.data["l2_dist"][-1])),
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK

@@ -6,7 +6,7 @@ E_* = E + M2/6.  On steady states E_* = M2/2 = (3/2) E and the weighted
 first moment M1 vanishes; along the continuation curve E_* is strictly
 unimodal with its minimum at the even state.  On piecewise-quadratic
 fields every functional, the entropy included, is a closed form per piece.
-A curve is evaluated as one batch: a ``profiles.Curve`` on the
+A curve is evaluated as one batch: a ``profiles.Curve`` on the rows of the
 ``checks.Pieces`` table that its construction checked, each mirror image
 taking its partner's report, and any other sequence of states on a table of
 all their pieces.
@@ -258,9 +258,9 @@ def curve_reports(curve: Sequence[CurvePoint]) -> list[FunctionalReport]:
     beyond 1e-9 raises MismatchError.  The states must share one
     parameter triple; they are evaluated as one batch, on one table.  A
     ``Curve`` as ``profiles.continue_curve`` returns it brings its own
-    (``Curve.pieces``), that of its states after the first
-    ``Curve.mirrored``: each state i before them is the mirror image of
-    state n - 1 - i and is not evaluated, since E, E_*, M2 and H are
+    (``Curve.pieces``), of which only the rows of its states after the
+    first ``Curve.mirrored`` are evaluated: each state i before them is the
+    mirror image of state n - 1 - i and is not, since E, E_*, M2 and H are
     mirror-invariant; it takes its partner's report with M1 negated, as
     ``checks.steady_residuals`` takes residuals.  Any other sequence of
     states is evaluated on a table of all their pieces, each state on its
@@ -272,7 +272,7 @@ def curve_reports(curve: Sequence[CurvePoint]) -> list[FunctionalReport]:
     if any(cp.profile.params != p for cp in curve):
         raise ValueError("curve states must share one parameter triple")
     if isinstance(curve, Curve):
-        table, mirrored = curve.pieces, curve.mirrored
+        table, mirrored = curve.pieces.rows(2 * curve.mirrored), curve.mirrored
     else:
         table, mirrored = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)]), 0
     own, negative = _fields_reports(p, table)

@@ -197,6 +197,11 @@ class SimConfig:
         require_number("record_every", self.record_every, integer=True)
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
+        steps = self.t_end / self.dt
+        n = round(steps) if math.isfinite(steps) else 0  # the steps run() takes
+        if n < 1 or abs(steps - n) > 1e-9 * n:
+            raise ValueError(f"t_end must be a whole number of dt steps, got t_end / dt = "
+                             f"{steps!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 

@@ -31,9 +31,8 @@ pieces from the one split-G layout of ``_zeta_layout``.  Each returned state
 is built and checked once: its algebraic system by the solver that computes
 it, in the frame that solves it, then its fields in p by
 ``checks.check_pairs``, a whole curve (its even state too) in one batch,
-on one ``Pieces`` table of its traced states from which the rows of the
-sigma < 0 half are mirrored; the ``Curve`` that holds the states keeps that
-table for ``functionals.curve_reports``.
+on the one ``Pieces`` table of all its states' fields; the ``Curve`` that
+holds the states keeps that table for ``functionals.curve_reports``.
 Only ``profile_from_zeta``, given a sextuplet from outside, checks a
 sextuplet's order and system residual in p.
 
@@ -272,11 +271,10 @@ class CurvePoint:
 
 class Curve(tuple):
     """The ``CurvePoint``s of one batch that ``_curve_points`` checked, in
-    order, with the ``Pieces`` table it was checked on: ``pieces`` holds the
-    fields of the states after the first ``mirrored``, which are the mirror
-    images of the last ones in reverse order (``Pieces.with_mirrors``).  The
-    states cannot change, so the table stays theirs; a slice or a sum of a
-    curve is a plain tuple, without a table."""
+    order, with the ``Pieces`` table of all their fields that it was checked
+    on; its first ``mirrored`` states are the mirror images of its last ones
+    in reverse order.  The states cannot change, so the table stays theirs;
+    a slice or a sum of a curve is a plain tuple, without a table."""
 
     pieces: Pieces
     mirrored: int
@@ -359,14 +357,6 @@ def steady_residual(pp: ProfilePair) -> float:
     return steady_residual_fields(pp.F, pp.G, pp.params)
 
 
-def _field(pieces: tuple) -> PiecewiseQuadratic:
-    """The field of these finished pieces, made without the dataclass's
-    initializer."""
-    q = object.__new__(PiecewiseQuadratic)
-    q.__dict__["pieces"] = pieces
-    return q
-
-
 def _float_fields(fields) -> tuple[list, list]:
     """(Fs, Gs), each state's F pieces and G pieces made fields in one pass,
     the one ``_kept_pieces`` pass a state's pieces get; a curve sends only
@@ -380,7 +370,7 @@ def _float_fields(fields) -> tuple[list, list]:
     Fs, Gs = out = ([], [])
     for state in fields:
         for pieces, dest in zip(state, out):
-            dest.append(_field(tuple(_kept_pieces(pieces))))
+            dest.append(PiecewiseQuadratic(tuple(_kept_pieces(pieces))))
     return Fs, Gs
 
 
@@ -741,28 +731,20 @@ def _curve_points(p: FluidParams, work: FluidParams, zetas: list, Fs: list, Gs: 
     from the mirrors of its partner's kept pieces as they are: those are the
     kept pieces of the mirror, since a piece's width and the |ends| that
     scale the width test do not change under the mirror, and ordered pieces
-    stay ordered.  The batch's one ``Pieces`` table is that of the given
-    states, its mirror rows made from theirs, and the returned ``Curve``
-    keeps it.  Each point is made without the dataclass's initializer, as
-    ``ProfilePair._checked`` makes pairs."""
-    traced = Pieces([q for pair in zip(Fs, Gs) for q in pair])
+    stay ordered.  The returned ``Curve`` keeps the ``Pieces`` table of all
+    its states that ``check_pairs`` checked."""
     k = len(zetas) - mirrored
     zetas = [_reflect_zeta(zeta) for zeta in reversed(zetas[k:])] + zetas
-    Fs, Gs = ([_field(tuple(_mirror(q.pieces))) for q in reversed(qs[k:])] + qs
+    Fs, Gs = ([PiecewiseQuadratic(tuple(_mirror(q.pieces))) for q in reversed(qs[k:])] + qs
               for qs in (Fs, Gs))
     label = "zeta-large" if work is p else "zeta-small"
-    check_pairs(p, Fs, Gs, label, traced, mirrored)
+    pieces = check_pairs(p, Fs, Gs, label, mirrored)
     labels = [label] * len(zetas)
     if even_label is not None:
         labels[len(labels) // 2] = even_label
-    points = []
-    for zeta, F, G, own in zip(zetas, Fs, Gs, labels):
-        cp = object.__new__(CurvePoint)
-        cp.__dict__.update(ell=zeta[2] + zeta[3], zeta=zeta,
-                           profile=ProfilePair._checked(F, G, p, own, zeta))
-        points.append(cp)
-    curve = Curve(points)
-    curve.pieces, curve.mirrored = traced, mirrored
+    curve = Curve([CurvePoint(zeta[2] + zeta[3], zeta, ProfilePair._checked(F, G, p, own, zeta))
+                   for zeta, F, G, own in zip(zetas, Fs, Gs, labels)])
+    curve.pieces, curve.mirrored = pieces, mirrored
     return curve
 
 
@@ -963,7 +945,7 @@ def continue_curve(p: FluidParams, n_points: int = 101) -> Curve:
     (``_curve_points``), so that ``reflect(curve[i])`` is ``curve[n - 1 -
     i]`` bitwise.  All n states, the even one from the grid's own radii
     included and labelled as such from the start, are checked in the
-    curve's one batch, on the table of its traced states that the curve
+    curve's one batch, on the table of all their fields that the curve
     keeps (``Curve.pieces``, with ``Curve.mirrored`` = n // 2).
     """
     if n_points < 5 or n_points % 2 == 0:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from muskat import cli
+from muskat import checks, cli
 from muskat.checks import Pieces, check_pairs, field_failures, steady_residuals
 from muskat.functionals import MismatchError, curve_reports, evaluate
 from muskat.params import ContinuumClass, FluidParams, classify_regime, thresholds
@@ -219,19 +219,42 @@ def _same_table(a: Pieces, b: Pieces) -> None:
 @pytest.mark.parametrize("n", [5, 21, 101])
 @pytest.mark.parametrize("p", SEEDED, ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
 def test_curve_table_is_the_pieces_of_all_its_fields(p, n):
-    # the curve keeps the table of its traced states (sigma >= 0); the sigma < 0
-    # rows made from it are bitwise Pieces of every field, and the residuals
-    # taken from the mirror partners bitwise the residuals of every state
+    # the curve keeps the table of all its states, bitwise Pieces of every
+    # field, and the residuals its sigma < 0 half takes from the mirror
+    # partners are bitwise the residuals of every state
     curve = continue_curve(p, n)
-    traced, mirrored = curve.pieces, curve.mirrored
-    assert mirrored == n // 2 and len(traced.count) == 2 * (n // 2 + 1)
+    mirrored = curve.mirrored
+    assert mirrored == n // 2
     every = Pieces([q for cp in curve for q in (cp.profile.F, cp.profile.G)])
-    _same_table(traced.with_mirrors(mirrored), every)
-    _same_table(traced, Pieces([q for cp in curve[mirrored:] for q in (cp.profile.F,
-                                                                       cp.profile.G)]))
+    _same_table(curve.pieces, every)
     with np.errstate(all="ignore"):  # 0 / 0 on padding, as inside check_pairs
-        taken, own = steady_residuals(p, traced, mirrored), steady_residuals(p, every)
+        taken, own = steady_residuals(p, curve.pieces, mirrored), steady_residuals(p, every)
     assert np.array_equal(taken.view(np.int64), own.view(np.int64))
+
+
+def test_check_pairs_returns_the_table_it_checked(monkeypatch):
+    # one state and one curve: the returned table is the one the checks ran
+    # on, bitwise Pieces of the batch's fields; its rows after the mirror
+    # images are the table of the traced states alone
+    checked, failures = [], checks.field_failures
+
+    def recording(pcs):
+        checked.append(pcs)
+        return failures(pcs)
+
+    monkeypatch.setattr(checks, "field_failures", recording)
+    p = FluidParams(1.0, 10.0, 1.0)
+    even = even_profile(p)
+    curve = continue_curve(p, 21)
+    for Fs, Gs, mirrored in (([even.F], [even.G], 0),
+                             ([cp.profile.F for cp in curve], [cp.profile.G for cp in curve],
+                              curve.mirrored)):
+        checked.clear()
+        table = check_pairs(p, Fs, Gs, "zeta-large", mirrored)
+        assert len(checked) == 1 and checked[0] is table
+        _same_table(table, Pieces([q for pair in zip(Fs, Gs) for q in pair]))
+        traced = [q for pair in zip(Fs[mirrored:], Gs[mirrored:]) for q in pair]
+        _same_table(table.rows(2 * mirrored), Pieces(traced))
 
 
 def test_a_curve_is_an_immutable_tuple_whose_slices_are_plain():
@@ -245,7 +268,7 @@ def test_a_curve_is_an_immutable_tuple_whose_slices_are_plain():
 
 @pytest.mark.parametrize("p", SEEDED, ids=lambda p: f"{p.R:.4g}-{p.R_mu:.4g}-{p.eta:.4g}")
 def test_muskat_curve_builds_one_pieces_table(p, tmp_path, monkeypatch):
-    # the curve's check and its reports share the one table of its traced states
+    # the curve's check and its reports share the one table of all its states
     builds, init = [], Pieces.__init__
 
     def counting(self, fields):
@@ -257,7 +280,7 @@ def test_muskat_curve_builds_one_pieces_table(p, tmp_path, monkeypatch):
             "-n", "101", "--out-dir", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert builds == [2 * 51]
+    assert builds == [2 * 101]
 
 
 def _detached(states):

@@ -360,6 +360,14 @@ def test_simulate_bad_config(tmp_path, capsys):
     ({"R": True, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01}, "R must be a finite real"),
     ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "cfl_check": False},
      "unknown config key(s): cfl_check"),
+    # t_end a fraction of a step past a whole number of them, short of one step,
+    # or so many steps that t_end / dt overflows
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.015, "dt": 0.01},
+     "t_end must be a whole number of dt steps"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 0.01, "dt": 0.02},
+     "t_end must be a whole number of dt steps"),
+    ({"R": 1.0, "R_mu": 2.0, "eta": 1.0, "t_end": 1e10, "dt": 1e-300},
+     "t_end must be a whole number of dt steps"),
 ])
 def test_simulate_config_errors_exit_2(tmp_path, capsys, cfg, says):
     cfg_path = tmp_path / "cfg.json"
@@ -381,7 +389,11 @@ def test_simulate_without_reference(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg_path),
                            "--out-dir", str(tmp_path / "out"))
     assert code == EXIT_OK
-    assert math.isnan(json.loads(out)["final_l2_dist"])
+
+    def refuse(name):  # NaN and Infinity are not JSON
+        raise ValueError(f"{name} printed")
+
+    assert json.loads(out, parse_constant=refuse)["final_l2_dist"] is None
     body = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     i_l2 = body[0].split(",").index("l2_dist")
     assert len(body) == 6

@@ -848,9 +848,9 @@ def test_curve_keeps_only_traced_pieces_and_checks_every_state_once(rmu, monkeyp
         kept.append(1)
         return keep(pieces)
 
-    def counting_check(p, Fs, Gs, label=None, traced=None, mirrored=0):
+    def counting_check(p, Fs, Gs, label=None, mirrored=0):
         batches.append((len(Fs), len(Gs)))
-        return check(p, Fs, Gs, label, traced, mirrored)
+        return check(p, Fs, Gs, label, mirrored)
 
     monkeypatch.setattr(profiles, "_kept_pieces", counting_keep)
     monkeypatch.setattr(profiles, "check_pairs", counting_check)
